@@ -30,7 +30,6 @@ from .encoder import encode, encode_reference, info_bits_to_int, random_info_bit
 from .list_decoder import (
     METRIC_TIE_EPS,
     Candidate,
-    Extension,
     ListResult,
     extend_leaf,
     list_decode,
@@ -70,7 +69,6 @@ __all__ = [
     "Path",
     "CodeSpec",
     "Candidate",
-    "Extension",
     "ListResult",
     "DecodeResult",
     "GenieResult",

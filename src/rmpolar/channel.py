@@ -126,6 +126,8 @@ class SoftVector:
         arr = np.array(llr, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"beliefs must be a non-empty 1-d array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("beliefs must be finite (no NaN or infinity)")
         np.clip(arr, -LLR_CLAMP, LLR_CLAMP, out=arr)
         arr.setflags(write=False)
         self.llr = arr

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -91,7 +92,12 @@ def _cmd_decode(args):
         for ln, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            values = [float(tok) for tok in line.split()]
+            try:
+                values = [float(tok) for tok in line.split()]
+            except ValueError:
+                raise SystemExit(f"{args.infile}:{ln}: LLR values must be numbers") from None
+            if not all(math.isfinite(v) for v in values):
+                raise SystemExit(f"{args.infile}:{ln}: LLR values must be finite, not nan or inf")
             if len(values) != spec.n:
                 raise SystemExit(f"{args.infile}:{ln}: expected {spec.n} LLR values")
             frames.append(values)

@@ -92,7 +92,5 @@ def random_info_bits(spec, rng, size=None):
 
 def info_bits_to_int(bits):
     """Read an information word as an integer, first processed bit first."""
-    value = 0
-    for b in np.asarray(bits).ravel():
-        value = (value << 1) | int(b)
-    return value
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)

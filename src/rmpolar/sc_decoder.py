@@ -122,6 +122,8 @@ def _check_llr_block(spec, llr):
         llr = llr[None, :]
     if llr.ndim != 2 or llr.shape[1] != spec.n:
         raise ValueError(f"beliefs must have {spec.n} positions, got shape {llr.shape}")
+    if not np.isfinite(llr).all():
+        raise ValueError("beliefs must be finite (no NaN or infinity)")
     return llr
 
 

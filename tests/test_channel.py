@@ -149,6 +149,11 @@ def test_softvector_extremes_clamp():
 def test_softvector_validation():
     with pytest.raises(ValueError):
         SoftVector.from_q(np.array([1.2]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SoftVector([bad, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            SoftVector.from_llr(np.array([1.0, bad]))
     with pytest.raises(ValueError):
         SoftVector.from_q(np.zeros((2, 2)))
     with pytest.raises(ValueError):

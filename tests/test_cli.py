@@ -104,6 +104,27 @@ def test_decode_rejects_bad_frame_length(tmp_path):
               "--out", str(tmp_path / "o.txt")])
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_decode_rejects_non_finite_llr_tokens(tmp_path, token):
+    spec = freeze_rm(1, 3)
+    fs = _frozen_set_file(tmp_path, spec)
+    infile = tmp_path / "llr.txt"
+    infile.write_text("1 1 1 1 1 1 1 1\n\n1 1 " + token + " 1 1 1 1 1\n")
+    with pytest.raises(SystemExit, match=rf"llr\.txt:3: .*finite"):
+        main(["decode", "--frozen-set", str(fs), "--in", str(infile),
+              "--out", str(tmp_path / "o.txt")])
+
+
+def test_decode_rejects_non_numeric_llr_tokens(tmp_path):
+    spec = freeze_rm(1, 3)
+    fs = _frozen_set_file(tmp_path, spec)
+    infile = tmp_path / "llr.txt"
+    infile.write_text("1 1 1 1 1 1 1 one\n")
+    with pytest.raises(SystemExit, match=r"llr\.txt:1: "):
+        main(["decode", "--frozen-set", str(fs), "--in", str(infile),
+              "--out", str(tmp_path / "o.txt")])
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     spec = freeze_bec(3, 4, 0.5)
     fs = _frozen_set_file(tmp_path, spec)

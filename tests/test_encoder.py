@@ -13,7 +13,7 @@ from rmpolar import (
     monomial_codeword,
     random_info_bits,
 )
-from helpers import eval_polynomial_oracle, full_spec, random_spec
+from helpers import eval_polynomial_oracle, full_spec, info_bits_to_int_loop, random_spec
 
 
 def test_encode_m1_example():
@@ -146,3 +146,14 @@ def test_info_bits_to_int_is_msb_first():
     assert info_bits_to_int(np.array([1, 0, 1])) == 5
     assert info_bits_to_int(np.array([0, 0, 0, 1])) == 1
     assert info_bits_to_int(np.array([], dtype=np.uint8)) == 0
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 128])
+def test_info_bits_to_int_matches_bit_loop(width):
+    rng = np.random.default_rng(100 + width)
+    words = [np.zeros(width, np.uint8), np.ones(width, np.uint8)]
+    words += [rng.integers(0, 2, size=width, dtype=np.uint8) for _ in range(20)]
+    for bits in words:
+        value = info_bits_to_int(bits)
+        assert type(value) is int
+        assert value == info_bits_to_int_loop(bits)

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import log_expit
 
 from rmpolar import (
     Channel,
-    Extension,
     OpCounter,
     SoftVector,
     encode,
     extend_leaf,
     freeze_bec,
+    freeze_rm,
     info_bits_to_int,
     list_decode,
+    ml_decode,
     modulate,
     posteriors,
     random_info_bits,
@@ -21,7 +24,7 @@ from rmpolar import (
     select_top,
     transmit,
 )
-from helpers import full_spec, metric_replay, random_spec
+from helpers import full_spec, metric_replay, random_spec, reference_list_decode, same_list_result
 
 
 def _received_llr(spec, ch, rng, sent=None):
@@ -33,24 +36,32 @@ def _received_llr(spec, ch, rng, sent=None):
 
 def test_extend_leaf_info_example():
     pool = extend_leaf([0.0], [math.log(9.0)], frozen=False)
-    assert [(e.parent, e.bit) for e in pool] == [(0, 0), (0, 1)]
-    assert pool[0].metric == pytest.approx(math.log(0.9), abs=1e-12)
-    assert pool[1].metric == pytest.approx(math.log(0.1), abs=1e-12)
+    # entry i extends parent i // 2 with bit i % 2
+    assert pool.shape == (2,)
+    assert pool[0] == pytest.approx(math.log(0.9), abs=1e-12)
+    assert pool[1] == pytest.approx(math.log(0.1), abs=1e-12)
 
 
 def test_extend_leaf_frozen_modes():
     certain = extend_leaf([-1.5], [40.0], frozen=True, frozen_metric="include")
-    assert len(certain) == 1 and certain[0].bit == 0
-    assert certain[0].metric == pytest.approx(-1.5, abs=1e-12)
+    assert certain.shape == (1,)
+    assert certain[0] == pytest.approx(-1.5, abs=1e-12)
     doubtful = extend_leaf([-1.5], [-2.0], frozen=True, frozen_metric="include")
-    assert doubtful[0].metric == pytest.approx(-1.5 + log_expit(-2.0), abs=1e-12)
+    assert doubtful[0] == pytest.approx(-1.5 + log_expit(-2.0), abs=1e-12)
     ignored = extend_leaf([-1.5], [-2.0], frozen=True, frozen_metric="ignore")
-    assert ignored[0].metric == -1.5
+    assert ignored[0] == -1.5
 
 
 def test_extend_leaf_orders_pool_by_parent():
     pool = extend_leaf([-0.1, -0.7], [2.0, -2.0], frozen=False)
-    assert [(e.parent, e.bit) for e in pool] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # (parent, bit) = (0, 0), (0, 1), (1, 0), (1, 1)
+    expected = [
+        -0.1 + log_expit(2.0),
+        -0.1 + log_expit(-2.0),
+        -0.7 + log_expit(-2.0),
+        -0.7 + log_expit(2.0),
+    ]
+    np.testing.assert_array_equal(pool, expected)
 
 
 def test_extend_leaf_validation():
@@ -61,36 +72,38 @@ def test_extend_leaf_validation():
 
 
 def test_select_top_keeps_best_and_breaks_ties():
-    pool = [
-        Extension(0, 0, -1.0),
-        Extension(0, 1, -0.5),
-        Extension(1, 0, -0.5),
-        Extension(1, 1, -2.0),
-    ]
+    # (parent, bit) = (0, 0), (0, 1), (1, 0), (1, 1)
+    pool = np.array([-1.0, -0.5, -0.5, -2.0])
     kept = select_top(pool, 2)
     # Equal metrics resolve toward the earlier parent, then bit 0.
-    assert [(e.parent, e.bit) for e in kept] == [(0, 1), (1, 0)]
-    sole = select_top(pool, 1)
-    assert (sole[0].parent, sole[0].bit) == (0, 1)
+    assert list(kept) == [1, 2]
+    assert list(select_top(pool, 1)) == [1]
 
 
 def test_select_top_passes_small_pools_through():
-    pool = [Extension(0, 1, -3.0), Extension(0, 0, -1.0)]
-    kept = select_top(pool, 8)
-    assert [(e.parent, e.bit) for e in kept] == [(0, 0), (0, 1)]
+    pool = np.array([-3.0, -1.0])
+    assert list(select_top(pool, 8)) == [1, 0]
+    assert list(select_top(pool[:1], 8)) == [0]
+
+
+def test_select_top_two_entries_keep_one():
+    # the direct comparison used for L=1 follows the same tie rule
+    assert list(select_top(np.array([-0.5, -0.5]), 1)) == [0]
+    assert list(select_top(np.array([-0.6, -0.5]), 1)) == [1]
+    assert list(select_top(np.array([-0.5, -0.6]), 1)) == [0]
 
 
 def test_select_top_counts_pool_entries():
     counter = OpCounter()
-    pool = [Extension(0, b, -float(b)) for b in (0, 1)]
+    pool = np.array([0.0, -1.0])
     select_top(pool, 1, counter=counter)
-    select_top(pool * 3, 2, counter=counter)
+    select_top(np.tile(pool, 3), 2, counter=counter)
     assert counter.select == 2 + 6
 
 
 def test_select_top_validates_limit():
     with pytest.raises(ValueError):
-        select_top([], 0)
+        select_top(np.array([]), 0)
 
 
 def test_list_size_one_matches_sc():
@@ -106,20 +119,40 @@ def test_list_size_one_matches_sc():
         np.testing.assert_array_equal(lst.best.codeword, sc.codeword)
 
 
-def test_block_sharing_matches_deep_copy():
+def test_list_decode_matches_reference_decoder():
     rng = np.random.default_rng(52)
     spec = freeze_bec(4, 8, 0.5)
     ch = Channel.awgn(1.1)
     for _ in range(100):
         _, sv = _received_llr(spec, ch, rng)
-        shared = list_decode(spec, sv, list_size=4)
-        copied = list_decode(spec, sv, list_size=4, _deep_copy=True)
-        assert len(shared.candidates) == len(copied.candidates)
-        for a, b in zip(shared.candidates, copied.candidates):
-            np.testing.assert_array_equal(a.info_bits, b.info_bits)
-            np.testing.assert_array_equal(a.codeword, b.codeword)
-            assert a.metric == b.metric
-        assert shared.kernel_ops == copied.kernel_ops
+        result = list_decode(spec, sv, list_size=4)
+        assert same_list_result(result, reference_list_decode(spec, sv.llr, 4))
+
+
+@pytest.mark.parametrize(
+    "spec, L, kernel_ops, select_ops",
+    [
+        (freeze_bec(8, 128, 0.5), 16, 24152, 5147),
+        (freeze_bec(10, 512, 0.5), 1, 10240, 1536),
+        (freeze_rm(3, 8), 4, 6816, 1263),
+    ],
+    ids=["bec-8-128-L16", "bec-10-512-L1", "rm-3-8-L4"],
+)
+def test_work_counts_are_pinned(spec, L, kernel_ops, select_ops):
+    # The counts depend only on the frozen set and L, never on the beliefs.
+    rng = np.random.default_rng(60)
+    for llr in (np.zeros(spec.n), rng.normal(1.0, 1.0, spec.n)):
+        result = list_decode(spec, llr, list_size=L)
+        assert (result.kernel_ops, result.select_ops) == (kernel_ops, select_ops)
+
+
+def test_list_decode_rejects_non_finite_beliefs():
+    spec = freeze_rm(1, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        llr = np.ones(8)
+        llr[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            list_decode(spec, llr, list_size=2)
 
 
 def test_metrics_replay_along_decision_path():
@@ -236,3 +269,47 @@ def test_larger_lists_do_not_hurt_frame_error_rate():
             errors[L] += int(not np.array_equal(best.info_bits, words[t]))
     assert errors[4] <= errors[1]
     assert errors[1] > 0  # the comparison is not vacuous at this noise level
+
+
+_PROPERTY_CHANNELS = {"bsc": Channel.bsc(0.1), "awgn": Channel.awgn(0.9)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 6),
+    L=st.sampled_from([1, 2, 4, 8]),
+    mode=st.sampled_from(["include", "ignore"]),
+    channel=st.sampled_from(sorted(_PROPERTY_CHANNELS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_matches_reference_and_metric_replay(data, m, L, mode, channel, seed):
+    # bsc beliefs take two values, so exact metric ties are common
+    k = data.draw(st.integers(1, 1 << m), label="k")
+    rng = np.random.default_rng(seed)
+    spec = random_spec(m, k, rng)
+    _, sv = _received_llr(spec, _PROPERTY_CHANNELS[channel], rng)
+    result = list_decode(spec, sv, list_size=L, frozen_metric=mode)
+    assert same_list_result(result, reference_list_decode(spec, sv.llr, L, frozen_metric=mode))
+    for cand in result.candidates:
+        expected = metric_replay(spec, sv.llr, cand.info_bits, frozen_metric=mode)
+        assert cand.metric == pytest.approx(expected, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 6),
+    channel=st.sampled_from(sorted(_PROPERTY_CHANNELS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_full_list_is_maximum_likelihood(data, m, channel, seed):
+    k = data.draw(st.integers(1, min(3, 1 << m)), label="k")
+    L = data.draw(st.sampled_from([size for size in (1, 2, 4, 8) if size >= 1 << k]), label="L")
+    rng = np.random.default_rng(seed)
+    spec = random_spec(m, k, rng)
+    _, sv = _received_llr(spec, _PROPERTY_CHANNELS[channel], rng)
+    best = list_decode(spec, sv, list_size=L, frozen_metric="include").best
+    ml = ml_decode(spec, sv)
+    np.testing.assert_array_equal(best.codeword, ml.codeword)
+    np.testing.assert_array_equal(best.info_bits, ml.info_bits)

@@ -292,3 +292,16 @@ def test_sc_validates_input_length():
     spec = freeze_rm(1, 3)
     with pytest.raises(ValueError):
         sc_decode(spec, SoftVector.from_llr(np.zeros(4)))
+
+
+def test_sc_rejects_non_finite_beliefs():
+    spec = freeze_rm(1, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        llr = np.ones(8)
+        llr[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sc_decode(spec, llr)
+        with pytest.raises(ValueError, match="finite"):
+            sc_decode_batch(spec, np.vstack([np.ones(8), llr]))
+        with pytest.raises(ValueError, match="finite"):
+            genie_error_counts(spec, llr[None, :], np.zeros((1, spec.dimension), np.uint8))
