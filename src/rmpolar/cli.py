@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
-from .channel import parse_channel
-from .code_model import freeze_bec, freeze_montecarlo, freeze_rm, load_frozen_set, save_frozen_set
+from .channel import LLR_CLAMP, parse_channel
+from .code_model import check_m, freeze_bec, freeze_montecarlo, freeze_rm, load_frozen_set, save_frozen_set
 from .encoder import encode
 from .list_decoder import list_decode
-from .sim import complexity_probe, run_simulation, write_csv
+from .sim import block_frames, complexity_probe, run_simulation, write_csv
 
 
 def _parse_int_list(text):
@@ -35,6 +35,7 @@ def _parse_range(text):
 
 
 def _cmd_construct(args):
+    check_m(args.m)
     kind = args.construction
     if kind == "rm":
         if args.design_param is None:
@@ -103,14 +104,14 @@ def _cmd_decode(args):
             frames.append(values)
     if not frames:
         raise SystemExit(f"{args.infile}: no LLR lines found")
-    from .channel import SoftVector
-
+    # clipped like SoftVector beliefs, which raw blocks are not
+    llr = np.clip(np.array(frames, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
+    step = block_frames(spec, args.list_size)
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        for values in frames:
-            outcome = list_decode(
-                spec, SoftVector(values), args.list_size, frozen_metric=args.frozen_metric
-            )
-            fh.write("".join(str(int(b)) for b in outcome.best.info_bits) + "\n")
+        for first in range(0, len(llr), step):
+            block = list_decode(spec, llr[first : first + step], args.list_size, frozen_metric=args.frozen_metric)
+            for outcome in block:
+                fh.write("".join(str(int(b)) for b in outcome.best.info_bits) + "\n")
     print(f"decoded {len(frames)} frame(s) -> {args.out}")
     return 0
 

@@ -30,6 +30,18 @@ __all__ = [
 ]
 
 
+# Largest recursion depth accepted anywhere.  One float64 belief block of
+# a length-2**m frame takes 8 * 2**m bytes, 128 MiB at m=24, and a decode
+# holds several; past that a run would exhaust memory, not finish.
+MAX_M = 24
+
+
+def check_m(m):
+    """Raise ValueError unless 1 <= m <= MAX_M."""
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"m must lie in [1, {MAX_M}] (block length up to 2**{MAX_M}), got m={m}")
+
+
 def rm_dimension(r, m):
     """Number of monomials of degree <= r in m variables: sum_{i<=r} C(m, i)."""
     if m < 0:
@@ -122,8 +134,7 @@ class CodeSpec:
     rm_order: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        check_m(self.m)
         paths = tuple(self.info_set)
         for p in paths:
             if not isinstance(p, Path):
@@ -179,7 +190,8 @@ def freeze_rm(r, m):
     -------
     CodeSpec with dimension rm_dimension(r, m).
     """
-    k = rm_dimension(r, m)  # validates r, m
+    check_m(m)
+    k = rm_dimension(r, m)  # validates r
     paths = [Path.from_index(i, m) for i in range(1 << m)]
     info = tuple(p for p in paths if p.weight <= r)
     assert len(info) == k
@@ -223,6 +235,7 @@ def freeze_bec(m, k, z):
     CodeSpec holding the k paths with the smallest erasure parameter,
     ties broken toward the smaller path index.
     """
+    check_m(m)
     n = 1 << m
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
@@ -246,6 +259,7 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
     from .encoder import encode
     from .sc_decoder import genie_error_counts
 
+    check_m(m)
     n = 1 << m
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
@@ -299,6 +313,10 @@ def load_frozen_set(path):
         k = int(fields["k"])
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
+    try:
+        check_m(m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     body = [ln for ln in lines[1:] if ln]
     if len(body) != k:
         raise ValueError(f"{path}: header says k={k} but {len(body)} index lines follow")

@@ -47,10 +47,19 @@ def encode(spec, info_bits, counter=None):
     words, squeeze = _as_bit_matrix(info_bits, spec.dimension, "info_bits")
     coeff = np.zeros((words.shape[0], n), dtype=np.uint8)
     if spec.dimension:
-        cols = [p.index for p in spec.info_set]
-        coeff[:, cols] = words
+        coeff[:, spec.info_indices[::-1]] = words
     code = _plotkin_transform(coeff, counter)
     return code[0] if squeeze else code
+
+
+def info_bits_of(spec, codewords):
+    """Information bits of codewords of `spec`: the inverse of :func:`encode`.
+
+    The butterfly is its own inverse over GF(2), so it maps a codeword back
+    to its coefficients; shape (n,) gives (N,), (batch, n) gives (batch, N).
+    """
+    coeff = _plotkin_transform(np.asarray(codewords, dtype=np.uint8))
+    return coeff[..., spec.info_indices[::-1]]
 
 
 def _plotkin_transform(coeff, counter=None):

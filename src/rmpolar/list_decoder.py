@@ -1,25 +1,33 @@
 """Successive-cancellation list decoding.
 
-The decoder advances leaf by leaf in processing order, and all live
-hypotheses move together as the rows of per-level arrays: bel[lvl] holds
-the level-lvl belief blocks, shape (live, 2**(m-lvl)); vsym[lvl] the decided
-symbols of the pending i=1 child at that level, same shape; and a (live, N)
-array the decided information bits.  bel[0] is the channel block, one row
-shared by every hypothesis.  A refresh runs each kernel once per level on
-all rows at once, so the total work stays L * n * log2(n) kernel
-evaluations at most.
+The decoder advances leaf by leaf in processing order, and the live
+hypotheses of every frame in a block move together as the rows of
+per-level arrays.  Rows are hypothesis-major: with F frames, row r*F + f
+holds hypothesis r of frame f.  bel[lvl] holds the level-lvl belief blocks,
+shape (live*F, 2**(m-lvl)), and vsym[lvl] the decided symbols of the
+pending i=1 child at that level, same shape.  bel[0] is the channel block,
+one row per frame, shared by every hypothesis of that frame.  A refresh
+runs each kernel once per level on all rows at once, so the work per frame
+stays L * n * log2(n) kernel evaluations at most.  The decided information
+bits are read off the final codewords by inverting the encoder.
 
 At an information leaf every hypothesis forks on the two bit values, the
 metric of each child growing by the log posterior of its bit; at a frozen
 leaf the single bit-0 extension either collects the same log posterior
 (frozen_metric='include', the default) or nothing ('ignore').  The pool of
-extensions is laid out by parent rank, then bit, so one stable sort on the
-negated metrics keeps the L best and breaks exact ties toward the earlier
-parent, then bit 0.  Survivors become the new rows in that order: a fork is
-one row gather arr[parent] per level, skipped when the survivors are the
-live hypotheses in their old order.  Only the rows that will be read again
-are gathered: at each level either the node's first-child beliefs (its
-second child still to come) or the pending i=1 symbols.
+extensions is shaped (entries, F), each column laid out by parent rank, then
+bit, so one stable sort of the negated metrics down axis 0 keeps the L best
+of every frame and breaks exact ties toward the earlier parent, then bit 0.
+Survivors become the new rows in that order: a fork is one row gather per
+level, of rows parent*F + f, skipped when the survivors are the live
+hypotheses in their old order.  Only the rows that will be read again are
+gathered: at each level either the node's first-child beliefs (its second
+child still to come) or the pending i=1 symbols.
+
+How many hypotheses live after each leaf depends only on the frozen set and
+L, never on the beliefs, so the frames of a block always have the same
+number of rows, and each frame's result, work counts included, is exactly
+what decoding it alone gives.  A single frame is the F = 1 block.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import numpy as np
 from scipy.special import log_expit
 
 from .channel import SoftVector
-from .encoder import info_bits_to_int
+from .encoder import info_bits_of, info_bits_to_int
 from .sc_decoder import OpCounter, combine_u_llr, combine_v_llr
 
 __all__ = [
@@ -50,16 +58,6 @@ _FROZEN_METRIC_MODES = ("include", "ignore")
 
 # The leaf belief is multiplied by these to score bit 0 and bit 1.
 _BIT_SIGNS = np.array([1.0, -1.0])
-
-
-def _read_only(arr):
-    arr.setflags(write=False)
-    return arr
-
-
-# Shared results of the one-survivor cases, which are most of an L=1 decode.
-_FIRST, _SECOND = _read_only(np.array([0])), _read_only(np.array([1]))
-_SYMBOL_OF_BIT = (_read_only(np.array([[1.0]])), _read_only(np.array([[-1.0]])))
 
 
 @dataclass
@@ -89,54 +87,61 @@ def extend_leaf(metrics, leaf_llrs, frozen, frozen_metric="include"):
 
     Parameters
     ----------
-    metrics : per-candidate log metrics, in rank order.
-    leaf_llrs : per-candidate leaf belief (positive favors bit 0).
+    metrics : per-candidate log metrics, in rank order; 1-d, or 2-d with one
+        column per frame.
+    leaf_llrs : per-candidate leaf belief (positive favors bit 0), same shape.
     frozen : whether the leaf is frozen to bit 0.
     frozen_metric : 'include' adds the bit-0 log posterior at frozen leaves,
         'ignore' leaves the metric unchanged there.
 
-    Returns the extension pool as a 1-d array of metrics ordered by parent
-    rank, then bit: at a frozen leaf one bit-0 entry per candidate (entry i
-    extends parent i), otherwise both bits per candidate (entry i extends
-    parent i // 2 with bit i % 2).
+    Returns the extension pool, ordered down axis 0 by parent rank, then bit:
+    at a frozen leaf one bit-0 entry per candidate (entry i extends parent i),
+    otherwise both bits per candidate (entry i extends parent i // 2 with bit
+    i % 2).  For 2-d input the pool is shaped (entries, frames), and each
+    column is the pool of that column alone.
     """
     if frozen_metric not in _FROZEN_METRIC_MODES:
         raise ValueError(f"frozen_metric must be one of {_FROZEN_METRIC_MODES}, got {frozen_metric!r}")
     metrics = np.asarray(metrics, dtype=np.float64)
     lam = np.asarray(leaf_llrs, dtype=np.float64)
-    if metrics.shape != lam.shape or metrics.ndim != 1:
+    if metrics.shape != lam.shape or metrics.ndim not in (1, 2):
         raise ValueError("metrics and leaf_llrs must have one entry per candidate")
     if frozen:
         return metrics + log_expit(lam) if frozen_metric == "include" else metrics + 0.0
-    return (metrics[:, None] + log_expit(np.multiply.outer(lam, _BIT_SIGNS))).ravel()
+    signs = _BIT_SIGNS if metrics.ndim == 1 else _BIT_SIGNS[:, None]
+    return (metrics[:, None] + log_expit(lam[:, None] * signs)).reshape(-1, *metrics.shape[1:])
 
 
 def select_top(pool, limit, counter=None):
     """Indices of the `limit` best pool entries, by metric descending.
 
-    Ties go to the earlier entry, which in an :func:`extend_leaf` pool is the
-    earlier parent rank, then bit 0.  A pool no larger than `limit` passes
-    through (re-ranked).
+    A 2-d pool is ranked down axis 0, one column per frame, and gives indices
+    of shape (kept, frames).  Ties go to the earlier entry, which in an
+    :func:`extend_leaf` pool is the earlier parent rank, then bit 0.  A pool
+    no larger than `limit` passes through (re-ranked).  `counter.select`
+    grows by the entries of one column.
     """
     if limit < 1:
         raise ValueError(f"list size must be >= 1, got {limit}")
+    pool = np.asarray(pool, dtype=np.float64)
     size = len(pool)
     if counter is not None:
         counter.select += size
-    if size == 1:
-        return _FIRST
-    if size == 2 and limit == 1:
-        return _FIRST if pool[0] >= pool[1] else _SECOND
-    return np.argsort(-np.asarray(pool, dtype=np.float64), kind="stable")[:limit]
+    if size == 1 or (limit == 1 and size):
+        # the first best entry, which the stable sort would rank first
+        return pool.argmax(axis=0, keepdims=True)
+    return np.argsort(-pool, axis=0, kind="stable")[:limit]
 
 
 def list_decode(spec, beliefs, list_size, frozen_metric="include"):
-    """List-decode one frame of channel beliefs under `spec`.
+    """List-decode channel beliefs under `spec`, one frame or a block.
 
     Parameters
     ----------
     spec : CodeSpec
-    beliefs : SoftVector of length spec.n, or an array of finite LLRs.
+    beliefs : SoftVector of length spec.n, an array of spec.n finite LLRs, or
+        a (frames, spec.n) array of finite LLRs, one frame per row.  Raw
+        arrays are decoded as given; only SoftVector clips to +-LLR_CLAMP.
     list_size : maximum number of live hypotheses L >= 1.
     frozen_metric : see :func:`extend_leaf`.  With 'include' and
         list_size >= 2**N the rank-1 candidate is a maximum-likelihood
@@ -144,9 +149,11 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
 
     Returns
     -------
-    ListResult with at most list_size candidates, ranked by metric
-    descending; metric ties within METRIC_TIE_EPS of the best resolve the
-    rank-1 slot toward the smaller information-word integer.
+    For one frame, a ListResult with at most list_size candidates, ranked by
+    metric descending; metric ties within METRIC_TIE_EPS of the best resolve
+    the rank-1 slot toward the smaller information-word integer.  For a 2-d
+    block, a list with one such ListResult per row, each equal to decoding
+    that row alone.
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
@@ -158,18 +165,28 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
         llr0 = np.asarray(beliefs, dtype=np.float64)
         if not np.isfinite(llr0).all():
             raise ValueError("beliefs must be finite (no NaN or infinity)")
-    if llr0.ndim != 1 or llr0.size != spec.n:
+    single = llr0.ndim == 1
+    if single:
+        llr0 = llr0[None, :]
+    if llr0.ndim != 2 or llr0.shape[1] != spec.n:
         raise ValueError(f"beliefs must have {spec.n} positions, got shape {llr0.shape}")
+    frames = len(llr0)
+    if frames == 0:
+        return []
 
     n, m = spec.n, spec.m
     info_by_leaf = spec.info_mask_by_leaf
     counter = OpCounter()
-    bel = [llr0[None, :]] + [None] * m
+    # frame of each column, for flat indices of hypothesis-major rows
+    cols = np.arange(frames)
+    ranks = np.arange(list_size)[:, None]
+    ones = {}  # read-only symbol columns of frozen leaves, by row count
+    bel = [llr0] + [None] * m
     vsym = [None] * (m + 1)
-    bits = np.zeros((1, spec.dimension), dtype=np.uint8)
-    metrics = np.zeros(1)
+    # symbol of information-leaf pool entry e, whose bit is e % 2
+    entry_symbols = np.tile(_BIT_SIGNS, list_size)
+    metrics = np.zeros((1, frames))
     live = 1
-    col = 0
     code_syms = None
 
     for j in range(n):
@@ -182,7 +199,12 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
             base = bel[start - 1]
             h = 1 << (m - start)
             counter.kernel += h * live
-            lam = combine_u_llr(base[:, :h], base[:, h:], vsym[start])
+            v = vsym[start]
+            if start == 1 and live > 1 and frames > 1:
+                # bel[0] has one row per frame, shared by its hypotheses
+                lam = combine_u_llr(base[:, :h], base[:, h:], v.reshape(live, frames, h)).reshape(-1, h)
+            else:
+                lam = combine_u_llr(base[:, :h], base[:, h:], v)
             bel[start] = lam
             start += 1
         for lvl in range(start, m + 1):
@@ -192,30 +214,30 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
             bel[lvl] = lam
 
         is_info = info_by_leaf[j]
-        pool = extend_leaf(metrics, lam[:, 0], frozen=not is_info, frozen_metric=frozen_metric)
+        pool = extend_leaf(metrics, lam.reshape(live, frames), frozen=not is_info, frozen_metric=frozen_metric)
         keep = select_top(pool, list_size, counter=counter)
-        metrics = pool[keep]
-        if len(keep) == 1:
-            # a lone survivor extends the lone live hypothesis: no gather
-            bit = int(keep[0]) if is_info else 0
-            cur = _SYMBOL_OF_BIT[bit]
-        else:
-            parent, bit = np.divmod(keep, 2) if is_info else (keep, 0)
-            if len(keep) != live or (parent != np.arange(live)).any():
+        metrics = pool.take(keep if frames == 1 else keep * frames + cols)
+        survivors = len(keep)
+        if live > 1 or survivors > 1:  # else one survivor of one hypothesis
+            parent = keep >> 1 if is_info else keep
+            if survivors != live or (parent != ranks[:live]).any():
                 # carry what is read again: the pending i=1 symbols where the
                 # level-d first child is done, else the beliefs its second
                 # child will be formed from (bel[0] is shared)
+                rows = (parent if frames == 1 else parent * frames + cols).ravel()
                 for d in range(1, m + 1):
                     if (j >> (m - d)) & 1:
-                        vsym[d] = vsym[d].take(parent, axis=0)
+                        vsym[d] = vsym[d].take(rows, axis=0)
                     elif d > 1:
-                        bel[d - 1] = bel[d - 1].take(parent, axis=0)
-                bits = bits.take(parent, axis=0)
-            cur = (1.0 - 2.0 * bit)[:, None] if is_info else np.ones((len(keep), 1))
-        live = len(keep)
+                        bel[d - 1] = bel[d - 1].take(rows, axis=0)
+        live = survivors
         if is_info:
-            bits[:, col] = bit
-            col += 1
+            cur = entry_symbols.take(keep if frames == 1 else keep.reshape(-1, 1))
+        else:
+            cur = ones.get(live)
+            if cur is None:
+                cur = ones[live] = np.ones((live * frames, 1))
+                cur.setflags(write=False)
 
         # fold the decided leaf symbols back up the completed subtrees
         d = m
@@ -227,22 +249,28 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
         else:
             code_syms = cur
 
-    ranked = []
-    for r in range(live):
-        word = bits[r]
-        codeword = (code_syms[r] < 0.0).astype(np.uint8)
-        ranked.append((float(metrics[r]), info_bits_to_int(word), word, codeword))
-    ranked.sort(key=lambda t: (-t[0], t[1]))
-    top_metric = ranked[0][0]
-    best = min(
-        (t for t in ranked if t[0] >= top_metric - METRIC_TIE_EPS),
-        key=lambda t: t[1],
-    )
-    ranked.remove(best)
-    ranked.insert(0, best)
-
-    return ListResult(
-        candidates=[Candidate(info_bits=t[2], codeword=t[3], metric=t[0]) for t in ranked],
-        kernel_ops=counter.kernel,
-        select_ops=counter.select,
-    )
+    codewords = (code_syms < 0.0).astype(np.uint8)
+    bits = info_bits_of(spec, codewords)
+    results = []
+    for f in range(frames):
+        ranked = []
+        for r in range(live):
+            row = r * frames + f
+            word = bits[row]
+            ranked.append((float(metrics[r, f]), info_bits_to_int(word), word, codewords[row]))
+        ranked.sort(key=lambda t: (-t[0], t[1]))
+        top_metric = ranked[0][0]
+        best = min(
+            (t for t in ranked if t[0] >= top_metric - METRIC_TIE_EPS),
+            key=lambda t: t[1],
+        )
+        ranked.remove(best)
+        ranked.insert(0, best)
+        results.append(
+            ListResult(
+                candidates=[Candidate(info_bits=t[2], codeword=t[3], metric=t[0]) for t in ranked],
+                kernel_ops=counter.kernel,
+                select_ops=counter.select,
+            )
+        )
+    return results[0] if single else results

@@ -2,7 +2,9 @@
 
 Each trial draws a fresh generator seeded with base_seed + trial_index, so a
 run is reproducible bit for bit and trials could be farmed out independently
-without changing the aggregate.
+without changing the aggregate.  Trials are decoded in chunks, one
+list_decode call per chunk of up to block_frames(spec, L) frames; the chunk
+size bounds memory, never the results.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, modulate, posteriors, transmit
-from .code_model import CodeSpec, Path
+from .code_model import CodeSpec, Path, check_m
 from .encoder import encode, random_info_bits
 from .list_decoder import list_decode
 from .sc_decoder import OpCounter
@@ -27,6 +29,10 @@ __all__ = [
     "ComplexityReport",
     "complexity_probe",
 ]
+
+# Upper bound on frames * list size * n for one list_decode call, which
+# keeps its widest float64 belief block within 8 MiB.
+DECODE_BLOCK_ENTRIES = 1 << 20
 
 CSV_HEADER = (
     "channel,param,trials,frame_errors,bit_errors,fer,ber,fer_ci95,"
@@ -66,6 +72,13 @@ class TrialResult:
         ]
 
 
+def block_frames(spec, list_size):
+    """Frames per list_decode call under DECODE_BLOCK_ENTRIES, at least one."""
+    if list_size < 1:
+        raise ValueError(f"list size must be >= 1, got {list_size}")
+    return max(1, DECODE_BLOCK_ENTRIES // (list_size * spec.n))
+
+
 def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric="include"):
     """Estimate FER/BER for `spec` at each channel point.
 
@@ -93,22 +106,24 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
 
     results = []
     nbits = spec.dimension
+    chunk = block_frames(spec, list_size)
     for ch, display in points:
         frame_errors = 0
         bit_errors = 0
         kernel_total = 0
         select_total = 0
-        for t in range(trials):
-            rng = np.random.default_rng(seed + t)
-            sent = random_info_bits(spec, rng)
-            observed = transmit(ch, modulate(encode(spec, sent)), rng)
-            beliefs = posteriors(ch, observed)
-            outcome = list_decode(spec, beliefs, list_size, frozen_metric=frozen_metric)
-            wrong = int(np.sum(outcome.best.info_bits != sent))
-            bit_errors += wrong
-            frame_errors += wrong > 0
-            kernel_total += outcome.kernel_ops
-            select_total += outcome.select_ops
+        for first in range(0, trials, chunk):
+            rngs = [np.random.default_rng(seed + t) for t in range(first, min(first + chunk, trials))]
+            sent = np.stack([random_info_bits(spec, rng) for rng in rngs])
+            symbols = modulate(encode(spec, sent))
+            observed = np.stack([transmit(ch, row, rng) for row, rng in zip(symbols, rngs)])
+            outcomes = list_decode(spec, posteriors(ch, observed), list_size, frozen_metric=frozen_metric)
+            decided = np.stack([outcome.best.info_bits for outcome in outcomes])
+            wrong = np.count_nonzero(decided != sent, axis=1)
+            bit_errors += int(wrong.sum())
+            frame_errors += int(np.count_nonzero(wrong))
+            kernel_total += sum(outcome.kernel_ops for outcome in outcomes)
+            select_total += sum(outcome.select_ops for outcome in outcomes)
         fer = frame_errors / trials
         results.append(
             TrialResult(
@@ -205,6 +220,10 @@ def complexity_probe(m_values, list_sizes, trials=1, seed=7):
     list_sizes = list(list_sizes)
     if not m_values or not list_sizes:
         raise ValueError("need at least one m and one list size")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    for m in m_values:
+        check_m(m)
 
     decoder_points = []
     encoder_points = []
@@ -214,19 +233,17 @@ def complexity_probe(m_values, list_sizes, trials=1, seed=7):
         ch = Channel.awgn(1.0)
         enc_counter = OpCounter()
         rng = np.random.default_rng(seed + m)
-        frames = []
+        received = []
         for _ in range(trials):
             bits = random_info_bits(spec, rng)
             cw = encode(spec, bits, counter=enc_counter)
-            frames.append(posteriors(ch, transmit(ch, modulate(cw), rng)))
+            received.append(transmit(ch, modulate(cw), rng))
         encoder_points.append((m, n, enc_counter.kernel / trials))
+        frames = posteriors(ch, np.stack(received))
         for L in list_sizes:
-            kernel = 0
-            select = 0
-            for beliefs in frames:
-                outcome = list_decode(spec, beliefs, L)
-                kernel += outcome.kernel_ops
-                select += outcome.select_ops
+            outcomes = list_decode(spec, frames, L)
+            kernel = sum(outcome.kernel_ops for outcome in outcomes)
+            select = sum(outcome.select_ops for outcome in outcomes)
             decoder_points.append((m, n, L, kernel / trials, select / trials))
 
     dec_fit, dec_res = _fit_through_origin(

@@ -1,12 +1,16 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from rmpolar import sim
 from rmpolar import (
+    SoftVector,
     encode,
     freeze_bec,
     freeze_rm,
+    list_decode,
     load_frozen_set,
     modulate,
     save_frozen_set,
@@ -82,6 +86,57 @@ def test_encode_decode_round_trip(tmp_path):
     assert main(["decode", "--frozen-set", str(fs), "--in", str(llr_file),
                  "--out", str(decoded), "--list-size", "2"]) == 0
     assert decoded.read_text().splitlines() == ["".join(map(str, w)) for w in words]
+
+
+@pytest.mark.parametrize("block", [None, 2])
+@pytest.mark.parametrize("list_size", [1, 4])
+def test_decode_blocks_match_per_frame_decoding(tmp_path, monkeypatch, list_size, block):
+    # Values beyond +-LLR_CLAMP are clipped as SoftVector clips them.  On the
+    # length-8 repetition code the first frame sums to -955 unclipped, bit 1,
+    # but to a tie, bit 0, once -1e3 is clipped to -40.
+    spec = freeze_rm(0, 3)
+    rng = np.random.default_rng(72)
+    frames = [[-1e3, 45.0] + [0.0] * 6] + [list(rng.normal(0.5, 2.0, 8)) for _ in range(4)]
+    frames[3][5] = 1e3
+    fs = _frozen_set_file(tmp_path, spec)
+    infile = tmp_path / "llr.txt"
+    infile.write_text("".join(" ".join(str(float(v)) for v in row) + "\n" for row in frames))
+    if block is not None:
+        monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", block * list_size * spec.n)
+    out = tmp_path / "decoded.txt"
+    assert main(["decode", "--frozen-set", str(fs), "--in", str(infile),
+                 "--out", str(out), "--list-size", str(list_size)]) == 0
+    expected = "".join(
+        "".join(str(int(b)) for b in list_decode(spec, SoftVector(row), list_size).best.info_bits) + "\n"
+        for row in frames
+    )
+    assert out.read_bytes() == expected.encode("ascii")
+    assert expected.startswith("0\n")
+    assert list_decode(spec, np.array(frames[0]), list_size).best.info_bits[0] == 1
+
+
+def test_every_subcommand_refuses_m_beyond_limit(tmp_path):
+    deep = tmp_path / "deep.txt"
+    deep.write_text("m=40 k=1\n0\n")
+    frames = tmp_path / "frames.txt"
+    frames.write_text("0\n")
+    out = str(tmp_path / "out.txt")
+    construct = ["construct", "--m", "40", "--out", out]
+    for argv in (
+        construct + ["--construction", "rm", "--design-param", "0"],
+        construct + ["--construction", "bec", "--k", "1", "--design-param", "0.5"],
+        construct + ["--construction", "mc", "--k", "1", "--channel", "bsc:0.1"],
+        ["encode", "--frozen-set", str(deep), "--in", str(frames), "--out", out],
+        ["decode", "--frozen-set", str(deep), "--in", str(frames), "--out", out],
+        ["simulate", "--frozen-set", str(deep), "--channel", "bsc:0.1"],
+        ["complexity", "--m-range", "6,40"],
+    ):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert str(exc.value.code).startswith("error:"), argv
+        assert "m must lie in" in str(exc.value.code), argv
 
 
 def test_encode_rejects_bad_width(tmp_path):

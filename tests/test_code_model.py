@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rmpolar import (
+    Channel,
     CodeSpec,
     Path,
     bec_erasure_parameters,
@@ -15,6 +16,7 @@ from rmpolar import (
     rm_dimension,
     save_frozen_set,
 )
+from rmpolar.code_model import MAX_M
 from helpers import gf2_rank
 
 
@@ -293,3 +295,20 @@ def test_dimension_consistency_against_comb():
     for m in range(1, 9):
         for r in range(m + 1):
             assert rm_dimension(r, m) == sum(math.comb(m, i) for i in range(r + 1))
+
+
+def test_m_is_bounded_before_anything_is_allocated(tmp_path):
+    assert 2**MAX_M * 8 == 128 * 2**20  # one float64 belief block at the limit
+    too_deep = MAX_M + 1
+    with pytest.raises(ValueError, match="m must lie in"):
+        CodeSpec(m=too_deep, info_set=())
+    with pytest.raises(ValueError, match="m must lie in"):
+        freeze_rm(0, 40)
+    with pytest.raises(ValueError, match="m must lie in"):
+        freeze_bec(40, 1, 0.5)
+    with pytest.raises(ValueError, match="m must lie in"):
+        freeze_montecarlo(40, 1, Channel.bsc(0.1), trials=1)
+    path = tmp_path / "deep.txt"
+    path.write_text("m=40 k=1\n0\n")
+    with pytest.raises(ValueError, match=rf"deep\.txt: m must lie in \[1, {MAX_M}\]"):
+        load_frozen_set(path)

@@ -24,7 +24,14 @@ from rmpolar import (
     select_top,
     transmit,
 )
-from helpers import full_spec, metric_replay, random_spec, reference_list_decode, same_list_result
+from helpers import (
+    full_spec,
+    metric_replay,
+    q_domain_reference_decode,
+    random_spec,
+    reference_list_decode,
+    same_list_result,
+)
 
 
 def _received_llr(spec, ch, rng, sent=None):
@@ -104,6 +111,44 @@ def test_select_top_counts_pool_entries():
 def test_select_top_validates_limit():
     with pytest.raises(ValueError):
         select_top(np.array([]), 0)
+
+
+def test_two_dimensional_extend_and_select_match_each_column():
+    rng = np.random.default_rng(61)
+    live, frames = 3, 4
+    # values on a coarse grid, so that pool entries tie within a column
+    metrics = rng.integers(-3, 1, size=(live, frames)) / 2.0
+    lam = rng.choice([-2.0, 0.0, 2.0], size=(live, frames))
+    for frozen, mode in ((False, "include"), (True, "include"), (True, "ignore")):
+        pool = extend_leaf(metrics, lam, frozen=frozen, frozen_metric=mode)
+        assert pool.shape == ((1 if frozen else 2) * live, frames)
+        for f in range(frames):
+            column = extend_leaf(metrics[:, f], lam[:, f], frozen=frozen, frozen_metric=mode)
+            np.testing.assert_array_equal(pool[:, f], column)
+        for limit in (1, 2, 4, 8):
+            counter = OpCounter()
+            kept = select_top(pool, limit, counter=counter)
+            assert kept.shape == (min(limit, len(pool)), frames)
+            assert counter.select == len(pool)
+            for f in range(frames):
+                np.testing.assert_array_equal(kept[:, f], select_top(pool[:, f], limit))
+
+
+def test_block_decode_returns_one_result_per_row():
+    rng = np.random.default_rng(62)
+    spec = freeze_bec(4, 8, 0.5)
+    llr = rng.normal(1.0, 1.5, size=(3, spec.n))
+    block = list_decode(spec, llr, list_size=4)
+    assert isinstance(block, list) and len(block) == 3
+    for row, result in zip(llr, block):
+        assert same_list_result(result, list_decode(spec, row, list_size=4))
+    (lone,) = list_decode(spec, llr[:1], list_size=4)
+    assert same_list_result(lone, block[0])
+    assert list_decode(spec, llr[:0], list_size=4) == []
+    with pytest.raises(ValueError, match="positions"):
+        list_decode(spec, llr[:, :8], list_size=4)
+    with pytest.raises(ValueError, match="positions"):
+        list_decode(spec, llr[None], list_size=4)
 
 
 def test_list_size_one_matches_sc():
@@ -313,3 +358,54 @@ def test_property_full_list_is_maximum_likelihood(data, m, channel, seed):
     ml = ml_decode(spec, sv)
     np.testing.assert_array_equal(best.codeword, ml.codeword)
     np.testing.assert_array_equal(best.info_bits, ml.info_bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 6),
+    L=st.sampled_from([1, 2, 4, 8]),
+    frames=st.integers(1, 5),
+    mode=st.sampled_from(["include", "ignore"]),
+    channel=st.sampled_from(sorted(_PROPERTY_CHANNELS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_block_decode_matches_per_frame(data, m, L, frames, mode, channel, seed):
+    # a block is decoded as its frames would be one by one: every candidate's
+    # bits, codeword and exact metric, and both work counts
+    k = data.draw(st.integers(1, 1 << m), label="k")
+    rng = np.random.default_rng(seed)
+    spec = random_spec(m, k, rng)
+    ch = _PROPERTY_CHANNELS[channel]
+    words = random_info_bits(spec, rng, size=frames)
+    llr = posteriors(ch, transmit(ch, modulate(encode(spec, words)), rng))
+    block = list_decode(spec, llr, list_size=L, frozen_metric=mode)
+    assert len(block) == frames
+    for row, result in zip(llr, block):
+        alone = list_decode(spec, SoftVector(row), list_size=L, frozen_metric=mode)
+        assert same_list_result(result, alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 6),
+    sigma=st.sampled_from([0.6, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_list_size_one_matches_probability_domain_reference(data, m, sigma, seed):
+    # An independent probability-domain recursion.  It loses a belief once a
+    # posterior rounds to exactly 0 or 1 (1 - q below 1e-16 is not
+    # representable), and a posterior within 1e-9 of 1/2 is noise in either
+    # arithmetic, so the comparison stops at the first such information leaf.
+    k = data.draw(st.integers(1, 1 << m), label="k")
+    rng = np.random.default_rng(seed)
+    spec = random_spec(m, k, rng)
+    _, sv = _received_llr(spec, Channel.awgn(sigma), rng)
+    with np.errstate(invalid="ignore"):
+        ref_bits, ref_posts = q_domain_reference_decode(spec, sv.q)
+    lost = ~np.isfinite(ref_posts) | (ref_posts == 0.0) | (ref_posts == 1.0)
+    lost |= np.abs(ref_posts - 0.5) < 1e-9
+    limit = int(np.argmax(lost)) if lost.any() else ref_bits.size
+    best = list_decode(spec, sv, list_size=1).best
+    np.testing.assert_array_equal(best.info_bits[:limit], ref_bits[:limit])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rmpolar import sim
 from rmpolar import (
     CSV_HEADER,
     Channel,
@@ -93,6 +94,29 @@ def test_written_csv_is_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("list_size, mode", [(1, "include"), (4, "include"), (2, "ignore")])
+def test_csv_bytes_do_not_depend_on_chunk_size(tmp_path, monkeypatch, list_size, mode):
+    spec = freeze_bec(4, 8, 0.5)
+    points = [(Channel.bsc(0.1), 0.1), (Channel.bec(0.4), 0.4), (Channel.awgn(0.9), 1.0)]
+    written = []
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", chunk * list_size * spec.n)
+        assert sim.block_frames(spec, list_size) == chunk
+        target = tmp_path / f"chunk{chunk}.csv"
+        write_csv(run_simulation(spec, points, list_size, trials=30, seed=9, frozen_metric=mode), target)
+        written.append(target.read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
+def test_block_frames_bounds_entries():
+    spec = freeze_bec(8, 128, 0.5)
+    assert sim.block_frames(spec, 1) * spec.n <= sim.DECODE_BLOCK_ENTRIES
+    assert sim.block_frames(spec, 16) * 16 * spec.n <= sim.DECODE_BLOCK_ENTRIES
+    assert sim.block_frames(spec, sim.DECODE_BLOCK_ENTRIES) == 1
+    with pytest.raises(ValueError):
+        sim.block_frames(spec, 0)
+
+
 def test_csv_rows_round_trip(tmp_path):
     spec = freeze_rm(1, 4)
     points = [(Channel.bsc(0.1), 0.1), (Channel.awgn(1.1), 1.5)]
@@ -161,3 +185,7 @@ def test_complexity_probe_validation():
         complexity_probe([], [1])
     with pytest.raises(ValueError):
         complexity_probe([6], [])
+    with pytest.raises(ValueError):
+        complexity_probe([6], [1], trials=0)
+    with pytest.raises(ValueError, match="m must lie in"):
+        complexity_probe([6, 40], [1])
