@@ -175,6 +175,26 @@ class CodeSpec:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def decode_steps(self):
+        """The list decoder's steps, as (first leaf, node level) pairs.
+
+        An information leaf is a step of its own at level m.  Frozen leaves
+        are grouped into maximal aligned all-frozen blocks: the 2**(m - level)
+        leaves of one level-`level` subtree, decoded in one step.  The steps
+        cover every leaf once, in processing order.
+        """
+        m = self.m
+        frozen = ~self.info_mask_by_leaf
+        level = np.full(self.n, m)
+        # coarser levels last, so each leaf ends at its largest frozen subtree
+        for node in range(m - 1, -1, -1):
+            width = 1 << (m - node)
+            blocks = level.reshape(-1, width)
+            blocks[frozen.reshape(-1, width).all(axis=1)] = node
+        first = np.flatnonzero((np.arange(self.n) & ((1 << (m - level)) - 1)) == 0)
+        return tuple(zip(first.tolist(), level[first].tolist()))
+
 
 def freeze_rm(r, m):
     """Weight-rule information set: keep every path of weight <= r.

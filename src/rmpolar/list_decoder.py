@@ -1,6 +1,6 @@
 """Successive-cancellation list decoding.
 
-The decoder advances leaf by leaf in processing order, and the live
+The decoder advances step by step in leaf processing order, and the live
 hypotheses of every frame in a block move together as the rows of
 per-level arrays.  Rows are hypothesis-major: with F frames, row r*F + f
 holds hypothesis r of frame f.  bel[lvl] holds the level-lvl belief blocks,
@@ -11,10 +11,10 @@ runs each kernel once per level on all rows at once, so the work per frame
 stays L * n * log2(n) kernel evaluations at most.  The decided information
 bits are read off the final codewords by inverting the encoder.
 
+A step is one information leaf, or one maximal aligned block of frozen
+leaves: a whole subtree whose leaves are all frozen (CodeSpec.decode_steps).
 At an information leaf every hypothesis forks on the two bit values, the
-metric of each child growing by the log posterior of its bit; at a frozen
-leaf the single bit-0 extension either collects the same log posterior
-(frozen_metric='include', the default) or nothing ('ignore').  The pool of
+metric of each child growing by the log posterior of its bit.  The pool of
 extensions is shaped (entries, F), each column laid out by parent rank, then
 bit, so one stable sort of the negated metrics down axis 0 keeps the L best
 of every frame and breaks exact ties toward the earlier parent, then bit 0.
@@ -24,8 +24,16 @@ hypotheses in their old order.  Only the rows that will be read again are
 gathered: at each level either the node's first-child beliefs (its second
 child still to come) or the pending i=1 symbols.
 
-How many hypotheses live after each leaf depends only on the frozen set and
-L, never on the beliefs, so the frames of a block always have the same
+A frozen subtree's symbols are all known (+1), so its leaf beliefs are
+formed breadth first, one combine_v_llr and one combine_u_llr call per level
+over all of its nodes, and every kernel of the leaf-by-leaf order is still
+evaluated.  Each frozen leaf either adds its bit-0 log posterior to the
+metric (frozen_metric='include', the default), leaf by leaf in order, or
+nothing ('ignore').  The hypotheses are then re-ranked once, as the stable
+sort after every frozen leaf would have left them, and gathered once.
+
+How many hypotheses live after each step depends only on the frozen set
+and L, never on the beliefs, so the frames of a block always have the same
 number of rows, and each frame's result, work counts included, is exactly
 what decoding it alone gives.  A single frame is the F = 1 block.
 """
@@ -58,6 +66,10 @@ _FROZEN_METRIC_MODES = ("include", "ignore")
 
 # The leaf belief is multiplied by these to score bit 0 and bit 1.
 _BIT_SIGNS = np.array([1.0, -1.0])
+
+# The decided symbol of every frozen leaf.  A numpy scalar rather than 1.0,
+# because perfbench's kernel tracer sizes every kernel argument by nbytes.
+_PLUS_ONE = np.float64(1.0)
 
 
 @dataclass
@@ -133,6 +145,29 @@ def select_top(pool, limit, counter=None):
     return np.argsort(-pool, axis=0, kind="stable")[:limit]
 
 
+def _frozen_leaf_beliefs(lam, depth, live, counter):
+    """Leaf beliefs of an all-frozen subtree, formed breadth first.
+
+    `lam` holds the (rows, 2**depth) beliefs of the subtree's root.  Every
+    symbol decided below it is +1, so each level's children come from one
+    combine_v_llr and one combine_u_llr call over all nodes of that level:
+    the same kernels on the same operands as a depth-first walk.  Returns
+    (rows, 2**depth) leaf beliefs in processing order.
+    """
+    rows, width = lam.shape
+    blocks = lam.reshape(rows, 1, width)
+    for _ in range(depth):
+        _, nodes, size = blocks.shape
+        h = size // 2
+        counter.kernel += 2 * nodes * h * live
+        a, b = blocks[:, :, :h], blocks[:, :, h:]
+        v = combine_v_llr(a, b)
+        u = combine_u_llr(a, b, _PLUS_ONE)
+        # children in processing order: the i=1 child (from v) first
+        blocks = np.concatenate([v, u], axis=2).reshape(rows, 2 * nodes, h)
+    return blocks.reshape(rows, width)
+
+
 def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     """List-decode channel beliefs under `spec`, one frame or a block.
 
@@ -174,13 +209,13 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     if frames == 0:
         return []
 
-    n, m = spec.n, spec.m
+    m = spec.m
     info_by_leaf = spec.info_mask_by_leaf
     counter = OpCounter()
     # frame of each column, for flat indices of hypothesis-major rows
     cols = np.arange(frames)
     ranks = np.arange(list_size)[:, None]
-    ones = {}  # read-only symbol columns of frozen leaves, by row count
+    ones = {}  # read-only symbol blocks of frozen steps, by (live, width)
     bel = [llr0] + [None] * m
     vsym = [None] * (m + 1)
     # symbol of information-leaf pool entry e, whose bit is e % 2
@@ -189,8 +224,8 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     live = 1
     code_syms = None
 
-    for j in range(n):
-        # refresh bel[m] from the deepest level still valid
+    for j, node in spec.decode_steps:
+        # refresh bel[node] from the deepest level still valid
         if j == 0:
             lam = bel[0]
             start = 1
@@ -207,40 +242,57 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
                 lam = combine_u_llr(base[:, :h], base[:, h:], v)
             bel[start] = lam
             start += 1
-        for lvl in range(start, m + 1):
+        for lvl in range(start, node + 1):
             h = 1 << (m - lvl)
             counter.kernel += h * live
             lam = combine_v_llr(lam[:, :h], lam[:, h:])
             bel[lvl] = lam
 
-        is_info = info_by_leaf[j]
-        pool = extend_leaf(metrics, lam.reshape(live, frames), frozen=not is_info, frozen_metric=frozen_metric)
-        keep = select_top(pool, list_size, counter=counter)
-        metrics = pool.take(keep if frames == 1 else keep * frames + cols)
-        survivors = len(keep)
-        if live > 1 or survivors > 1:  # else one survivor of one hypothesis
-            parent = keep >> 1 if is_info else keep
-            if survivors != live or (parent != ranks[:live]).any():
-                # carry what is read again: the pending i=1 symbols where the
-                # level-d first child is done, else the beliefs its second
-                # child will be formed from (bel[0] is shared)
-                rows = (parent if frames == 1 else parent * frames + cols).ravel()
-                for d in range(1, m + 1):
-                    if (j >> (m - d)) & 1:
-                        vsym[d] = vsym[d].take(rows, axis=0)
-                    elif d > 1:
-                        bel[d - 1] = bel[d - 1].take(rows, axis=0)
-        live = survivors
-        if is_info:
+        parent = None  # parent rank of each survivor, where rows may move
+        if info_by_leaf[j]:
+            pool = extend_leaf(metrics, lam.reshape(live, frames), frozen=False)
+            keep = select_top(pool, list_size, counter=counter)
+            metrics = pool.take(keep if frames == 1 else keep * frames + cols)
+            if live > 1 or len(keep) > 1:  # else one survivor of one hypothesis
+                parent = keep >> 1
             cur = entry_symbols.take(keep if frames == 1 else keep.reshape(-1, 1))
         else:
-            cur = ones.get(live)
+            width = 1 << (m - node)
+            leaves = _frozen_leaf_beliefs(lam, m - node, live, counter).reshape(live, frames, width)
+            counter.select += live * width
+            if frozen_metric == "include":
+                # the metric after each leaf, (metric + l1) + l2 + ... in
+                # leaf order, rounded as one extension per leaf would be
+                running = log_expit(leaves)
+                running[:, :, 0] += metrics
+                running = np.add.accumulate(running, axis=2)
+                metrics = running[:, :, -1]
+                if live > 1:
+                    # one stable sort per leaf, composed: the last leaf's
+                    # metric ranks first, earlier leaves break its ties
+                    parent = np.lexsort(-running.transpose(2, 0, 1), axis=0)
+                    metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
+            # with 'ignore' the metrics, ranked already, do not change
+            cur = ones.get((live, width))
             if cur is None:
-                cur = ones[live] = np.ones((live * frames, 1))
+                cur = ones[live, width] = np.ones((live * frames, width))
                 cur.setflags(write=False)
 
-        # fold the decided leaf symbols back up the completed subtrees
-        d = m
+        survivors = live if parent is None else len(parent)
+        if parent is not None and (survivors != live or (parent != ranks[:live]).any()):
+            # carry what is read again: the pending i=1 symbols where the
+            # level-d first child is done, else the beliefs its second
+            # child will be formed from (bel[0] is shared)
+            rows = (parent if frames == 1 else parent * frames + cols).ravel()
+            for d in range(1, node + 1):
+                if (j >> (m - d)) & 1:
+                    vsym[d] = vsym[d].take(rows, axis=0)
+                elif d > 1:
+                    bel[d - 1] = bel[d - 1].take(rows, axis=0)
+        live = survivors
+
+        # fold the decided symbols back up the completed subtrees
+        d = node
         while d >= 1 and (j >> (m - d)) & 1:
             cur = np.concatenate([cur, cur * vsym[d]], axis=1)
             d -= 1

@@ -6,8 +6,8 @@ Intended as a test oracle; the enumeration is refused above N = 20.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import log_expit
@@ -19,6 +19,14 @@ from .list_decoder import METRIC_TIE_EPS
 __all__ = ["MAX_ENUM_BITS", "MLResult", "codeword_loglik", "likelihood_table", "ml_decode"]
 
 MAX_ENUM_BITS = 20
+
+# Codebooks are kept for reuse up to this many bytes in total, the least
+# recently used dropped first; one codebook at MAX_ENUM_BITS can take
+# hundreds of megabytes, so a bound by count would not bound memory.  A
+# codebook larger than the bound is returned but not kept.
+CODEBOOK_CACHE_BYTES = 1 << 28
+
+_codebooks = OrderedDict()  # spec -> (words, codewords), oldest use first
 
 
 @dataclass
@@ -40,9 +48,12 @@ def _beliefs_llr(spec, beliefs):
     return llr
 
 
-@lru_cache(maxsize=16)
 def _codebook(spec):
-    """(2**N, N) information words and their (2**N, n) codewords."""
+    """(2**N, N) information words and their (2**N, n) codewords, read-only."""
+    book = _codebooks.get(spec)
+    if book is not None:
+        _codebooks.move_to_end(spec)
+        return book
     nbits = spec.dimension
     if nbits > MAX_ENUM_BITS:
         raise ValueError(
@@ -54,7 +65,13 @@ def _codebook(spec):
         words = ((np.arange(count)[:, None] >> shifts) & 1).astype(np.uint8)
     else:
         words = np.zeros((1, 0), dtype=np.uint8)
-    return words, encode(spec, words)
+    book = (words, encode(spec, words))
+    for array in book:
+        array.setflags(write=False)
+    _codebooks[spec] = book
+    while sum(w.nbytes + c.nbytes for w, c in _codebooks.values()) > CODEBOOK_CACHE_BYTES:
+        _codebooks.popitem(last=False)
+    return book
 
 
 def codeword_loglik(codeword, beliefs):

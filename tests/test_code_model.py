@@ -17,7 +17,7 @@ from rmpolar import (
     save_frozen_set,
 )
 from rmpolar.code_model import MAX_M
-from helpers import gf2_rank
+from helpers import full_spec, gf2_rank, random_spec
 
 
 def test_rm_dimension_examples():
@@ -128,6 +128,66 @@ def test_codespec_properties_and_ordering():
     mask[[1, 3, 6]] = True
     np.testing.assert_array_equal(spec.info_mask, mask)
     np.testing.assert_array_equal(spec.info_mask_by_leaf, mask[::-1])
+
+
+def _steps_by_recursion(frozen, start, level, m):
+    """Decode steps of the level-`level` subtree whose first leaf is `start`."""
+    width = 1 << (m - level)
+    if frozen[start : start + width].all():
+        return [(start, level)]
+    if width == 1:
+        return [(start, m)]
+    half = width // 2
+    return _steps_by_recursion(frozen, start, level + 1, m) + _steps_by_recursion(frozen, start + half, level + 1, m)
+
+
+def _check_decode_steps(spec):
+    m, n = spec.m, spec.n
+    frozen = ~spec.info_mask_by_leaf
+    steps = spec.decode_steps
+    leaf = 0
+    for j, node in steps:
+        # the steps tile the leaves in processing order
+        assert j == leaf
+        width = 1 << (m - node)
+        leaf += width
+        if frozen[j]:
+            # an aligned all-frozen subtree whose parent subtree is not
+            assert j % width == 0 and frozen[j : j + width].all()
+            if node > 0:
+                first = j - j % (2 * width)
+                assert not frozen[first : first + 2 * width].all()
+        else:
+            assert node == m
+    assert leaf == n
+    assert list(steps) == _steps_by_recursion(frozen, 0, 0, m)
+
+
+def test_decode_steps_tile_leaves_with_maximal_frozen_subtrees():
+    rng = np.random.default_rng(71)
+    for m in range(1, 9):
+        n = 1 << m
+        for k in sorted({0, 1, 2, n // 4, n // 2, n - 1, n}):
+            _check_decode_steps(random_spec(m, k, rng))
+            _check_decode_steps(freeze_bec(m, k, 0.5))
+    for r, m in ((1, 4), (3, 8), (2, 10)):
+        _check_decode_steps(freeze_rm(r, m))
+
+
+def test_decode_steps_edge_cases():
+    # full rate: one step per leaf, no frozen block
+    assert full_spec(4).decode_steps == tuple((j, 4) for j in range(16))
+    # nothing informational: the whole tree is one frozen step
+    assert CodeSpec(m=3, info_set=()).decode_steps == ((0, 0),)
+    # one information leaf: frozen subtrees of halving width around it
+    lone = CodeSpec(m=4, info_set=(Path.from_index(9, 4),))  # leaf 15 - 9 = 6
+    assert lone.decode_steps == ((0, 2), (4, 3), (6, 4), (7, 4), (8, 1))
+    for index in range(16):
+        _check_decode_steps(CodeSpec(m=4, info_set=(Path.from_index(index, 4),)))
+    # the three benchmark codes: 256 -> 160, 1024 -> 608 and 256 -> 163 steps
+    assert len(freeze_bec(8, 128, 0.5).decode_steps) == 160
+    assert len(freeze_bec(10, 512, 0.5).decode_steps) == 608
+    assert len(freeze_rm(3, 8).decode_steps) == 163
 
 
 def test_codespec_validation():

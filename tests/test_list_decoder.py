@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from scipy.special import log_expit
 
 from rmpolar import (
+    LLR_CLAMP,
     Channel,
+    CodeSpec,
     OpCounter,
+    Path,
     SoftVector,
     encode,
     extend_leaf,
@@ -305,15 +308,28 @@ def test_larger_lists_do_not_hurt_frame_error_rate():
     trials = 10_000
     words = random_info_bits(spec, rng, size=trials)
     y = transmit(ch, modulate(encode(spec, words)), rng)
-    llr = posteriors(ch, y)
-    errors = {1: 0, 4: 0}
-    for t in range(trials):
-        sv = SoftVector.from_llr(llr[t])
-        for L in (1, 4):
-            best = list_decode(spec, sv, list_size=L).best
-            errors[L] += int(not np.array_equal(best.info_bits, words[t]))
+    # clipped as SoftVector.from_llr clips each frame; a block decodes each
+    # row as that frame alone
+    llr = np.clip(posteriors(ch, y), -LLR_CLAMP, LLR_CLAMP)
+    errors = {}
+    for L in (1, 4):
+        block = list_decode(spec, llr, list_size=L)
+        errors[L] = sum(not np.array_equal(r.best.info_bits, w) for r, w in zip(block, words))
     assert errors[4] <= errors[1]
     assert errors[1] > 0  # the comparison is not vacuous at this noise level
+
+
+def test_frozen_subtree_of_width_128_matches_reference_decoder():
+    spec = freeze_bec(10, 512, 0.5)
+    # leaves 0..127 form one frozen step, decoded breadth first
+    assert spec.decode_steps[0] == (0, 3)
+    rng = np.random.default_rng(63)
+    frames = [_received_llr(spec, Channel.awgn(sigma), rng)[1].llr for sigma in (0.8, 1.1)]
+    frames.append(np.round(frames[1]))  # rounded beliefs: exact metric ties
+    for llr in frames:
+        for L in (1, 4):
+            expected = reference_list_decode(spec, llr, L)
+            assert same_list_result(list_decode(spec, llr, list_size=L), expected)
 
 
 _PROPERTY_CHANNELS = {"bsc": Channel.bsc(0.1), "awgn": Channel.awgn(0.9)}
@@ -409,3 +425,52 @@ def test_property_list_size_one_matches_probability_domain_reference(data, m, si
     limit = int(np.argmax(lost)) if lost.any() else ref_bits.size
     best = list_decode(spec, sv, list_size=1).best
     np.testing.assert_array_equal(best.info_bits[:limit], ref_bits[:limit])
+
+
+def test_frozen_step_ranks_ties_as_leaf_by_leaf_sorts():
+    # leaves 4 and 5 are one frozen step; two hypotheses end it with equal
+    # metrics but reach them in a different order, and which of them is
+    # ranked first decides a tie at the cut to L=4 two leaves later
+    spec = CodeSpec(m=3, info_set=tuple(Path.from_index(i, 3) for i in (1, 4, 5, 6)))
+    assert (4, 2) in spec.decode_steps
+    llr = np.array([2.0, 0.0, 0.0, -2.0, -2.0, -2.0, -2.0, -2.0])
+    result = list_decode(spec, llr, list_size=4)
+    assert same_list_result(result, reference_list_decode(spec, llr, 4))
+    assert [info_bits_to_int(c.info_bits) for c in result.candidates] == [7, 2, 1, 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 7),
+    L=st.sampled_from([1, 2, 4, 8]),
+    mode=st.sampled_from(["include", "ignore"]),
+    construction=st.sampled_from(["bec", "frozen-prefix"]),
+    beliefs=st.sampled_from(["bsc", "bec", "rounded"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_frozen_subtrees_match_reference_and_metric_replay(
+    data, m, L, mode, construction, beliefs, seed
+):
+    # at most half the leaves informational, so frozen steps are often wide
+    n = 1 << m
+    k = data.draw(st.integers(1, max(1, n // 2)), label="k")
+    rng = np.random.default_rng(seed)
+    if construction == "bec":
+        spec = freeze_bec(m, k, data.draw(st.floats(0.01, 0.99), label="z"))
+    else:
+        # the first `prefix` leaves (the highest indices) frozen, the rest random
+        prefix = data.draw(st.integers(1, n - k), label="prefix")
+        chosen = rng.choice(n - prefix, size=k, replace=False)
+        spec = CodeSpec(m=m, info_set=tuple(Path.from_index(int(i), m) for i in chosen))
+    if beliefs != "rounded":
+        # few distinct beliefs (bec: +-40 and 0), so exact metric ties are common
+        ch = Channel.bsc(0.1) if beliefs == "bsc" else Channel.bec(0.4)
+        llr = _received_llr(spec, ch, rng)[1].llr
+    else:
+        llr = np.round(_received_llr(spec, Channel.awgn(0.9), rng)[1].llr)
+    result = list_decode(spec, llr, list_size=L, frozen_metric=mode)
+    assert same_list_result(result, reference_list_decode(spec, llr, L, frozen_metric=mode))
+    for cand in result.candidates:
+        expected = metric_replay(spec, llr, cand.info_bits, frozen_metric=mode)
+        assert cand.metric == pytest.approx(expected, abs=1e-9)

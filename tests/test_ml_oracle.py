@@ -153,3 +153,38 @@ def test_beliefs_length_checked():
     spec = freeze_rm(1, 3)
     with pytest.raises(ValueError):
         ml_decode(spec, SoftVector.from_llr(np.zeros(4)))
+
+
+def test_codebook_cache_drops_old_entries_past_its_byte_bound(monkeypatch):
+    from collections import OrderedDict
+
+    from rmpolar import ml_oracle
+
+    specs = [freeze_bec(5, k, 0.5) for k in (4, 5, 6)]
+    monkeypatch.setattr(ml_oracle, "_codebooks", OrderedDict())
+    sizes = [sum(a.nbytes for a in ml_oracle._codebook(spec)) for spec in specs]
+    expected = [ml_decode(spec, np.linspace(-2.0, 3.0, spec.n)) for spec in specs]
+
+    # room for the two newest codebooks, not for all three
+    monkeypatch.setattr(ml_oracle, "_codebooks", OrderedDict())
+    monkeypatch.setattr(ml_oracle, "CODEBOOK_CACHE_BYTES", sizes[1] + sizes[2])
+    for spec in specs:
+        ml_oracle._codebook(spec)
+    assert list(ml_oracle._codebooks) == specs[1:]
+    # a hit returns the kept arrays and makes them the newest
+    kept = ml_oracle._codebooks[specs[1]]
+    assert ml_oracle._codebook(specs[1]) is kept
+    ml_oracle._codebook(specs[0])
+    assert list(ml_oracle._codebooks) == [specs[1], specs[0]]
+    # results do not depend on what the cache holds
+    for spec, before in zip(specs, expected):
+        after = ml_decode(spec, np.linspace(-2.0, 3.0, spec.n))
+        np.testing.assert_array_equal(after.codeword, before.codeword)
+        assert after.loglik == before.loglik
+
+    # a codebook larger than the whole bound is returned, not kept
+    monkeypatch.setattr(ml_oracle, "_codebooks", OrderedDict())
+    monkeypatch.setattr(ml_oracle, "CODEBOOK_CACHE_BYTES", sizes[2] - 1)
+    words, codewords = ml_oracle._codebook(specs[2])
+    assert words.shape == (1 << 6, 6) and codewords.shape == (1 << 6, 32)
+    assert not ml_oracle._codebooks
