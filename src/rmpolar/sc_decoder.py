@@ -71,15 +71,29 @@ def combine_u(h0, h1, v):
     return np.where(v > 0, h0 * h1, h0 / h1)
 
 
+# Signs of l1 in the two correction terms of combine_v_llr: l0 + l1, l0 - l1.
+_CORRECTION_SIGNS = np.array([1.0, -1.0])
+
+
 def combine_v_llr(l0, l1):
     """LLR form of combine_v: 2*atanh(tanh(l0/2) * tanh(l1/2)).
 
     Evaluated in the exact min-sum-with-correction form, which is stable for
-    any finite inputs and keeps zeros exact.
+    any finite inputs and keeps zeros exact:
+    sign(l0*l1) * min(|l0|, |l1|) + log1p(exp(-|l0 + l1|)) - log1p(exp(-|l0 - l1|)).
+    `l0` must broadcast to the shape of `l1`.
     """
-    s = np.sign(l0) * np.sign(l1)
-    mag = np.minimum(np.abs(l0), np.abs(l1))
-    return s * mag + np.log1p(np.exp(-np.abs(l0 + l1))) - np.log1p(np.exp(-np.abs(l0 - l1)))
+    out = np.copysign(np.minimum(np.abs(l0), np.abs(l1)), l0 * l1)
+    # both correction terms as the rows of one block, computed in place
+    corr = np.multiply.outer(_CORRECTION_SIGNS, l1)
+    corr += l0
+    np.abs(corr, out=corr)
+    np.negative(corr, out=corr)
+    np.exp(corr, out=corr)
+    np.log1p(corr, out=corr)
+    out += corr[0]
+    out -= corr[1]
+    return out
 
 
 def combine_u_llr(l0, l1, v):

@@ -1,10 +1,13 @@
 """Monte-Carlo frame-error simulation and complexity probes.
 
-Each trial draws a fresh generator seeded with base_seed + trial_index, so a
-run is reproducible bit for bit and trials could be farmed out independently
-without changing the aggregate.  Trials are decoded in chunks, one
-list_decode call per chunk of up to block_frames(spec, L) frames; the chunk
-size bounds memory, never the results.
+Trial t of every channel point draws a fresh generator seeded with
+base_seed + t, so a run is reproducible bit for bit and trials could be
+farmed out independently without changing the aggregate.  The trials of all
+points form one point-major stream, cut into blocks of block_frames(spec, L)
+frames (the last one may be shorter), one list_decode call per block; a block
+may hold frames of several points, each point's beliefs formed by its own
+channel.  Every frame decodes as it would alone, and each point sums only
+its own rows, so the block size bounds memory, never the results.
 """
 
 from __future__ import annotations
@@ -104,26 +107,38 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
     if spec.dimension < 1:
         raise ValueError("cannot simulate a spec with no information paths")
 
-    results = []
     nbits = spec.dimension
-    chunk = block_frames(spec, list_size)
-    for ch, display in points:
-        frame_errors = 0
-        bit_errors = 0
-        kernel_total = 0
-        select_total = 0
-        for first in range(0, trials, chunk):
-            rngs = [np.random.default_rng(seed + t) for t in range(first, min(first + chunk, trials))]
-            sent = np.stack([random_info_bits(spec, rng) for rng in rngs])
-            symbols = modulate(encode(spec, sent))
-            observed = np.stack([transmit(ch, row, rng) for row, rng in zip(symbols, rngs)])
-            outcomes = list_decode(spec, posteriors(ch, observed), list_size, frozen_metric=frozen_metric)
-            decided = np.stack([outcome.best.info_bits for outcome in outcomes])
-            wrong = np.count_nonzero(decided != sent, axis=1)
-            bit_errors += int(wrong.sum())
-            frame_errors += int(np.count_nonzero(wrong))
-            kernel_total += sum(outcome.kernel_ops for outcome in outcomes)
-            select_total += sum(outcome.select_ops for outcome in outcomes)
+    per_block = block_frames(spec, list_size)
+    # one point-major stream: frame p*trials + t is trial t of point p
+    stream = len(points) * trials
+    totals = [[0, 0, 0, 0] for _ in points]  # frame errors, bit errors, kernel ops, select ops
+    for first in range(0, stream, per_block):
+        last = min(first + per_block, stream)
+        rngs = [np.random.default_rng(seed + i % trials) for i in range(first, last)]
+        sent = np.stack([random_info_bits(spec, rng) for rng in rngs])
+        symbols = modulate(encode(spec, sent))
+        # each point's rows in this block
+        runs = [
+            (p, slice(max(first, p * trials) - first, min(last, (p + 1) * trials) - first))
+            for p in range(first // trials, (last - 1) // trials + 1)
+        ]
+        llr = []
+        for p, rows in runs:
+            ch = points[p][0]
+            observed = np.stack([transmit(ch, row, rng) for row, rng in zip(symbols[rows], rngs[rows])])
+            llr.append(posteriors(ch, observed))
+        outcomes = list_decode(spec, np.concatenate(llr), list_size, frozen_metric=frozen_metric)
+        decided = np.stack([outcome.best.info_bits for outcome in outcomes])
+        wrong = np.count_nonzero(decided != sent, axis=1)
+        for p, rows in runs:
+            total = totals[p]
+            total[0] += int(np.count_nonzero(wrong[rows]))
+            total[1] += int(wrong[rows].sum())
+            total[2] += sum(outcome.kernel_ops for outcome in outcomes[rows])
+            total[3] += sum(outcome.select_ops for outcome in outcomes[rows])
+
+    results = []
+    for (ch, display), (frame_errors, bit_errors, kernel_total, select_total) in zip(points, totals):
         fer = frame_errors / trials
         results.append(
             TrialResult(

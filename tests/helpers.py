@@ -306,7 +306,8 @@ def reference_list_decode(spec, llr, list_size, frozen_metric="include"):
 
 def same_list_result(a, b):
     """Whether two ListResults agree exactly: every candidate's information
-    bits, codeword and metric, in order, and both work counts."""
+    bits, codeword and metric bytes (so -0.0 is not 0.0), in order, and both
+    work counts."""
     if len(a.candidates) != len(b.candidates):
         return False
     if (a.kernel_ops, a.select_ops) != (b.kernel_ops, b.select_ops):
@@ -314,6 +315,6 @@ def same_list_result(a, b):
     return all(
         np.array_equal(c.info_bits, d.info_bits)
         and np.array_equal(c.codeword, d.codeword)
-        and c.metric == d.metric
+        and np.float64(c.metric).tobytes() == np.float64(d.metric).tobytes()
         for c, d in zip(a.candidates, b.candidates)
     )

@@ -8,8 +8,10 @@ from scipy.special import log_expit
 
 from rmpolar import (
     LLR_CLAMP,
+    Candidate,
     Channel,
     CodeSpec,
+    ListResult,
     OpCounter,
     Path,
     SoftVector,
@@ -24,6 +26,7 @@ from rmpolar import (
     posteriors,
     random_info_bits,
     sc_decode,
+    sc_decode_batch,
     select_top,
     transmit,
 )
@@ -165,6 +168,25 @@ def test_list_size_one_matches_sc():
         assert len(lst.candidates) == 1
         np.testing.assert_array_equal(lst.best.info_bits, sc.info_bits)
         np.testing.assert_array_equal(lst.best.codeword, sc.codeword)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="L=1 ranks metric + log_expit(+-lam); a leaf lam that is a rounding "
+    "residue near 0 gives a metric tie, which goes to bit 0 where SC's sign test "
+    "gives bit 1",
+)
+def test_list_size_one_matches_sc_on_bsc():
+    rng = np.random.default_rng(123)
+    spec = freeze_bec(5, 16, 0.5)
+    ch = Channel.bsc(0.1)
+    words = random_info_bits(spec, rng, size=400)
+    llr = posteriors(ch, transmit(ch, modulate(encode(spec, words)), rng))
+    sc_bits, sc_words = sc_decode_batch(spec, llr)
+    outcomes = list_decode(spec, llr, list_size=1)
+    np.testing.assert_array_equal(np.stack([r.best.info_bits for r in outcomes]), sc_bits)
+    np.testing.assert_array_equal(np.stack([r.best.codeword for r in outcomes]), sc_words)
 
 
 def test_list_decode_matches_reference_decoder():
@@ -474,3 +496,34 @@ def test_property_frozen_subtrees_match_reference_and_metric_replay(
     for cand in result.candidates:
         expected = metric_replay(spec, llr, cand.info_bits, frozen_metric=mode)
         assert cand.metric == pytest.approx(expected, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(2, 5),
+    L=st.sampled_from([2, 3, 4]),
+    level=st.sampled_from([1.0, 2.0, 40.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_frozen_step_ties_rank_as_leaf_by_leaf_sorts(data, m, L, level, seed):
+    # beliefs from {0, +-level} make exact metric ties at the cut to L after
+    # a frozen step common, so the order of the re-rank's keys shows; each
+    # example decodes a block of frames of one spec, every row against the
+    # reference
+    n = 1 << m
+    k = data.draw(st.integers(1, n // 2), label="k")
+    rng = np.random.default_rng(seed)
+    spec = random_spec(m, k, rng)
+    llr = level * rng.integers(-1, 2, size=(32, n))
+    for row, result in zip(llr, list_decode(spec, llr, list_size=L)):
+        assert same_list_result(result, reference_list_decode(spec, row, L))
+
+
+def test_same_list_result_tells_the_sign_of_zero():
+    def result(metric):
+        word = Candidate(np.zeros(2, dtype=np.uint8), np.zeros(8, dtype=np.uint8), metric)
+        return ListResult(candidates=[word], kernel_ops=1, select_ops=1)
+
+    assert same_list_result(result(0.0), result(0.0))
+    assert not same_list_result(result(0.0), result(-0.0))

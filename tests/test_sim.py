@@ -99,13 +99,47 @@ def test_csv_bytes_do_not_depend_on_chunk_size(tmp_path, monkeypatch, list_size,
     spec = freeze_bec(4, 8, 0.5)
     points = [(Channel.bsc(0.1), 0.1), (Channel.bec(0.4), 0.4), (Channel.awgn(0.9), 1.0)]
     written = []
-    for chunk in (1, 7, 4096):
+    # blocks of 7 and 45 split points (trials=30), 4096 holds the whole sweep
+    for chunk in (1, 7, 45, 4096):
         monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", chunk * list_size * spec.n)
         assert sim.block_frames(spec, list_size) == chunk
         target = tmp_path / f"chunk{chunk}.csv"
         write_csv(run_simulation(spec, points, list_size, trials=30, seed=9, frozen_metric=mode), target)
         written.append(target.read_bytes())
-    assert written[0] == written[1] == written[2]
+    assert all(data == written[0] for data in written)
+
+
+@pytest.mark.parametrize("trials, chunk", [(1, 1), (1, 2), (5, 3), (4, 8), (7, 4096)])
+def test_sweep_decodes_one_stream_of_full_blocks(monkeypatch, trials, chunk):
+    # every block but the last is full, even where it holds several points
+    spec = freeze_bec(4, 8, 0.5)
+    points = [(Channel.bsc(0.1), 0.1), (Channel.awgn(0.9), 1.0), (Channel.bsc(0.1), 0.1)]
+    monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", chunk * 2 * spec.n)
+    sizes = []
+    decode = sim.list_decode
+
+    def counted(spec, beliefs, *args, **kwargs):
+        sizes.append(len(beliefs))
+        return decode(spec, beliefs, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "list_decode", counted)
+    run_simulation(spec, points, list_size=2, trials=trials, seed=4)
+    stream = len(points) * trials
+    assert len(sizes) == math.ceil(stream / chunk)
+    assert sum(sizes) == stream
+    assert all(size == chunk for size in sizes[:-1]) and 1 <= sizes[-1] <= chunk
+
+
+@pytest.mark.parametrize("trials", [1, 5])
+def test_each_point_of_a_sweep_is_simulated_as_if_alone(monkeypatch, trials):
+    # blocks of 3 frames mix points; a duplicated point repeats its row
+    spec = freeze_bec(4, 8, 0.5)
+    points = [(Channel.bsc(0.1), 0.1), (Channel.awgn(0.9), 1.0), (Channel.bsc(0.1), 0.1), (Channel.bec(0.4), 0.4)]
+    monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", 3 * 2 * spec.n)
+    sweep = run_simulation(spec, points, list_size=2, trials=trials, seed=6)
+    alone = [run_simulation(spec, [point], list_size=2, trials=trials, seed=6)[0] for point in points]
+    assert sweep == sorted(alone, key=lambda r: (r.channel, r.param))
+    assert sweep[2] == sweep[3]  # sorted: awgn, bec, bsc, bsc
 
 
 def test_block_frames_bounds_entries():
