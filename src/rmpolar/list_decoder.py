@@ -1,6 +1,8 @@
-"""Successive-cancellation list decoding.
+"""Successive-cancellation list decoding: the one decoder core.
 
-The decoder advances step by step in leaf processing order, and the live
+The core (_decode) serves every decoder of the package: list_decode, and at
+list size 1 the successive-cancellation wrappers of rmpolar.sc_decoder.  It
+advances step by step in leaf processing order, and the live
 hypotheses of every frame in a block move together as the rows of
 per-level arrays.  Rows are hypothesis-major: with F frames, row r*F + f
 holds hypothesis r of frame f.  bel[lvl] holds the level-lvl belief blocks,
@@ -31,6 +33,10 @@ evaluated.  Each frozen leaf either adds its bit-0 log posterior to the
 metric (frozen_metric='include', the default), leaf by leaf in order, or
 nothing ('ignore').  The hypotheses are then re-ranked once, as the stable
 sort after every frozen leaf would have left them, and gathered once.
+
+At L = 1 there is no pool: an information leaf takes the sign of its
+belief, the tie going to bit 0, and the metric grows by the log posterior
+of that bit, as the pool entry would.
 
 How many hypotheses live after each step depends only on the frozen set
 and L, never on the beliefs, so the frames of a block always have the same
@@ -136,12 +142,8 @@ def select_top(pool, limit, counter=None):
     if limit < 1:
         raise ValueError(f"list size must be >= 1, got {limit}")
     pool = np.asarray(pool, dtype=np.float64)
-    size = len(pool)
     if counter is not None:
-        counter.select += size
-    if size == 1 or (limit == 1 and size):
-        # the first best entry, which the stable sort would rank first
-        return pool.argmax(axis=0, keepdims=True)
+        counter.select += len(pool)
     return np.argsort(-pool, axis=0, kind="stable")[:limit]
 
 
@@ -168,6 +170,20 @@ def _frozen_leaf_beliefs(lam, depth, live, counter):
     return blocks.reshape(rows, width)
 
 
+def _check_beliefs(spec, beliefs):
+    """Beliefs as a (frames, spec.n) float64 LLR block, and whether they were
+    one frame: a SoftVector, a 1-d array or a 2-d array of finite LLRs."""
+    llr = beliefs.llr if isinstance(beliefs, SoftVector) else np.asarray(beliefs, dtype=np.float64)
+    single = llr.ndim == 1
+    if single:
+        llr = llr[None, :]
+    if llr.ndim != 2 or llr.shape[1] != spec.n:
+        raise ValueError(f"beliefs must have {spec.n} positions, got shape {llr.shape}")
+    if not np.isfinite(llr).all():
+        raise ValueError("beliefs must be finite (no NaN or infinity)")
+    return llr, single
+
+
 def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     """List-decode channel beliefs under `spec`, one frame or a block.
 
@@ -177,7 +193,9 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     beliefs : SoftVector of length spec.n, an array of spec.n finite LLRs, or
         a (frames, spec.n) array of finite LLRs, one frame per row.  Raw
         arrays are decoded as given; only SoftVector clips to +-LLR_CLAMP.
-    list_size : maximum number of live hypotheses L >= 1.
+    list_size : maximum number of live hypotheses L >= 1.  L = 1 is
+        successive cancellation: each information bit is the sign of its
+        leaf belief, the tie going to bit 0.
     frozen_metric : see :func:`extend_leaf`.  With 'include' and
         list_size >= 2**N the rank-1 candidate is a maximum-likelihood
         decision.
@@ -194,29 +212,60 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
         raise ValueError(f"list size must be >= 1, got {list_size}")
     if frozen_metric not in _FROZEN_METRIC_MODES:
         raise ValueError(f"frozen_metric must be one of {_FROZEN_METRIC_MODES}, got {frozen_metric!r}")
-    if isinstance(beliefs, SoftVector):
-        llr0 = beliefs.llr
-    else:
-        llr0 = np.asarray(beliefs, dtype=np.float64)
-        if not np.isfinite(llr0).all():
-            raise ValueError("beliefs must be finite (no NaN or infinity)")
-    single = llr0.ndim == 1
-    if single:
-        llr0 = llr0[None, :]
-    if llr0.ndim != 2 or llr0.shape[1] != spec.n:
-        raise ValueError(f"beliefs must have {spec.n} positions, got shape {llr0.shape}")
-    frames = len(llr0)
+    llr, single = _check_beliefs(spec, beliefs)
+    frames = len(llr)
     if frames == 0:
         return []
+    code_syms, metrics, live, counter = _decode(spec, llr, list_size, frozen_metric)
 
+    codewords = (code_syms < 0.0).astype(np.uint8)
+    bits = info_bits_of(spec, codewords)
+    results = []
+    for f in range(frames):
+        ranked = []
+        for r in range(live):
+            row = r * frames + f
+            word = bits[row]
+            ranked.append((float(metrics[r, f]), info_bits_to_int(word), word, codewords[row]))
+        ranked.sort(key=lambda t: (-t[0], t[1]))
+        top_metric = ranked[0][0]
+        best = min(
+            (t for t in ranked if t[0] >= top_metric - METRIC_TIE_EPS),
+            key=lambda t: t[1],
+        )
+        ranked.remove(best)
+        ranked.insert(0, best)
+        results.append(
+            ListResult(
+                candidates=[Candidate(info_bits=t[2], codeword=t[3], metric=t[0]) for t in ranked],
+                kernel_ops=counter.kernel,
+                select_ops=counter.select,
+            )
+        )
+    return results[0] if single else results
+
+
+def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
+    """The decoder core: decode a checked (frames, n) LLR block.
+
+    Returns (code_syms, metrics, live, counter): the +-1 codeword symbols of
+    every surviving hypothesis, shape (live*frames, n) in hypothesis-major
+    rows, their metrics, shape (live, frames), in rank order, and the work
+    counts.  At list_size 1 an information leaf takes the sign of its belief,
+    the tie going to bit 0.  Two arguments serve that successive-cancellation
+    pass only: `truth`, (frames, n) per-leaf +-1 symbols, is propagated in
+    place of the decisions (the genie mode, which keeps no metric), and
+    `leaf_llr`, a (frames, n) array, is filled with the belief of every leaf.
+    """
     m = spec.m
+    frames = len(llr)
     info_by_leaf = spec.info_mask_by_leaf
     counter = OpCounter()
     # frame of each column, for flat indices of hypothesis-major rows
     cols = np.arange(frames)
     ranks = np.arange(list_size)[:, None]
     ones = {}  # read-only symbol blocks of frozen steps, by (live, width)
-    bel = [llr0] + [None] * m
+    bel = [llr] + [None] * m
     vsym = [None] * (m + 1)
     # symbol of information-leaf pool entry e, whose bit is e % 2
     entry_symbols = np.tile(_BIT_SIGNS, list_size)
@@ -249,16 +298,26 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
             bel[lvl] = lam
 
         parent = None  # parent rank of each survivor, where rows may move
-        if info_by_leaf[j]:
+        if info_by_leaf[j] and list_size == 1:
+            if leaf_llr is not None:
+                leaf_llr[:, j] = lam[:, 0]
+            counter.select += 2
+            if truth is None:
+                cur = np.where(lam < 0.0, -1.0, 1.0)
+                metrics = metrics + log_expit(lam.T * cur.T)
+            else:
+                cur = truth[:, j : j + 1]
+        elif info_by_leaf[j]:
             pool = extend_leaf(metrics, lam.reshape(live, frames), frozen=False)
             keep = select_top(pool, list_size, counter=counter)
             metrics = pool.take(keep if frames == 1 else keep * frames + cols)
-            if live > 1 or len(keep) > 1:  # else one survivor of one hypothesis
-                parent = keep >> 1
+            parent = keep >> 1
             cur = entry_symbols.take(keep if frames == 1 else keep.reshape(-1, 1))
         else:
             width = 1 << (m - node)
             leaves = _frozen_leaf_beliefs(lam, m - node, live, counter).reshape(live, frames, width)
+            if leaf_llr is not None:
+                leaf_llr[:, j : j + width] = leaves[0]
             counter.select += live * width
             if frozen_metric == "include":
                 # the metric after each leaf, (metric + l1) + l2 + ... in
@@ -294,35 +353,13 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
         # fold the decided symbols back up the completed subtrees
         d = node
         while d >= 1 and (j >> (m - d)) & 1:
+            bel[d] = None  # the level-d node is done: free what it held
             cur = np.concatenate([cur, cur * vsym[d]], axis=1)
+            vsym[d] = None
             d -= 1
         if d >= 1:
             vsym[d] = cur
         else:
             code_syms = cur
 
-    codewords = (code_syms < 0.0).astype(np.uint8)
-    bits = info_bits_of(spec, codewords)
-    results = []
-    for f in range(frames):
-        ranked = []
-        for r in range(live):
-            row = r * frames + f
-            word = bits[row]
-            ranked.append((float(metrics[r, f]), info_bits_to_int(word), word, codewords[row]))
-        ranked.sort(key=lambda t: (-t[0], t[1]))
-        top_metric = ranked[0][0]
-        best = min(
-            (t for t in ranked if t[0] >= top_metric - METRIC_TIE_EPS),
-            key=lambda t: t[1],
-        )
-        ranked.remove(best)
-        ranked.insert(0, best)
-        results.append(
-            ListResult(
-                candidates=[Candidate(info_bits=t[2], codeword=t[3], metric=t[0]) for t in ranked],
-                kernel_ops=counter.kernel,
-                select_ops=counter.select,
-            )
-        )
-    return results[0] if single else results
+    return code_syms, metrics, live, counter

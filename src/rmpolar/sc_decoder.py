@@ -1,15 +1,12 @@
-"""Successive-cancellation decoding.
+"""Successive-cancellation decoding, and the kernels every decoder shares.
 
-The decoder walks the recursion tree depth first.  At a node of block length
-2h it first forms the beliefs of the i=1 child from the product rule
-(combine_v), recurses, then forms the beliefs of the i=0 child from the
-likelihood update (combine_u) given the decided child symbols, recurses again,
-and returns the symbol block (u, u*v).  Frozen leaves emit bit 0; information
-leaves take the sign of the leaf belief, with the tie going to bit 0.
-
-Decisions enter the recursion as data, never as control flow, so any number
-of independent trials can ride through the same pass as rows of a matrix.
-The public single-frame functions are the batch-of-1 case.
+Successive cancellation (SC) is the list decoder at list size 1, so the
+decoders here are thin wrappers over its core, rmpolar.list_decoder._decode:
+an information leaf takes the sign of its belief, the tie going to bit 0,
+and the wrappers read each decision as leaf belief < 0 and each posterior as
+expit(leaf belief).  Any number of independent trials ride through one pass
+as rows of a matrix; the genie-aided pass propagates the true symbols in
+place of the decisions.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .channel import LLR_CLAMP, SoftVector
+from .channel import LLR_CLAMP
 
 __all__ = [
     "OpCounter",
@@ -41,8 +38,8 @@ class OpCounter:
     """Running totals of decoder work, in per-frame units.
 
     kernel counts one combine_v or combine_u evaluation per vector element;
-    select counts candidate-pool entries examined during leaf extension and
-    survivor selection (zero for plain successive cancellation).
+    select counts the extensions weighed per live hypothesis: two at an
+    information leaf, one at a frozen leaf, at every list size.
     """
 
     kernel: int = 0
@@ -130,56 +127,14 @@ class GenieResult:
     posteriors: np.ndarray
 
 
-def _check_llr_block(spec, llr):
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.ndim == 1:
-        llr = llr[None, :]
-    if llr.ndim != 2 or llr.shape[1] != spec.n:
-        raise ValueError(f"beliefs must have {spec.n} positions, got shape {llr.shape}")
-    if not np.isfinite(llr).all():
-        raise ValueError("beliefs must be finite (no NaN or infinity)")
+def _one_frame(spec, beliefs):
+    """Checked beliefs of exactly one frame, as a (1, n) block."""
+    from .list_decoder import _check_beliefs
+
+    llr, _ = _check_beliefs(spec, beliefs)
+    if len(llr) != 1:
+        raise ValueError(f"expected one frame of beliefs, got {len(llr)}")
     return llr
-
-
-def _engine(spec, llr, truth_syms=None, counter=None):
-    """Shared depth-first pass over a (trials, n) belief matrix.
-
-    Returns (bits, posteriors, codeword_symbols), each (trials, n), where
-    bits are the raw per-leaf decisions in processing order.  When
-    truth_syms is given the recursion propagates those symbols instead of
-    the decisions (the genie mode).
-    """
-    info_by_leaf = spec.info_mask_by_leaf
-    trials, n = llr.shape
-    bits = np.zeros((trials, n), dtype=np.uint8)
-    post = np.empty((trials, n), dtype=np.float64)
-    cursor = [0]
-
-    def walk(lam):
-        width = lam.shape[1]
-        if width == 1:
-            s = cursor[0]
-            cursor[0] += 1
-            flat = lam[:, 0]
-            post[:, s] = expit(flat)
-            if info_by_leaf[s]:
-                bits[:, s] = flat < 0.0
-            if truth_syms is not None:
-                return truth_syms[:, s : s + 1]
-            return 1.0 - 2.0 * bits[:, s : s + 1].astype(np.float64)
-        h = width // 2
-        l0 = lam[:, :h]
-        l1 = lam[:, h:]
-        if counter is not None:
-            counter.kernel += h
-        v = walk(combine_v_llr(l0, l1))
-        if counter is not None:
-            counter.kernel += h
-        u = walk(combine_u_llr(l0, l1, v))
-        return np.concatenate([u, u * v], axis=1)
-
-    code_syms = walk(llr)
-    return bits, post, code_syms
 
 
 def sc_decode(spec, beliefs):
@@ -188,26 +143,23 @@ def sc_decode(spec, beliefs):
     Parameters
     ----------
     spec : CodeSpec
-    beliefs : SoftVector of length spec.n.
+    beliefs : SoftVector of length spec.n, or an array of spec.n finite LLRs.
 
     Returns
     -------
     DecodeResult; the codeword field always equals the re-encoding of the
     decided information bits.
     """
-    if isinstance(beliefs, SoftVector):
-        llr = beliefs.llr
-    else:
-        llr = np.asarray(beliefs, dtype=np.float64)
-    llr = _check_llr_block(spec, llr)
-    counter = OpCounter()
-    bits, post, code_syms = _engine(spec, llr, counter=counter)
-    info = spec.info_mask_by_leaf
-    codeword = (code_syms[0] < 0.0).astype(np.uint8)
+    from .list_decoder import _decode
+
+    llr = _one_frame(spec, beliefs)
+    leaf_llr = np.empty_like(llr)
+    code_syms, _, _, counter = _decode(spec, llr, 1, "ignore", leaf_llr=leaf_llr)
+    lam = leaf_llr[0, spec.info_mask_by_leaf]
     return DecodeResult(
-        info_bits=bits[0, info].copy(),
-        codeword=codeword,
-        leaf_posteriors=post[0, info].copy(),
+        info_bits=(lam < 0.0).astype(np.uint8),
+        codeword=(code_syms[0] < 0.0).astype(np.uint8),
+        leaf_posteriors=expit(lam),
         op_count=counter.kernel,
     )
 
@@ -217,28 +169,43 @@ def sc_decode_batch(spec, llr_matrix, counter=None):
 
     llr_matrix has shape (trials, n).  Returns (info_bits, codewords) with
     shapes (trials, N) and (trials, n).  Bit-identical to per-frame
-    :func:`sc_decode`.
+    :func:`sc_decode`.  `counter.kernel` grows by the work of one frame.
     """
-    llr = _check_llr_block(spec, llr_matrix)
-    bits, _, code_syms = _engine(spec, llr, counter=counter)
-    info = spec.info_mask_by_leaf
-    return bits[:, info].copy(), (code_syms < 0.0).astype(np.uint8)
+    from .list_decoder import _check_beliefs, _decode
+
+    llr, _ = _check_beliefs(spec, llr_matrix)
+    leaf_llr = np.empty_like(llr)
+    code_syms, _, _, work = _decode(spec, llr, 1, "ignore", leaf_llr=leaf_llr)
+    if counter is not None:
+        counter.kernel += work.kernel
+    bits = (leaf_llr[:, spec.info_mask_by_leaf] < 0.0).astype(np.uint8)
+    return bits, (code_syms < 0.0).astype(np.uint8)
 
 
-def _truth_symbols_by_leaf(spec, info_bits):
-    """Map information words to per-leaf truth symbols, (trials, n)."""
+def _genie_pass(spec, beliefs, info_bits):
+    """Genie-aided pass over a block: the leaf beliefs and the raw decision
+    errors, each (trials, n) in processing order."""
+    from .list_decoder import _check_beliefs, _decode
+
+    llr, _ = _check_beliefs(spec, beliefs)
     words = np.asarray(info_bits, dtype=np.uint8)
     if words.ndim == 1:
         words = words[None, :]
-    if words.shape[1] != spec.dimension:
+    if words.ndim != 2 or words.shape[1] != spec.dimension:
         raise ValueError(
             f"truth needs {spec.dimension} information bits per word, got shape {words.shape}"
         )
-    coeff = np.zeros((words.shape[0], spec.n), dtype=np.uint8)
+    if len(words) != len(llr):
+        raise ValueError(f"truth needs one information word per frame: {len(llr)} frames, {len(words)} words")
+    coeff = np.zeros((len(words), spec.n), dtype=np.uint8)
     if spec.dimension:
         coeff[:, [p.index for p in spec.info_set]] = words
     # leaf step s handles path index n-1-s
-    return 1.0 - 2.0 * coeff[:, ::-1].astype(np.float64)
+    truth = 1.0 - 2.0 * coeff[:, ::-1].astype(np.float64)
+    leaf_llr = np.empty_like(llr)
+    _decode(spec, llr, 1, "ignore", truth=truth, leaf_llr=leaf_llr)
+    wrong = ((leaf_llr < 0.0) != (truth < 0.0)) & spec.info_mask_by_leaf
+    return leaf_llr, wrong
 
 
 def sc_decode_genie(spec, beliefs, truth_bits):
@@ -249,28 +216,16 @@ def sc_decode_genie(spec, beliefs, truth_bits):
     indicator flags a first error at that leaf.  Frozen leaves are forced and
     never flagged.
     """
-    if isinstance(beliefs, SoftVector):
-        llr = beliefs.llr
-    else:
-        llr = np.asarray(beliefs, dtype=np.float64)
-    llr = _check_llr_block(spec, llr)
-    truth_syms = _truth_symbols_by_leaf(spec, truth_bits)
-    bits, post, _ = _engine(spec, llr, truth_syms=truth_syms)
-    truth_leaf_bits = (truth_syms < 0.0).astype(np.uint8)
-    indicators = (bits != truth_leaf_bits)[0] & spec.info_mask_by_leaf
-    return GenieResult(indicators=indicators, posteriors=post[0].copy())
+    leaf_llr, wrong = _genie_pass(spec, _one_frame(spec, beliefs), truth_bits)
+    return GenieResult(indicators=wrong[0], posteriors=expit(leaf_llr[0]))
 
 
 def genie_error_counts(spec, llr_matrix, info_bits):
     """Per-leaf raw-decision error totals over a batch of genie passes.
 
-    llr_matrix is (trials, n), info_bits is (trials, N).  Returns an int64
-    array of length n in processing order.  Used by the Monte-Carlo
-    construction.
+    llr_matrix is (trials, n), info_bits is (trials, N), one word per row.
+    Returns an int64 array of length n in processing order.  Used by the
+    Monte-Carlo construction.
     """
-    llr = _check_llr_block(spec, llr_matrix)
-    truth_syms = _truth_symbols_by_leaf(spec, info_bits)
-    bits, _, _ = _engine(spec, llr, truth_syms=truth_syms)
-    truth_leaf_bits = (truth_syms < 0.0).astype(np.uint8)
-    wrong = (bits != truth_leaf_bits) & spec.info_mask_by_leaf[None, :]
+    _, wrong = _genie_pass(spec, llr_matrix, info_bits)
     return wrong.sum(axis=0, dtype=np.int64)

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_expit
+from scipy.special import expit, log_expit
 
 from rmpolar import (
     METRIC_TIE_EPS,
@@ -96,6 +96,49 @@ def q_domain_reference_decode(spec, q):
     return np.array(bits, dtype=np.uint8), np.array(posts)
 
 
+def reference_sc_decode(spec, llr, truth_syms=None, counter=None):
+    """Recursive successive cancellation over a (trials, n) belief matrix.
+
+    Returns (bits, posteriors, codeword_symbols), each (trials, n), where
+    bits are the raw per-leaf decisions in processing order.  When
+    truth_syms is given the recursion propagates those symbols instead of
+    the decisions (the genie mode).  A depth-first walk written apart from
+    the library's step-by-step decoder core, which must match it decision
+    for decision, posterior for posterior and count for count.
+    """
+    info_by_leaf = spec.info_mask_by_leaf
+    trials, n = llr.shape
+    bits = np.zeros((trials, n), dtype=np.uint8)
+    post = np.empty((trials, n), dtype=np.float64)
+    cursor = [0]
+
+    def walk(lam):
+        width = lam.shape[1]
+        if width == 1:
+            s = cursor[0]
+            cursor[0] += 1
+            flat = lam[:, 0]
+            post[:, s] = expit(flat)
+            if info_by_leaf[s]:
+                bits[:, s] = flat < 0.0
+            if truth_syms is not None:
+                return truth_syms[:, s : s + 1]
+            return 1.0 - 2.0 * bits[:, s : s + 1].astype(np.float64)
+        h = width // 2
+        l0 = lam[:, :h]
+        l1 = lam[:, h:]
+        if counter is not None:
+            counter.kernel += h
+        v = walk(combine_v_llr(l0, l1))
+        if counter is not None:
+            counter.kernel += h
+        u = walk(combine_u_llr(l0, l1, v))
+        return np.concatenate([u, u * v], axis=1)
+
+    code_syms = walk(llr)
+    return bits, post, code_syms
+
+
 def full_spec(m):
     """Every path informational."""
     return CodeSpec(m=m, info_set=tuple(Path.from_index(i, m) for i in range(1 << m)))
@@ -162,7 +205,8 @@ def info_bits_to_int_loop(bits):
 
 # ---------------------------------------------------------------------------
 # Reference list decoder: one object per hypothesis, blocks shared by
-# reference, survivors chosen by sorting Extension records.  Written
+# reference, survivors chosen by sorting Extension records (at L=1 by the
+# sign test of successive cancellation).  Written
 # independently of the array decoder in rmpolar.list_decoder, which must
 # match it decision for decision, metric for metric and count for count.
 
@@ -275,7 +319,12 @@ def reference_list_decode(spec, llr, list_size, frozen_metric="include"):
             frozen=not info_by_leaf[j],
             frozen_metric=frozen_metric,
         )
-        survivors = reference_select_top(pool, list_size, counter)
+        if list_size == 1 and info_by_leaf[j]:
+            # successive cancellation: the sign test, the tie going to bit 0
+            counter.select += len(pool)
+            survivors = [pool[int(live[0].bel[m][0] < 0.0)]]
+        else:
+            survivors = reference_select_top(pool, list_size, counter)
         next_live = []
         for ext in survivors:
             child = _fork(live[ext.parent], ext.bit, ext.metric, info_by_leaf[j])

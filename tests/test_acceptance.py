@@ -31,13 +31,18 @@ from rmpolar import (
     posteriors,
     random_info_bits,
     run_simulation,
-    sc_decode,
     sc_decode_batch,
     transmit,
     write_csv,
 )
 from conftest import criterion
-from helpers import all_hard_patterns, full_spec, reference_list_decode, same_list_result
+from helpers import (
+    all_hard_patterns,
+    full_spec,
+    reference_list_decode,
+    reference_sc_decode,
+    same_list_result,
+)
 
 # ---------------------------------------------------------------------------
 # criterion 1: the full-width list decision is maximum likelihood
@@ -104,15 +109,20 @@ def test_criterion_2_list_of_one_matches_sc():
             spec = freeze_bec(m, (1 << m) // 2, 0.5)
             ch = Channel.awgn(0.9)
             rng = np.random.default_rng(200 + m)
+            frames = []
+            decided = []
             for _ in range(1000):
                 sent = random_info_bits(spec, rng)
                 y = transmit(ch, modulate(encode(spec, sent)), rng)
                 sv = posteriors(ch, y)
-                sc = sc_decode(spec, sv)
-                best = list_decode(spec, sv, list_size=1).best
-                same = np.array_equal(best.info_bits, sc.info_bits) and np.array_equal(
-                    best.codeword, sc.codeword
-                )
+                frames.append(sv.llr)
+                decided.append(list_decode(spec, sv, list_size=1).best)
+            # the independent recursive SC reference, once over the block
+            bits, _, code_syms = reference_sc_decode(spec, np.stack(frames))
+            sc_bits = bits[:, spec.info_mask_by_leaf]
+            sc_words = (code_syms < 0.0).astype(np.uint8)
+            for best, sc_b, sc_w in zip(decided, sc_bits, sc_words):
+                same = np.array_equal(best.info_bits, sc_b) and np.array_equal(best.codeword, sc_w)
                 mismatches += int(not same)
                 total += 1
         out["ok"] = mismatches == 0

@@ -15,6 +15,7 @@ from rmpolar import (
     OpCounter,
     Path,
     SoftVector,
+    combine_u_llr,
     encode,
     extend_leaf,
     freeze_bec,
@@ -36,6 +37,7 @@ from helpers import (
     q_domain_reference_decode,
     random_spec,
     reference_list_decode,
+    reference_sc_decode,
     same_list_result,
 )
 
@@ -100,7 +102,7 @@ def test_select_top_passes_small_pools_through():
 
 
 def test_select_top_two_entries_keep_one():
-    # the direct comparison used for L=1 follows the same tie rule
+    # a cut to one survivor follows the same tie rule
     assert list(select_top(np.array([-0.5, -0.5]), 1)) == [0]
     assert list(select_top(np.array([-0.6, -0.5]), 1)) == [1]
     assert list(select_top(np.array([-0.5, -0.6]), 1)) == [0]
@@ -163,30 +165,46 @@ def test_list_size_one_matches_sc():
     ch = Channel.awgn(1.0)
     for _ in range(200):
         _, sv = _received_llr(spec, ch, rng)
-        sc = sc_decode(spec, sv)
+        bits, _, code_syms = reference_sc_decode(spec, sv.llr[None, :])
         lst = list_decode(spec, sv, list_size=1)
         assert len(lst.candidates) == 1
-        np.testing.assert_array_equal(lst.best.info_bits, sc.info_bits)
-        np.testing.assert_array_equal(lst.best.codeword, sc.codeword)
+        np.testing.assert_array_equal(lst.best.info_bits, bits[0, spec.info_mask_by_leaf])
+        np.testing.assert_array_equal(lst.best.codeword, code_syms[0] < 0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="L=1 ranks metric + log_expit(+-lam); a leaf lam that is a rounding "
-    "residue near 0 gives a metric tie, which goes to bit 0 where SC's sign test "
-    "gives bit 1",
-)
 def test_list_size_one_matches_sc_on_bsc():
+    # bsc beliefs leave rounding residues near 0 at some leaves, where only
+    # the sign test, not a comparison of two metrics, gives SC's decision
     rng = np.random.default_rng(123)
     spec = freeze_bec(5, 16, 0.5)
     ch = Channel.bsc(0.1)
     words = random_info_bits(spec, rng, size=400)
     llr = posteriors(ch, transmit(ch, modulate(encode(spec, words)), rng))
-    sc_bits, sc_words = sc_decode_batch(spec, llr)
+    bits, _, code_syms = reference_sc_decode(spec, llr)
+    sc_bits = bits[:, spec.info_mask_by_leaf]
     outcomes = list_decode(spec, llr, list_size=1)
     np.testing.assert_array_equal(np.stack([r.best.info_bits for r in outcomes]), sc_bits)
-    np.testing.assert_array_equal(np.stack([r.best.codeword for r in outcomes]), sc_words)
+    np.testing.assert_array_equal(np.stack([r.best.codeword for r in outcomes]), code_syms < 0.0)
+
+
+@pytest.mark.parametrize(
+    "llr, lam",
+    [([0.0, 0.0], 0.0), ([-0.0, -0.0], -0.0), ([-5e-324, 0.0], -5e-324)],
+    ids=["+0", "-0", "-5e-324"],
+)
+def test_list_size_one_and_sc_break_a_tie_toward_bit_zero(llr, lam):
+    # one information leaf, the i=0 child of the root: its belief is
+    # l0 + l1, and only a belief below zero decides bit 1
+    spec = CodeSpec(m=1, info_set=(Path(bits=(0,)),))
+    llr = np.array(llr)
+    leaf = combine_u_llr(llr[:1], llr[1:], 1.0)
+    assert leaf.tobytes() == np.array([lam]).tobytes()
+    bit = int(lam < 0.0)
+    assert list(list_decode(spec, llr, list_size=1).best.info_bits) == [bit]
+    assert list(sc_decode(spec, llr).info_bits) == [bit]
+    block = np.stack([llr, llr])
+    assert [list(r.best.info_bits) for r in list_decode(spec, block, list_size=1)] == [[bit], [bit]]
+    np.testing.assert_array_equal(sc_decode_batch(spec, block)[0], [[bit], [bit]])
 
 
 def test_list_decode_matches_reference_decoder():

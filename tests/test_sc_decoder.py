@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmpolar import (
     Channel,
     CodeSpec,
+    OpCounter,
     Path,
     SoftVector,
     bec_erasure_parameters,
@@ -25,7 +28,7 @@ from rmpolar import (
     sc_decode_genie,
     transmit,
 )
-from helpers import full_spec, q_domain_reference_decode, random_spec
+from helpers import full_spec, leaf_bits_for, q_domain_reference_decode, random_spec, reference_sc_decode
 
 
 def _noiseless(codeword):
@@ -305,3 +308,70 @@ def test_sc_rejects_non_finite_beliefs():
             sc_decode_batch(spec, np.vstack([np.ones(8), llr]))
         with pytest.raises(ValueError, match="finite"):
             genie_error_counts(spec, llr[None, :], np.zeros((1, spec.dimension), np.uint8))
+
+
+_PROPERTY_CHANNELS = {"bsc": Channel.bsc(0.1), "bec": Channel.bec(0.5), "awgn": Channel.awgn(0.9)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 7),
+    full=st.booleans(),
+    channel=st.sampled_from(sorted(_PROPERTY_CHANNELS)),
+    frames=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_sc_wrappers_match_recursive_reference(m, full, channel, frames, seed):
+    # every wrapper over the decoder core against the independent recursive
+    # pass: decisions, codewords, posterior bytes, kernel counts and the
+    # genie's raw-decision errors
+    rng = np.random.default_rng(seed)
+    spec = full_spec(m) if full else freeze_bec(m, max(1, (1 << m) // 2), 0.5)
+    ch = _PROPERTY_CHANNELS[channel]
+    words = random_info_bits(spec, rng, size=frames)
+    llr = posteriors(ch, transmit(ch, modulate(encode(spec, words)), rng))
+    info = spec.info_mask_by_leaf
+    counter = OpCounter()
+    bits, post, code_syms = reference_sc_decode(spec, llr, counter=counter)
+    codewords = (code_syms < 0.0).astype(np.uint8)
+    batch = OpCounter()
+    batch_bits, batch_words = sc_decode_batch(spec, llr, counter=batch)
+    np.testing.assert_array_equal(batch_bits, bits[:, info])
+    np.testing.assert_array_equal(batch_words, codewords)
+    assert batch.kernel == counter.kernel
+    for f in range(frames):
+        single = sc_decode(spec, llr[f])
+        np.testing.assert_array_equal(single.info_bits, bits[f, info])
+        np.testing.assert_array_equal(single.codeword, codewords[f])
+        assert single.leaf_posteriors.tobytes() == post[f, info].tobytes()
+        assert single.op_count == counter.kernel
+    truth = 1.0 - 2.0 * np.stack([leaf_bits_for(spec, w) for w in words])
+    raw, genie_post, _ = reference_sc_decode(spec, llr, truth_syms=truth)
+    wrong = (raw != (truth < 0.0)) & info
+    np.testing.assert_array_equal(genie_error_counts(spec, llr, words), wrong.sum(axis=0))
+    for f in range(frames):
+        genie = sc_decode_genie(spec, llr[f], words[f])
+        np.testing.assert_array_equal(genie.indicators, wrong[f])
+        assert genie.posteriors.tobytes() == genie_post[f].tobytes()
+
+
+def test_genie_rejects_a_word_count_that_differs_from_the_frames():
+    spec = freeze_bec(3, 4, 0.5)
+    llr = np.ones((5, 8))
+    words = np.zeros((5, spec.dimension), dtype=np.uint8)
+    for frames, count in ((5, 1), (5, 3), (1, 5), (0, 1)):
+        with pytest.raises(ValueError, match="one information word per frame"):
+            genie_error_counts(spec, llr[:frames], words[:count])
+    with pytest.raises(ValueError, match="one information word per frame"):
+        sc_decode_genie(spec, llr[0], words[:2])
+    assert genie_error_counts(spec, llr, words).sum() == 0
+
+
+def test_single_frame_decoders_reject_a_block():
+    spec = freeze_bec(3, 4, 0.5)
+    block = np.ones((2, 8))
+    with pytest.raises(ValueError, match="one frame"):
+        sc_decode(spec, block)
+    with pytest.raises(ValueError, match="one frame"):
+        sc_decode_genie(spec, block, np.zeros((2, spec.dimension), dtype=np.uint8))
+    assert sc_decode(spec, block[:1]).info_bits.shape == (spec.dimension,)
