@@ -52,9 +52,9 @@ by_sample = freeze_montecarlo(m, by_weight.dimension, Channel.bec(z),
                               trials=20000, seed=1)
 
 sets = {
-    "weight rule": set(by_weight.info_indices),
-    "erasure design": set(by_design.info_indices),
-    "sampled": set(by_sample.info_indices),
+    "weight rule": set(by_weight.info_indices.tolist()),
+    "erasure design": set(by_design.info_indices.tolist()),
+    "sampled": set(by_sample.info_indices.tolist()),
 }
 print()
 for name, indices in sets.items():
@@ -76,4 +76,4 @@ print("round trip ok")
 # the smaller index, so the information set is just the first k indices.
 tied = freeze_bec(3, 4, 0.0)
 assert np.array_equal(tied.info_indices, [0, 1, 2, 3])
-print("tie rule at z=0: info set", list(tied.info_indices))
+print("tie rule at z=0: info set", tied.info_indices.tolist())

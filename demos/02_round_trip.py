@@ -20,7 +20,7 @@ from rmpolar import (
 )
 
 spec = freeze_rm(1, 3)
-print(f"code: n={spec.n}, k={spec.dimension}, info indices {list(spec.info_indices)}")
+print(f"code: n={spec.n}, k={spec.dimension}, info indices {spec.info_indices.tolist()}")
 
 rng = np.random.default_rng(2)
 info = np.array([1, 0, 1, 1], dtype=np.uint8)

@@ -3,15 +3,16 @@
 A code of length n = 2**m is organized by binary paths (i1, ..., im) through a
 depth-m recursion tree.  Each path names one monomial x1**i1 * ... * xm**im in
 m boolean variables; a code is fixed by the set T of paths that carry free
-coefficients (the information set), every other coefficient being frozen to 0.
-Choosing T by monomial degree gives the classic weight-rule codes; choosing it
-by channel reliability gives bit-frozen subcodes tuned to a target channel.
+coefficients (the information set), stored as an ascending index array.
+Choosing T by degree (popcount) gives the weight-rule codes, by reliability
+the bit-frozen subcodes tuned to a target channel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -117,35 +118,42 @@ def monomial_codeword(path):
     return word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
     """A code of length 2**m fixed by its information set.
 
-    `info_set` is stored sorted in canonical processing order, which is
-    decreasing integer index: at every tree level the i=1 branch is handled
-    strictly before the i=0 branch.  `rm_order` records the weight-rule order
-    for codes built by :func:`freeze_rm`, else None.  It is advisory metadata:
-    two specs with the same (m, info_set) compare equal regardless of it, and
-    the frozen-set file format does not persist it.
+    `info_indices` takes distinct integers in [0, 2**m) in any order and is
+    stored as a read-only ascending int64 array.  `info_set` builds the Paths
+    on demand in processing order, decreasing index (the i=1 branch first).
+    `rm_order` records the weight rule of :func:`freeze_rm`, else None; it is
+    advisory: specs with equal (m, info_indices) are equal and hash equal,
+    and the frozen-set file format does not persist it.
     """
 
     m: int
-    info_set: tuple
-    rm_order: int | None = field(default=None, compare=False)
+    info_indices: np.ndarray
+    rm_order: int | None = None
 
     def __post_init__(self):
         check_m(self.m)
-        paths = tuple(self.info_set)
-        for p in paths:
-            if not isinstance(p, Path):
-                raise ValueError(f"info_set entries must be Path, got {p!r}")
-            if p.m != self.m:
-                raise ValueError(f"path {p} has {p.m} bits, spec has m={self.m}")
-        indices = [p.index for p in paths]
-        if len(set(indices)) != len(indices):
-            raise ValueError("info_set contains duplicate paths")
-        ordered = tuple(sorted(paths, key=lambda p: -p.index))
-        object.__setattr__(self, "info_set", ordered)
+        raw = np.asarray(self.info_indices)
+        if raw.ndim != 1 or (raw.size and not np.issubdtype(raw.dtype, np.integer)):
+            raise ValueError(f"info_indices must be 1-d integers, got {raw.dtype} of shape {raw.shape}")
+        if raw.size and (raw.min() < 0 or raw.max() >= self.n):
+            raise ValueError(f"info_indices must lie in [0, {self.n}) for m={self.m}")
+        indices = np.sort(raw).astype(np.int64, copy=False)
+        if np.any(indices[1:] == indices[:-1]):
+            raise ValueError("info_indices contains duplicates")
+        indices.setflags(write=False)
+        object.__setattr__(self, "info_indices", indices)
+
+    def __eq__(self, other):
+        if not isinstance(other, CodeSpec):
+            return NotImplemented
+        return self.m == other.m and np.array_equal(self.info_indices, other.info_indices)
+
+    def __hash__(self):
+        return hash((self.m, self.info_indices.tobytes()))
 
     @property
     def n(self):
@@ -153,18 +161,18 @@ class CodeSpec:
 
     @property
     def dimension(self):
-        return len(self.info_set)
+        return self.info_indices.size
 
     @cached_property
-    def info_indices(self):
-        """Information path indices, ascending (the on-disk order)."""
-        return tuple(sorted(p.index for p in self.info_set))
+    def info_set(self):
+        """The information paths as Path objects, in processing order."""
+        return tuple(Path.from_index(int(i), self.m) for i in self.info_indices[::-1])
 
     @cached_property
     def info_mask(self):
         """Boolean mask over path indices 0..n-1, True where informational."""
         mask = np.zeros(self.n, dtype=bool)
-        mask[list(self.info_indices)] = True
+        mask[self.info_indices] = True
         mask.setflags(write=False)
         return mask
 
@@ -211,11 +219,12 @@ def freeze_rm(r, m):
     CodeSpec with dimension rm_dimension(r, m).
     """
     check_m(m)
-    k = rm_dimension(r, m)  # validates r
-    paths = [Path.from_index(i, m) for i in range(1 << m)]
-    info = tuple(p for p in paths if p.weight <= r)
-    assert len(info) == k
-    return CodeSpec(m=m, info_set=info, rm_order=r)
+    rm_dimension(r, m)  # validates r
+    index = np.arange(1 << m)
+    weight = np.zeros_like(index)
+    for level in range(m):
+        weight += (index >> level) & 1
+    return CodeSpec(m=m, info_indices=np.flatnonzero(weight <= r), rm_order=r)
 
 
 def bec_erasure_parameters(m, z):
@@ -261,9 +270,7 @@ def freeze_bec(m, k, z):
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     params = bec_erasure_parameters(m, z)
     order = np.lexsort((np.arange(n), params))
-    chosen = sorted(int(i) for i in order[:k])
-    info = tuple(Path.from_index(i, m) for i in chosen)
-    return CodeSpec(m=m, info_set=info)
+    return CodeSpec(m=m, info_indices=order[:k])
 
 
 def freeze_montecarlo(m, k, channel, trials, seed=0):
@@ -286,7 +293,7 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    full = CodeSpec(m=m, info_set=tuple(Path.from_index(i, m) for i in range(n)))
+    full = CodeSpec(m=m, info_indices=np.arange(n))
     rng = np.random.default_rng(seed)
     errors = np.zeros(n, dtype=np.int64)  # by leaf step
     batch = 4096
@@ -303,9 +310,7 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
     rates_by_leaf = errors / float(trials)
     rates_by_index = rates_by_leaf[::-1]  # leaf step s holds index n-1-s
     order = np.lexsort((np.arange(n), rates_by_index))
-    chosen = sorted(int(i) for i in order[:k])
-    info = tuple(Path.from_index(i, m) for i in chosen)
-    return CodeSpec(m=m, info_set=info)
+    return CodeSpec(m=m, info_indices=order[:k])
 
 
 def save_frozen_set(spec, path):
@@ -315,33 +320,59 @@ def save_frozen_set(spec, path):
     newline-terminated lines, no trailing whitespace.
     """
     lines = [f"m={spec.m} k={spec.dimension}"]
-    lines.extend(str(i) for i in spec.info_indices)
+    lines.extend(map(str, spec.info_indices.tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _header(path, line):
+    """(m, k) from a frozen-set header, which holds exactly m=<m> and k=<k>."""
+    fields = {}
+    for part in line.split():
+        key, _, value = part.partition("=")
+        if key not in ("m", "k") or key in fields:
+            break
+        fields[key] = value
+    else:
+        try:
+            return int(fields["m"]), int(fields["k"])
+        except (ValueError, KeyError):
+            pass
+    raise ValueError(f"{path}:1: malformed header {line!r}, expected 'm=<m> k=<k>'")
+
+
 def load_frozen_set(path):
-    """Read a frozen-set file written by :func:`save_frozen_set`."""
+    """Read a frozen-set file written by :func:`save_frozen_set`.
+
+    Every error names the file, and the line when one line is at fault.
+    Index lines must be integers in [0, 2**m), strictly ascending; blank
+    lines are skipped.
+    """
+    indices = array("q")
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty frozen-set file")
-    head = lines[0].split()
-    try:
-        fields = dict(part.split("=", 1) for part in head)
-        m = int(fields["m"])
-        k = int(fields["k"])
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
-    try:
-        check_m(m)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    body = [ln for ln in lines[1:] if ln]
-    if len(body) != k:
-        raise ValueError(f"{path}: header says k={k} but {len(body)} index lines follow")
-    indices = [int(ln) for ln in body]
-    if indices != sorted(indices):
-        raise ValueError(f"{path}: index lines must be ascending")
-    info = tuple(Path.from_index(i, m) for i in indices)
-    return CodeSpec(m=m, info_set=info)
+        head = fh.readline()
+        if not head:
+            raise ValueError(f"{path}: empty frozen-set file")
+        m, k = _header(path, head.rstrip("\n"))
+        try:
+            check_m(m)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        n = 1 << m
+        previous = -1
+        for number, line in enumerate(fh, start=2):
+            if line == "\n":
+                continue
+            try:
+                index = int(line)
+            except ValueError:
+                raise ValueError(f"{path}:{number}: index line {line.rstrip()!r} is not an integer") from None
+            if not 0 <= index < n:
+                raise ValueError(f"{path}:{number}: index {index} out of range for m={m}")
+            if index <= previous:
+                raise ValueError(f"{path}:{number}: index {index} follows {previous}, indices must strictly ascend")
+            indices.append(index)
+            previous = index
+    if len(indices) != k:
+        raise ValueError(f"{path}:1: header says k={k} but {len(indices)} index lines follow")
+    return CodeSpec(m=m, info_indices=np.frombuffer(indices, dtype=np.int64))

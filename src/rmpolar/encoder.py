@@ -46,8 +46,7 @@ def encode(spec, info_bits, counter=None):
     n = spec.n
     words, squeeze = _as_bit_matrix(info_bits, spec.dimension, "info_bits")
     coeff = np.zeros((words.shape[0], n), dtype=np.uint8)
-    if spec.dimension:
-        coeff[:, spec.info_indices[::-1]] = words
+    coeff[:, spec.info_indices[::-1]] = words
     code = _plotkin_transform(coeff, counter)
     return code[0] if squeeze else code
 

@@ -197,11 +197,8 @@ def _genie_pass(spec, beliefs, info_bits):
         )
     if len(words) != len(llr):
         raise ValueError(f"truth needs one information word per frame: {len(llr)} frames, {len(words)} words")
-    coeff = np.zeros((len(words), spec.n), dtype=np.uint8)
-    if spec.dimension:
-        coeff[:, [p.index for p in spec.info_set]] = words
-    # leaf step s handles path index n-1-s
-    truth = 1.0 - 2.0 * coeff[:, ::-1].astype(np.float64)
+    truth = np.ones((len(words), spec.n))
+    truth[:, spec.info_mask_by_leaf] = 1.0 - 2.0 * words
     leaf_llr = np.empty_like(llr)
     _decode(spec, llr, 1, "ignore", truth=truth, leaf_llr=leaf_llr)
     wrong = ((leaf_llr < 0.0) != (truth < 0.0)) & spec.info_mask_by_leaf

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, modulate, posteriors, transmit
-from .code_model import CodeSpec, Path, check_m
+from .code_model import CodeSpec, check_m
 from .encoder import encode, random_info_bits
 from .list_decoder import list_decode
 from .sc_decoder import OpCounter
@@ -230,6 +230,8 @@ def complexity_probe(m_values, list_sizes, trials=1, seed=7):
     Uses full-rate specs (every path informational) so the list reaches its
     full width immediately; kernel counts per hypothesis do not depend on the
     frozen set.  Counts are noise-independent, so small `trials` suffice.
+    Frames are decoded in blocks of block_frames(spec, L), as in
+    :func:`run_simulation`.
     """
     m_values = list(m_values)
     list_sizes = list(list_sizes)
@@ -244,7 +246,7 @@ def complexity_probe(m_values, list_sizes, trials=1, seed=7):
     encoder_points = []
     for m in m_values:
         n = 1 << m
-        spec = CodeSpec(m=m, info_set=tuple(Path.from_index(i, m) for i in range(n)))
+        spec = CodeSpec(m=m, info_indices=np.arange(n))
         ch = Channel.awgn(1.0)
         enc_counter = OpCounter()
         rng = np.random.default_rng(seed + m)
@@ -256,9 +258,12 @@ def complexity_probe(m_values, list_sizes, trials=1, seed=7):
         encoder_points.append((m, n, enc_counter.kernel / trials))
         frames = posteriors(ch, np.stack(received))
         for L in list_sizes:
-            outcomes = list_decode(spec, frames, L)
-            kernel = sum(outcome.kernel_ops for outcome in outcomes)
-            select = sum(outcome.select_ops for outcome in outcomes)
+            kernel = select = 0
+            step = block_frames(spec, L)
+            for first in range(0, trials, step):
+                for outcome in list_decode(spec, frames[first : first + step], L):
+                    kernel += outcome.kernel_ops
+                    select += outcome.select_ops
             decoder_points.append((m, n, L, kernel / trials, select / trials))
 
     dec_fit, dec_res = _fit_through_origin(

@@ -11,7 +11,6 @@ from rmpolar import (
     CodeSpec,
     ListResult,
     OpCounter,
-    Path,
     combine_u_llr,
     combine_v_llr,
 )
@@ -141,13 +140,13 @@ def reference_sc_decode(spec, llr, truth_syms=None, counter=None):
 
 def full_spec(m):
     """Every path informational."""
-    return CodeSpec(m=m, info_set=tuple(Path.from_index(i, m) for i in range(1 << m)))
+    return CodeSpec(m=m, info_indices=range(1 << m))
 
 
 def random_spec(m, k, rng):
     """A uniformly random k-path information set."""
     chosen = rng.choice(1 << m, size=k, replace=False)
-    return CodeSpec(m=m, info_set=tuple(Path.from_index(int(i), m) for i in chosen))
+    return CodeSpec(m=m, info_indices=chosen)
 
 
 def leaf_bits_for(spec, info_bits):

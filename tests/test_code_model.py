@@ -117,11 +117,10 @@ def test_monomial_basis_has_full_rank():
 
 
 def test_codespec_properties_and_ordering():
-    paths = [Path.from_index(i, 3) for i in (1, 6, 3)]
-    spec = CodeSpec(m=3, info_set=tuple(paths))
+    spec = CodeSpec(m=3, info_indices=(1, 6, 3))
     assert spec.n == 8
     assert spec.dimension == 3
-    # Stored by decreasing index, exposed ascending through info_indices.
+    # Stored ascending; info_set builds the paths by decreasing index.
     assert [p.index for p in spec.info_set] == [6, 3, 1]
     assert list(spec.info_indices) == [1, 3, 6]
     mask = np.zeros(8, dtype=bool)
@@ -178,12 +177,12 @@ def test_decode_steps_edge_cases():
     # full rate: one step per leaf, no frozen block
     assert full_spec(4).decode_steps == tuple((j, 4) for j in range(16))
     # nothing informational: the whole tree is one frozen step
-    assert CodeSpec(m=3, info_set=()).decode_steps == ((0, 0),)
+    assert CodeSpec(m=3, info_indices=()).decode_steps == ((0, 0),)
     # one information leaf: frozen subtrees of halving width around it
-    lone = CodeSpec(m=4, info_set=(Path.from_index(9, 4),))  # leaf 15 - 9 = 6
+    lone = CodeSpec(m=4, info_indices=(9,))  # leaf 15 - 9 = 6
     assert lone.decode_steps == ((0, 2), (4, 3), (6, 4), (7, 4), (8, 1))
     for index in range(16):
-        _check_decode_steps(CodeSpec(m=4, info_set=(Path.from_index(index, 4),)))
+        _check_decode_steps(CodeSpec(m=4, info_indices=(index,)))
     # the three benchmark codes: 256 -> 160, 1024 -> 608 and 256 -> 163 steps
     assert len(freeze_bec(8, 128, 0.5).decode_steps) == 160
     assert len(freeze_bec(10, 512, 0.5).decode_steps) == 608
@@ -192,11 +191,11 @@ def test_decode_steps_edge_cases():
 
 def test_codespec_validation():
     with pytest.raises(ValueError):
-        CodeSpec(m=2, info_set=(Path(bits=(1, 1, 0)),))
+        CodeSpec(m=2, info_indices=(6,))
     with pytest.raises(ValueError):
-        CodeSpec(m=2, info_set=(Path(bits=(1, 1)), Path(bits=(1, 1))))
+        CodeSpec(m=2, info_indices=(3, 3))
     with pytest.raises(ValueError):
-        CodeSpec(m=0, info_set=())
+        CodeSpec(m=0, info_indices=())
 
 
 def test_freeze_rm_matches_weight_rule():
@@ -323,7 +322,7 @@ def test_frozen_set_round_trip(tmp_path):
     for m, k in ((12, 1), (12, 700), (12, 4096)):
         chosen = rng.choice(1 << m, size=k, replace=False)
         cases.append(
-            CodeSpec(m=m, info_set=tuple(Path.from_index(int(i), m) for i in chosen))
+            CodeSpec(m=m, info_indices=chosen)
         )
     for i, spec in enumerate(cases):
         target = tmp_path / f"case{i}.txt"
@@ -338,16 +337,23 @@ def test_frozen_set_round_trip(tmp_path):
 
 def test_frozen_set_load_rejects_malformed(tmp_path):
     bad = [
-        "m=2\n0\n",  # header missing k
-        "m=2 k=2\n0\n",  # fewer indices than promised
-        "m=2 k=2\n1\n0\n",  # not ascending
-        "m=2 k=2\n0\n4\n",  # index out of range
-        "m=2 k=2\n0\n0\n",  # duplicate
+        ("m=2\n0\n", 1),  # header missing k
+        ("m=2 k=2\n0\n", 1),  # fewer indices than promised
+        ("m=2 k=2\n1\n0\n", 3),  # not ascending
+        ("m=2 k=2\n0\n4\n", 3),  # index out of range
+        ("m=2 k=2\n0\n0\n", 3),  # duplicate
+        ("m=2 k=2\n0\nabc\n", 3),  # not a number
+        ("m=2 k=2\n0\n1.0\n", 3),  # not an integer
+        ("m=2 k=1\n\n-1\n", 3),  # negative, after a skipped blank line
+        ("m=2 m=3 k=1\n0\n", 1),  # repeated header key
+        ("m=2 k=1 k=1\n0\n", 1),  # repeated header key
+        ("m=2 k=1 z=5\n0\n", 1),  # unknown header key
+        ("m=2 k=1 x\n0\n", 1),  # header field without '='
     ]
-    for i, text in enumerate(bad):
+    for i, (text, line) in enumerate(bad):
         target = tmp_path / f"bad{i}.txt"
         target.write_text(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"bad{i}\.txt:{line}: "):
             load_frozen_set(target)
 
 
@@ -361,7 +367,7 @@ def test_m_is_bounded_before_anything_is_allocated(tmp_path):
     assert 2**MAX_M * 8 == 128 * 2**20  # one float64 belief block at the limit
     too_deep = MAX_M + 1
     with pytest.raises(ValueError, match="m must lie in"):
-        CodeSpec(m=too_deep, info_set=())
+        CodeSpec(m=too_deep, info_indices=())
     with pytest.raises(ValueError, match="m must lie in"):
         freeze_rm(0, 40)
     with pytest.raises(ValueError, match="m must lie in"):

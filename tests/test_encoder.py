@@ -4,7 +4,6 @@ import pytest
 from rmpolar import (
     CodeSpec,
     OpCounter,
-    Path,
     encode,
     encode_reference,
     freeze_bec,
@@ -17,14 +16,14 @@ from helpers import eval_polynomial_oracle, full_spec, info_bits_to_int_loop, ra
 
 
 def test_encode_m1_example():
-    spec = CodeSpec(m=1, info_set=(Path(bits=(1,)),))
+    spec = CodeSpec(m=1, info_indices=(1,))
     np.testing.assert_array_equal(encode(spec, [1]), [0, 1])
 
 
 def test_encode_m2_examples():
-    single = CodeSpec(m=2, info_set=(Path(bits=(1, 1)),))
+    single = CodeSpec(m=2, info_indices=(3,))
     np.testing.assert_array_equal(encode(single, [1]), [0, 0, 0, 1])
-    both = CodeSpec(m=2, info_set=(Path(bits=(1, 1)), Path(bits=(0, 0))))
+    both = CodeSpec(m=2, info_indices=(3, 0))
     np.testing.assert_array_equal(encode(both, [1, 1]), [1, 1, 1, 0])
 
 
@@ -39,7 +38,7 @@ def test_encode_zero_word_is_zero():
 def test_single_path_words_reproduce_monomials():
     for m in range(1, 6):
         for idx in range(1 << m):
-            spec = CodeSpec(m=m, info_set=(Path.from_index(idx, m),))
+            spec = CodeSpec(m=m, info_indices=(idx,))
             np.testing.assert_array_equal(
                 encode(spec, [1]), monomial_codeword(spec.info_set[0])
             )

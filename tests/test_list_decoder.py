@@ -13,7 +13,6 @@ from rmpolar import (
     CodeSpec,
     ListResult,
     OpCounter,
-    Path,
     SoftVector,
     combine_u_llr,
     encode,
@@ -195,7 +194,7 @@ def test_list_size_one_matches_sc_on_bsc():
 def test_list_size_one_and_sc_break_a_tie_toward_bit_zero(llr, lam):
     # one information leaf, the i=0 child of the root: its belief is
     # l0 + l1, and only a belief below zero decides bit 1
-    spec = CodeSpec(m=1, info_set=(Path(bits=(0,)),))
+    spec = CodeSpec(m=1, info_indices=(0,))
     llr = np.array(llr)
     leaf = combine_u_llr(llr[:1], llr[1:], 1.0)
     assert leaf.tobytes() == np.array([lam]).tobytes()
@@ -471,7 +470,7 @@ def test_frozen_step_ranks_ties_as_leaf_by_leaf_sorts():
     # leaves 4 and 5 are one frozen step; two hypotheses end it with equal
     # metrics but reach them in a different order, and which of them is
     # ranked first decides a tie at the cut to L=4 two leaves later
-    spec = CodeSpec(m=3, info_set=tuple(Path.from_index(i, 3) for i in (1, 4, 5, 6)))
+    spec = CodeSpec(m=3, info_indices=(1, 4, 5, 6))
     assert (4, 2) in spec.decode_steps
     llr = np.array([2.0, 0.0, 0.0, -2.0, -2.0, -2.0, -2.0, -2.0])
     result = list_decode(spec, llr, list_size=4)
@@ -502,7 +501,7 @@ def test_property_frozen_subtrees_match_reference_and_metric_replay(
         # the first `prefix` leaves (the highest indices) frozen, the rest random
         prefix = data.draw(st.integers(1, n - k), label="prefix")
         chosen = rng.choice(n - prefix, size=k, replace=False)
-        spec = CodeSpec(m=m, info_set=tuple(Path.from_index(int(i), m) for i in chosen))
+        spec = CodeSpec(m=m, info_indices=chosen)
     if beliefs != "rounded":
         # few distinct beliefs (bec: +-40 and 0), so exact metric ties are common
         ch = Channel.bsc(0.1) if beliefs == "bsc" else Channel.bec(0.4)

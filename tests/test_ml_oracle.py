@@ -7,7 +7,6 @@ from rmpolar import (
     MAX_ENUM_BITS,
     Channel,
     CodeSpec,
-    Path,
     SoftVector,
     codeword_loglik,
     encode,
@@ -123,7 +122,7 @@ def test_ml_decode_matches_slow_argmax():
 
 def test_ml_tie_resolves_to_smaller_word():
     # Codewords 0000 and 1111; the received word is equidistant from both.
-    spec = CodeSpec(m=2, info_set=(Path(bits=(0, 0)),))
+    spec = CodeSpec(m=2, info_indices=(0,))
     sv = posteriors(Channel.bsc(0.2), np.array([1.0, 1.0, -1.0, -1.0]))
     result = ml_decode(spec, sv)
     np.testing.assert_array_equal(result.info_bits, [0])

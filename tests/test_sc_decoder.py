@@ -9,7 +9,6 @@ from rmpolar import (
     Channel,
     CodeSpec,
     OpCounter,
-    Path,
     SoftVector,
     bec_erasure_parameters,
     combine_u,
@@ -89,7 +88,7 @@ def test_combine_v_llr_keeps_exact_zeros():
 
 
 def test_sc_m1_worked_example():
-    spec = CodeSpec(m=1, info_set=(Path(bits=(1,)),))
+    spec = CodeSpec(m=1, info_indices=(1,))
     result = sc_decode(spec, SoftVector.from_q(np.array([0.9, 0.1])))
     np.testing.assert_array_equal(result.info_bits, [1])
     np.testing.assert_array_equal(result.codeword, [0, 1])
@@ -99,7 +98,7 @@ def test_sc_m1_worked_example():
 
 def test_sc_m2_hand_computed():
     # Two information paths, 11 processed first, then 10 given its symbol.
-    spec = CodeSpec(m=2, info_set=(Path(bits=(1, 1)), Path(bits=(1, 0))))
+    spec = CodeSpec(m=2, info_indices=(3, 2))
     rng = np.random.default_rng(34)
     for _ in range(50):
         q = rng.uniform(1e-6, 1 - 1e-6, size=4)

@@ -8,6 +8,7 @@ from rmpolar import sim
 from rmpolar import (
     CSV_HEADER,
     Channel,
+    CodeSpec,
     ComplexityReport,
     complexity_probe,
     freeze_bec,
@@ -212,6 +213,29 @@ def test_complexity_report_to_dict():
     assert {"m", "n", "L", "kernel_ops", "select_ops", "residual"} == set(dec["points"][0])
     enc = payload["encoder"]
     assert {"m", "n", "kernel_ops"} == set(enc["points"][0])
+
+
+@pytest.mark.parametrize("entries", [1, 200])
+def test_complexity_probe_decodes_in_blocks(monkeypatch, entries):
+    # blocks bound memory only: the per-frame counts, and so the report, hold
+    m_values, list_sizes, trials = [4, 5], [1, 4], 7
+    whole = complexity_probe(m_values, list_sizes, trials=trials, seed=3).to_dict()
+    monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", entries)
+    calls = []
+    decode = sim.list_decode
+
+    def counted(spec, beliefs, list_size, *args, **kwargs):
+        calls.append((spec.m, list_size, len(beliefs)))
+        return decode(spec, beliefs, list_size, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "list_decode", counted)
+    assert complexity_probe(m_values, list_sizes, trials=trials, seed=3).to_dict() == whole
+    for m in m_values:
+        for L in list_sizes:
+            per_block = sim.block_frames(CodeSpec(m=m, info_indices=range(1 << m)), L)
+            sizes = [size for (cm, cl, size) in calls if (cm, cl) == (m, L)]
+            assert len(sizes) == math.ceil(trials / per_block)
+            assert sum(sizes) == trials and max(sizes) <= per_block
 
 
 def test_complexity_probe_validation():
