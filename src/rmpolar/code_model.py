@@ -220,10 +220,11 @@ def freeze_rm(r, m):
     """
     check_m(m)
     rm_dimension(r, m)  # validates r
-    index = np.arange(1 << m)
-    weight = np.zeros_like(index)
-    for level in range(m):
-        weight += (index >> level) & 1
+    # popcount of every index, doubling one level at a time: index i + 2**l
+    # has one more set bit than i < 2**l
+    weight = np.zeros(1, dtype=np.uint8)
+    for _ in range(m):
+        weight = np.concatenate([weight, weight + np.uint8(1)])
     return CodeSpec(m=m, info_indices=np.flatnonzero(weight <= r), rm_order=r)
 
 
@@ -313,16 +314,22 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
     return CodeSpec(m=m, info_indices=order[:k])
 
 
+# Index lines formatted per write by save_frozen_set.
+_SAVE_CHUNK = 1 << 16
+
+
 def save_frozen_set(spec, path):
     """Write `spec` to a frozen-set file.
 
     Line 1 is ``m=<m> k=<k>``; then one ascending decimal path index per line;
     newline-terminated lines, no trailing whitespace.
     """
-    lines = [f"m={spec.m} k={spec.dimension}"]
-    lines.extend(map(str, spec.info_indices.tolist()))
+    indices = spec.info_indices
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"m={spec.m} k={spec.dimension}\n")
+        # a bounded run of lines at a time, not one string per index
+        for first in range(0, len(indices), _SAVE_CHUNK):
+            fh.write("\n".join(map(str, indices[first : first + _SAVE_CHUNK].tolist())) + "\n")
 
 
 def _header(path, line):

@@ -2,41 +2,57 @@
 
 The core (_decode) serves every decoder of the package: list_decode, and at
 list size 1 the successive-cancellation wrappers of rmpolar.sc_decoder.  It
-advances step by step in leaf processing order, and the live
-hypotheses of every frame in a block move together as the rows of
-per-level arrays.  Rows are hypothesis-major: with F frames, row r*F + f
-holds hypothesis r of frame f.  bel[lvl] holds the level-lvl belief blocks,
-shape (live*F, 2**(m-lvl)), and vsym[lvl] the decided symbols of the
-pending i=1 child at that level, same shape.  bel[0] is the channel block,
-one row per frame, shared by every hypothesis of that frame.  A refresh
-runs each kernel once per level on all rows at once, so the work per frame
-stays L * n * log2(n) kernel evaluations at most.  The decided information
-bits are read off the final codewords by inverting the encoder.
+advances step by step in leaf processing order, and the live hypotheses of
+every frame in a block move together.
 
-A step is one information leaf, or one maximal aligned block of frozen
-leaves: a whole subtree whose leaves are all frozen (CodeSpec.decode_steps).
-At an information leaf every hypothesis forks on the two bit values, the
-metric of each child growing by the log posterior of its bit.  The pool of
-extensions is shaped (entries, F), each column laid out by parent rank, then
-bit, so one stable sort of the negated metrics down axis 0 keeps the L best
-of every frame and breaks exact ties toward the earlier parent, then bit 0.
-Survivors become the new rows in that order: a fork is one row gather per
-level, of rows parent*F + f, skipped when the survivors are the live
-hypotheses in their old order.  Only the rows that will be read again are
-gathered: at each level either the node's first-child beliefs (its second
-child still to come) or the pending i=1 symbols.
+Layout.  Arrays are position-major: bel[lvl] holds the level-lvl beliefs,
+shape (2**(m-lvl), rows), and vsym[lvl] the decided symbols of the pending
+i=1 child at that level, same shape, so the two halves lam[:h] and lam[h:]
+of a node are contiguous blocks.  The row axis, the last, is
+hypothesis-major: with F frames, row r*F + f holds hypothesis r of frame f.
+bel[0] is the channel block, transposed once on entry, with one row per
+frame, shared by every hypothesis of that frame; the codeword symbols are
+transposed back once on exit.  The
+kernels are called on transposed views, combine_v_llr(lam[:h].T,
+lam[h:].T).T, so the half width is always their last axis.  A refresh runs
+each kernel once per level on all rows at once, so the work per frame stays
+L * n * log2(n) kernel evaluations at most.  The decided information bits
+are read off the final codewords by inverting the encoder.
 
-A frozen subtree's symbols are all known (+1), so its leaf beliefs are
-formed breadth first, one combine_v_llr and one combine_u_llr call per level
-over all of its nodes, and every kernel of the leaf-by-leaf order is still
-evaluated.  Each frozen leaf either adds its bit-0 log posterior to the
-metric (frozen_metric='include', the default), leaf by leaf in order, or
-nothing ('ignore').  The hypotheses are then re-ranked once, as the stable
-sort after every frozen leaf would have left them, and gathered once.
+Steps.  A step is one information leaf, or one maximal aligned block of
+frozen leaves: a whole subtree whose leaves are all frozen
+(CodeSpec.decode_steps).  At an information leaf every hypothesis forks on
+the two bit values, the metric of each child growing by the log posterior
+of its bit.  The pool of extensions is shaped (entries, F), each column
+laid out by parent rank, then bit, so one stable sort of the negated
+metrics down axis 0 keeps the L best of every frame and breaks exact ties
+toward the earlier parent, then bit 0.
 
-At L = 1 there is no pool: an information leaf takes the sign of its
-belief, the tie going to bit 0, and the metric grows by the log posterior
-of that bit, as the pool entry would.
+Lazy forks (Tal and Vardy's lazy copying, in array form).  Survivors
+become the new rows in rank order, but no stored array moves at a fork.
+One (slots, rows) integer map holds, for each stored array, the physical
+row that each current row reads; a fork composes every map with the survivors'
+parent rows in one take, after resetting to identity the maps of the
+arrays written since the previous fork.  A fork that keeps the live rows in
+their order composes nothing.  An array is gathered through its map only
+where it is read: the operands of combine_u_llr at a refresh (the parent's
+beliefs and the pending i=1 symbols) and the pending symbols in the fold.
+OpCounter.moved counts the entries gathered: about 1-1.5 times the kernel
+work, where copying every pending level at each fork moves about n entries
+per row and information leaf.
+
+Frozen subtrees.  A frozen subtree's symbols are all known (+1), so its
+leaf beliefs are formed breadth first over (nodes, size, rows) blocks, one
+combine_v_llr and one combine_u_llr call per level over all of its nodes,
+and every kernel of the leaf-by-leaf order is still evaluated.  Each frozen
+leaf either adds its bit-0 log posterior to the metric
+(frozen_metric='include', the default), leaf by leaf in order, or nothing
+('ignore').  The hypotheses are then re-ranked once, as the stable sort
+after every frozen leaf would have left them: one fork.
+
+At L = 1 there is no pool and no fork: an information leaf takes the sign
+of its belief, the tie going to bit 0, and the metric grows by the log
+posterior of that bit, as the pool entry would.
 
 How many hypotheses live after each step depends only on the frozen set
 and L, never on the beliefs, so the frames of a block always have the same
@@ -150,24 +166,25 @@ def select_top(pool, limit, counter=None):
 def _frozen_leaf_beliefs(lam, depth, live, counter):
     """Leaf beliefs of an all-frozen subtree, formed breadth first.
 
-    `lam` holds the (rows, 2**depth) beliefs of the subtree's root.  Every
-    symbol decided below it is +1, so each level's children come from one
-    combine_v_llr and one combine_u_llr call over all nodes of that level:
-    the same kernels on the same operands as a depth-first walk.  Returns
-    (rows, 2**depth) leaf beliefs in processing order.
+    `lam` holds the (2**depth, rows) position-major beliefs of the subtree's
+    root.  Every symbol decided below it is +1, so each level's children
+    come from one combine_v_llr and one combine_u_llr call over all nodes of
+    that level: the same kernels on the same operands as a depth-first walk.
+    The blocks are (nodes, size, rows); the kernels see (nodes, rows, h)
+    views.  Returns (2**depth, rows) leaf beliefs in processing order.
     """
-    rows, width = lam.shape
-    blocks = lam.reshape(rows, 1, width)
+    width, rows = lam.shape
+    blocks = lam.reshape(1, width, rows)
     for _ in range(depth):
-        _, nodes, size = blocks.shape
+        nodes, size, _ = blocks.shape
         h = size // 2
         counter.kernel += 2 * nodes * h * live
-        a, b = blocks[:, :, :h], blocks[:, :, h:]
-        v = combine_v_llr(a, b)
-        u = combine_u_llr(a, b, _PLUS_ONE)
+        a, b = blocks[:, :h].swapaxes(1, 2), blocks[:, h:].swapaxes(1, 2)
+        v = combine_v_llr(a, b).swapaxes(1, 2)
+        u = combine_u_llr(a, b, _PLUS_ONE).swapaxes(1, 2)
         # children in processing order: the i=1 child (from v) first
-        blocks = np.concatenate([v, u], axis=2).reshape(rows, 2 * nodes, h)
-    return blocks.reshape(rows, width)
+        blocks = np.concatenate([v, u], axis=1).reshape(2 * nodes, h, rows)
+    return blocks.reshape(width, rows)
 
 
 def _check_beliefs(spec, beliefs):
@@ -256,6 +273,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     pass only: `truth`, (frames, n) per-leaf +-1 symbols, is propagated in
     place of the decisions (the genie mode, which keeps no metric), and
     `leaf_llr`, a (frames, n) array, is filled with the belief of every leaf.
+    Both are read or written in place through strided views, never copied.
     """
     m = spec.m
     frames = len(llr)
@@ -265,8 +283,23 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     cols = np.arange(frames)
     ranks = np.arange(list_size)[:, None]
     ones = {}  # read-only symbol blocks of frozen steps, by (live, width)
-    bel = [llr] + [None] * m
+    bel = [np.ascontiguousarray(llr.T)] + [None] * m
     vsym = [None] * (m + 1)
+    # Row maps of the stored arrays, bel[lvl] in slot lvl and vsym[lvl] in
+    # slot m + lvl: physical row maps[s, r] of stored array s holds current
+    # row r.  The slots in `fresh` were written since the last fork, so
+    # their physical rows are the current rows and their maps are stale.
+    maps = np.zeros((2 * m + 1, frames), dtype=np.intp)
+    fresh = set()
+
+    def current(stored, slot):
+        """A stored array with its physical rows gathered into current row order."""
+        if slot in fresh:
+            return stored
+        stored = stored.take(maps[slot], axis=1)
+        counter.moved += stored.size // frames
+        return stored
+
     # symbol of information-leaf pool entry e, whose bit is e % 2
     entry_symbols = np.tile(_BIT_SIGNS, list_size)
     metrics = np.zeros((1, frames))
@@ -274,92 +307,98 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     code_syms = None
 
     for j, node in spec.decode_steps:
-        # refresh bel[node] from the deepest level still valid
+        # refresh the level-node beliefs from the deepest level still valid
         if j == 0:
             lam = bel[0]
             start = 1
         else:
             start = m - ((j & -j).bit_length() - 1)
-            base = bel[start - 1]
             h = 1 << (m - start)
             counter.kernel += h * live
-            v = vsym[start]
+            # the pending i=1 symbols are read again by the fold
+            v = vsym[start] = current(vsym[start], m + start)
+            fresh.add(m + start)
+            # the level start-1 node gets its last child: free its beliefs
+            base = bel[0] if start == 1 else current(bel[start - 1], start - 1)
+            bel[start - 1] = None
             if start == 1 and live > 1 and frames > 1:
                 # bel[0] has one row per frame, shared by its hypotheses
-                lam = combine_u_llr(base[:, :h], base[:, h:], v.reshape(live, frames, h)).reshape(-1, h)
+                u = combine_u_llr(base[:h, None].T, base[h:, None].T, v.reshape(h, live, frames).T)
+                lam = u.T.reshape(h, -1)
             else:
-                lam = combine_u_llr(base[:, :h], base[:, h:], v)
+                lam = combine_u_llr(base[:h].T, base[h:].T, v.T).T
             bel[start] = lam
+            fresh.add(start)
             start += 1
         for lvl in range(start, node + 1):
             h = 1 << (m - lvl)
             counter.kernel += h * live
-            lam = combine_v_llr(lam[:, :h], lam[:, h:])
+            lam = combine_v_llr(lam[:h].T, lam[h:].T).T
             bel[lvl] = lam
+            fresh.add(lvl)
 
         parent = None  # parent rank of each survivor, where rows may move
         if info_by_leaf[j] and list_size == 1:
             if leaf_llr is not None:
-                leaf_llr[:, j] = lam[:, 0]
+                leaf_llr[:, j] = lam[0]
             counter.select += 2
             if truth is None:
                 cur = np.where(lam < 0.0, -1.0, 1.0)
-                metrics = metrics + log_expit(lam.T * cur.T)
+                metrics = metrics + log_expit(lam * cur)
             else:
-                cur = truth[:, j : j + 1]
+                cur = truth[:, j : j + 1].T
         elif info_by_leaf[j]:
             pool = extend_leaf(metrics, lam.reshape(live, frames), frozen=False)
             keep = select_top(pool, list_size, counter=counter)
             metrics = pool.take(keep if frames == 1 else keep * frames + cols)
             parent = keep >> 1
-            cur = entry_symbols.take(keep if frames == 1 else keep.reshape(-1, 1))
+            cur = entry_symbols.take(keep.reshape(1, -1))
         else:
             width = 1 << (m - node)
-            leaves = _frozen_leaf_beliefs(lam, m - node, live, counter).reshape(live, frames, width)
+            leaves = _frozen_leaf_beliefs(lam, m - node, live, counter).reshape(width, live, frames)
             if leaf_llr is not None:
-                leaf_llr[:, j : j + width] = leaves[0]
+                leaf_llr[:, j : j + width] = leaves[:, 0].T
             counter.select += live * width
             if frozen_metric == "include":
                 # the metric after each leaf, (metric + l1) + l2 + ... in
                 # leaf order, rounded as one extension per leaf would be
                 running = log_expit(leaves)
-                running[:, :, 0] += metrics
-                running = np.add.accumulate(running, axis=2)
-                metrics = running[:, :, -1]
+                running[0] += metrics
+                running = np.add.accumulate(running, axis=0)
+                metrics = running[-1]
                 if live > 1:
                     # one stable sort per leaf, composed: the last leaf's
                     # metric ranks first, earlier leaves break its ties
-                    parent = np.lexsort(-running.transpose(2, 0, 1), axis=0)
+                    parent = np.lexsort(-running, axis=0)
                     metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
             # with 'ignore' the metrics, ranked already, do not change
             cur = ones.get((live, width))
             if cur is None:
-                cur = ones[live, width] = np.ones((live * frames, width))
+                cur = ones[live, width] = np.ones((width, live * frames))
                 cur.setflags(write=False)
 
         survivors = live if parent is None else len(parent)
         if parent is not None and (survivors != live or (parent != ranks[:live]).any()):
-            # carry what is read again: the pending i=1 symbols where the
-            # level-d first child is done, else the beliefs its second
-            # child will be formed from (bel[0] is shared)
+            # a lazy fork: survivor r reads what its parent row read.  The
+            # fresh maps are identity, and identity composed with the parent
+            # rows is the parent rows themselves
             rows = (parent if frames == 1 else parent * frames + cols).ravel()
-            for d in range(1, node + 1):
-                if (j >> (m - d)) & 1:
-                    vsym[d] = vsym[d].take(rows, axis=0)
-                elif d > 1:
-                    bel[d - 1] = bel[d - 1].take(rows, axis=0)
+            maps = maps.take(rows, axis=1)
+            if fresh:
+                maps[list(fresh)] = rows
+                fresh.clear()
         live = survivors
 
         # fold the decided symbols back up the completed subtrees
         d = node
         while d >= 1 and (j >> (m - d)) & 1:
-            bel[d] = None  # the level-d node is done: free what it held
-            cur = np.concatenate([cur, cur * vsym[d]], axis=1)
+            cur = np.concatenate([cur, cur * current(vsym[d], m + d)])
             vsym[d] = None
             d -= 1
         if d >= 1:
             vsym[d] = cur
+            fresh.add(m + d)
         else:
             code_syms = cur
 
-    return code_syms, metrics, live, counter
+    return np.ascontiguousarray(code_syms.T), metrics, live, counter

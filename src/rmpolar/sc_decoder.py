@@ -39,11 +39,14 @@ class OpCounter:
 
     kernel counts one combine_v or combine_u evaluation per vector element;
     select counts the extensions weighed per live hypothesis: two at an
-    information leaf, one at a frozen leaf, at every list size.
+    information leaf, one at a frozen leaf, at every list size.  moved
+    counts the stored decoder entries gathered into a new row order after
+    forks of the list decoder (none at list size 1).
     """
 
     kernel: int = 0
     select: int = 0
+    moved: int = 0
 
 
 def combine_v(g0, g1):
@@ -68,28 +71,29 @@ def combine_u(h0, h1, v):
     return np.where(v > 0, h0 * h1, h0 / h1)
 
 
-# Signs of l1 in the two correction terms of combine_v_llr: l0 + l1, l0 - l1.
-_CORRECTION_SIGNS = np.array([1.0, -1.0])
-
-
 def combine_v_llr(l0, l1):
     """LLR form of combine_v: 2*atanh(tanh(l0/2) * tanh(l1/2)).
 
     Evaluated in the exact min-sum-with-correction form, which is stable for
     any finite inputs and keeps zeros exact:
     sign(l0*l1) * min(|l0|, |l1|) + log1p(exp(-|l0 + l1|)) - log1p(exp(-|l0 - l1|)).
-    `l0` must broadcast to the shape of `l1`.
+    `l0` must broadcast to the shape of `l1`.  Every step is an elementwise
+    ufunc, so any memory order of the operands (C, Fortran, strided views)
+    is traversed as it is laid out, with the same bits.
     """
-    out = np.copysign(np.minimum(np.abs(l0), np.abs(l1)), l0 * l1)
-    # both correction terms as the rows of one block, computed in place
-    corr = np.multiply.outer(_CORRECTION_SIGNS, l1)
-    corr += l0
-    np.abs(corr, out=corr)
-    np.negative(corr, out=corr)
-    np.exp(corr, out=corr)
-    np.log1p(corr, out=corr)
-    out += corr[0]
-    out -= corr[1]
+    out = np.abs(l1)
+    np.minimum(np.abs(l0), out, out=out)
+    np.copysign(out, l0 * l1, out=out)
+    # the two correction terms, each computed in place
+    plus = l0 + l1
+    minus = l0 - l1
+    for corr in (plus, minus):
+        np.abs(corr, out=corr)
+        np.negative(corr, out=corr)
+        np.exp(corr, out=corr)
+        np.log1p(corr, out=corr)
+    out += plus
+    out -= minus
     return out
 
 
@@ -197,8 +201,9 @@ def _genie_pass(spec, beliefs, info_bits):
         )
     if len(words) != len(llr):
         raise ValueError(f"truth needs one information word per frame: {len(llr)} frames, {len(words)} words")
-    truth = np.ones((len(words), spec.n))
-    truth[:, spec.info_mask_by_leaf] = 1.0 - 2.0 * words
+    # +-1 symbols, as int8: the pass multiplies them, and the products are exact
+    truth = np.ones((len(words), spec.n), dtype=np.int8)
+    truth[:, spec.info_mask_by_leaf] = np.where(words == 1, -1, 1)
     leaf_llr = np.empty_like(llr)
     _decode(spec, llr, 1, "ignore", truth=truth, leaf_llr=leaf_llr)
     wrong = ((leaf_llr < 0.0) != (truth < 0.0)) & spec.info_mask_by_leaf

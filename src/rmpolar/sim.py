@@ -224,14 +224,32 @@ class ComplexityReport:
         }
 
 
+def _probe_blocks(spec, channel, trials, seed, step, counter):
+    """Received LLR blocks of at most `step` frames, `trials` frames in all.
+
+    One generator, default_rng(seed), draws each frame's information word,
+    then its channel noise, frame after frame, so the frames do not depend
+    on `step`.  `counter`, if given, counts the encoder's work.
+    """
+    rng = np.random.default_rng(seed)
+    for first in range(0, trials, step):
+        received = []
+        for _ in range(min(step, trials - first)):
+            bits = random_info_bits(spec, rng)
+            cw = encode(spec, bits, counter=counter)
+            received.append(transmit(channel, modulate(cw), rng))
+        yield posteriors(channel, np.stack(received))
+
+
 def complexity_probe(m_values, list_sizes, trials=1, seed=7):
     """Measure encoder/decoder kernel counts over a grid of (m, L).
 
     Uses full-rate specs (every path informational) so the list reaches its
     full width immediately; kernel counts per hypothesis do not depend on the
     frozen set.  Counts are noise-independent, so small `trials` suffice.
-    Frames are decoded in blocks of block_frames(spec, L), as in
-    :func:`run_simulation`.
+    Every list size decodes the same frames, drawn, transmitted and decoded
+    in blocks of block_frames(spec, L), as in :func:`run_simulation`, so
+    memory does not grow with `trials`.
     """
     m_values = list(m_values)
     list_sizes = list(list_sizes)
@@ -249,22 +267,17 @@ def complexity_probe(m_values, list_sizes, trials=1, seed=7):
         spec = CodeSpec(m=m, info_indices=np.arange(n))
         ch = Channel.awgn(1.0)
         enc_counter = OpCounter()
-        rng = np.random.default_rng(seed + m)
-        received = []
-        for _ in range(trials):
-            bits = random_info_bits(spec, rng)
-            cw = encode(spec, bits, counter=enc_counter)
-            received.append(transmit(ch, modulate(cw), rng))
-        encoder_points.append((m, n, enc_counter.kernel / trials))
-        frames = posteriors(ch, np.stack(received))
-        for L in list_sizes:
+        for i, L in enumerate(list_sizes):
             kernel = select = 0
-            step = block_frames(spec, L)
-            for first in range(0, trials, step):
-                for outcome in list_decode(spec, frames[first : first + step], L):
+            # the frames are drawn again for every list size; encoding work
+            # is counted on the first pass only
+            blocks = _probe_blocks(spec, ch, trials, seed + m, block_frames(spec, L), enc_counter if i == 0 else None)
+            for frames in blocks:
+                for outcome in list_decode(spec, frames, L):
                     kernel += outcome.kernel_ops
                     select += outcome.select_ops
             decoder_points.append((m, n, L, kernel / trials, select / trials))
+        encoder_points.append((m, n, enc_counter.kernel / trials))
 
     dec_fit, dec_res = _fit_through_origin(
         [L * n * math.log2(n) for (_, n, L, _, _) in decoder_points],

@@ -95,6 +95,25 @@ def q_domain_reference_decode(spec, q):
     return np.array(bits, dtype=np.uint8), np.array(posts)
 
 
+def reference_combine_v_llr(l0, l1):
+    """combine_v_llr in its row-major fused form, kept as the byte reference.
+
+    The two correction terms are the rows of one (2, ...) block built by
+    np.multiply.outer, so the block is C-ordered whatever the operands'
+    order.  Any rewrite of the library kernel must give these bytes.
+    """
+    out = np.copysign(np.minimum(np.abs(l0), np.abs(l1)), l0 * l1)
+    corr = np.multiply.outer(np.array([1.0, -1.0]), l1)
+    corr += l0
+    np.abs(corr, out=corr)
+    np.negative(corr, out=corr)
+    np.exp(corr, out=corr)
+    np.log1p(corr, out=corr)
+    out += corr[0]
+    out -= corr[1]
+    return out
+
+
 def reference_sc_decode(spec, llr, truth_syms=None, counter=None):
     """Recursive successive cancellation over a (trials, n) belief matrix.
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import log_expit
 
+from rmpolar import list_decoder
 from rmpolar import (
     LLR_CLAMP,
     Candidate,
@@ -317,6 +318,67 @@ def test_list_size_one_op_counts():
     assert result.kernel_ops == 32 * 5
     # Every leaf is informational, so each pool holds two extensions.
     assert result.select_ops == 2 * 32
+
+
+def _record_kernel_calls(monkeypatch):
+    """Wrap the list decoder's kernels; each call appends (name, h, out)."""
+    calls = []
+    for name in ("combine_v_llr", "combine_u_llr"):
+        kernel = getattr(list_decoder, name)
+
+        def wrapped(*args, kernel=kernel, name=name):
+            out = kernel(*args)
+            calls.append((name, args[0].shape[-1], out))
+            return out
+
+        monkeypatch.setattr(list_decoder, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+@pytest.mark.parametrize("frames", [1, 3])
+def test_kernel_calls_keep_the_half_width_last(monkeypatch, L, frames):
+    # perfbench's tracer files every kernel call under args[0].shape[-1] and
+    # sizes its work by out.size: the half width must be the last axis
+    calls = _record_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(80 + L + frames)
+    for m in (1, 3, 5, 7):
+        for k in (1, (1 << m) // 3 + 1, 1 << m):
+            spec = random_spec(m, k, rng)
+            calls.clear()
+            results = list_decode(spec, rng.normal(1.0, 2.0, (frames, spec.n)), list_size=L)
+            for _, h, out in calls:
+                assert h >= 1 and h & (h - 1) == 0
+                assert out.shape[-1] == h
+            assert sum(out.size for _, _, out in calls) == results[0].kernel_ops * frames
+
+
+def test_kernel_calls_per_half_width_are_pinned(monkeypatch):
+    calls = _record_kernel_calls(monkeypatch)
+    list_decode(freeze_bec(10, 512, 0.5), np.zeros(1024), list_size=1)
+    per_h = dict(zip([1 << i for i in range(10)], [331, 181, 99, 54, 29, 15, 8, 4, 2, 1]))
+    for name in ("combine_v_llr", "combine_u_llr"):
+        counted = {}
+        for called, h, _ in calls:
+            if called == name:
+                counted[h] = counted.get(h, 0) + 1
+        assert counted == per_h
+
+
+@pytest.mark.parametrize(
+    "m, k, L, frames",
+    [(8, 128, 16, 2), (8, 256, 16, 2), (10, 512, 16, 4), (10, 512, 4, 4), (10, 1024, 32, 2), (6, 64, 64, 3), (8, 93, 4, 1)],
+)
+def test_forks_move_at_most_twice_the_kernel_work(m, k, L, frames):
+    # a fork composes row maps; a stored array is gathered only where it is
+    # read, so the entries moved stay within the kernel work (Tal & Vardy's
+    # lazy copy), and nothing moves without forks
+    spec = freeze_bec(m, k, 0.5)
+    llr = np.random.default_rng(81).normal(1.0, 1.5, (frames, spec.n))
+    for mode in ("include", "ignore"):
+        counter = list_decoder._decode(spec, llr, L, mode)[3]
+        assert 0 < counter.moved <= 2 * counter.kernel
+        assert list_decoder._decode(spec, llr, 1, mode)[3].moved == 0
 
 
 def test_select_ops_bounded_by_pool_cap():

@@ -27,7 +27,14 @@ from rmpolar import (
     sc_decode_genie,
     transmit,
 )
-from helpers import full_spec, leaf_bits_for, q_domain_reference_decode, random_spec, reference_sc_decode
+from helpers import (
+    full_spec,
+    leaf_bits_for,
+    q_domain_reference_decode,
+    random_spec,
+    reference_combine_v_llr,
+    reference_sc_decode,
+)
 
 
 def _noiseless(codeword):
@@ -85,6 +92,49 @@ def test_llr_kernels_agree_with_ratio_forms():
 def test_combine_v_llr_keeps_exact_zeros():
     out = combine_v_llr(np.array([0.0, 3.0, 0.0]), np.array([2.0, 0.0, 0.0]))
     np.testing.assert_array_equal(out, [0.0, 0.0, 0.0])
+
+
+# Signed zeros, subnormals, tiny and large magnitudes, the largest past
+# the point where exp(-|x|) underflows to zero.
+_EDGE_LLRS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 40.0, -40.0, -750.0, 800.0])
+
+
+def _llr_block(rng, shape):
+    """Random LLRs of `shape`, a third of them edge values."""
+    values = rng.normal(0.0, 8.0, shape)
+    edge = rng.random(shape) < 1 / 3
+    values[edge] = rng.choice(_EDGE_LLRS, size=int(edge.sum()))
+    return values
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def test_combine_v_llr_bytes_match_the_reference_on_every_edge_pair():
+    l0, l1 = np.meshgrid(_EDGE_LLRS, _EDGE_LLRS)
+    assert _same_bytes(combine_v_llr(l0, l1), reference_combine_v_llr(l0, l1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_combine_v_llr_bytes_match_the_reference_in_every_layout(seed):
+    # the decoder calls the kernel on C blocks, on transposed halves of
+    # position-major arrays, on 3-d (nodes, rows, h) views and with a
+    # broadcast first operand; each must give the reference's bytes
+    rng = np.random.default_rng(seed)
+    rows, h, nodes = 1 + seed, 1 << seed, 3
+    lam = _llr_block(rng, (rows, 2 * h))
+    cases = [(lam[:, :h], lam[:, h:])]
+    pos = _llr_block(rng, (2 * h, rows))
+    cases.append((pos[:h].T, pos[h:].T))
+    blocks = _llr_block(rng, (nodes, 2 * h, rows))
+    cases.append((blocks[:, :h].swapaxes(1, 2), blocks[:, h:].swapaxes(1, 2)))
+    shared = _llr_block(rng, (2 * h, rows))
+    live = _llr_block(rng, (h, 4, rows))
+    cases.append((shared[:h, None].T, live.T))
+    cases.append((shared[:h].T[:1], lam[:, h:]))
+    for l0, l1 in cases:
+        assert _same_bytes(combine_v_llr(l0, l1), reference_combine_v_llr(l0, l1))
 
 
 def test_sc_m1_worked_example():

@@ -222,12 +222,22 @@ def test_complexity_probe_decodes_in_blocks(monkeypatch, entries):
     whole = complexity_probe(m_values, list_sizes, trials=trials, seed=3).to_dict()
     monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", entries)
     calls = []
-    decode = sim.list_decode
+    formed = []
+    beliefs_of, decode = sim.posteriors, sim.list_decode
+
+    def counted_posteriors(channel, observed):
+        formed.append(len(observed))
+        return beliefs_of(channel, observed)
 
     def counted(spec, beliefs, list_size, *args, **kwargs):
+        # the input stage is bounded too: each block's beliefs are formed
+        # just before it is decoded, never more than one block's at a time
+        assert formed == [len(beliefs)]
+        formed.clear()
         calls.append((spec.m, list_size, len(beliefs)))
         return decode(spec, beliefs, list_size, *args, **kwargs)
 
+    monkeypatch.setattr(sim, "posteriors", counted_posteriors)
     monkeypatch.setattr(sim, "list_decode", counted)
     assert complexity_probe(m_values, list_sizes, trials=trials, seed=3).to_dict() == whole
     for m in m_values:
