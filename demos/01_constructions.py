@@ -18,6 +18,7 @@ from rmpolar import (
     freeze_montecarlo,
     freeze_rm,
     load_frozen_set,
+    monomial_codeword,
     rm_dimension,
     save_frozen_set,
 )
@@ -28,10 +29,12 @@ n = 1 << m
 # A path and its bookkeeping.
 p = Path.from_index(0b1011, m)
 print(f"path {p.bits} -> index {p.index}, weight {p.weight}")
-print(f"its monomial evaluates to a codeword of weight {1 << (m - p.weight)}")
+word = monomial_codeword(p)
+print(f"its monomial evaluates to {''.join(map(str, word))}, "
+      f"a codeword of weight {word.sum()} = 2**(m - {p.weight})")
 print()
 
-# Construction 1: keep every path of weight >= m - r.  The dimension follows
+# Construction 1: keep every path of weight <= r.  The dimension follows
 # the binomial sum rm_dimension(r, m).
 r = 2
 by_weight = freeze_rm(r, m)

@@ -26,28 +26,22 @@ from .code_model import (
     rm_dimension,
     save_frozen_set,
 )
-from .encoder import encode, encode_reference, info_bits_to_int, random_info_bits
+from .encoder import encode, info_bits_to_int, random_info_bits
 from .list_decoder import (
     METRIC_TIE_EPS,
     Candidate,
     ListResult,
-    extend_leaf,
     list_decode,
-    select_top,
 )
-from .ml_oracle import MAX_ENUM_BITS, MLResult, codeword_loglik, likelihood_table, ml_decode
+from .ml_oracle import MAX_ENUM_BITS, MLResult, ml_decode
 from .sc_decoder import (
     DecodeResult,
-    GenieResult,
     OpCounter,
-    combine_u,
     combine_u_llr,
-    combine_v,
     combine_v_llr,
     genie_error_counts,
     sc_decode,
     sc_decode_batch,
-    sc_decode_genie,
 )
 from .sim import (
     CSV_HEADER,
@@ -71,7 +65,6 @@ __all__ = [
     "Candidate",
     "ListResult",
     "DecodeResult",
-    "GenieResult",
     "MAX_ENUM_BITS",
     "MLResult",
     "OpCounter",
@@ -86,26 +79,18 @@ __all__ = [
     "save_frozen_set",
     "load_frozen_set",
     "encode",
-    "encode_reference",
     "random_info_bits",
     "info_bits_to_int",
     "modulate",
     "transmit",
     "posteriors",
     "parse_channel",
-    "combine_v",
-    "combine_u",
     "combine_v_llr",
     "combine_u_llr",
     "sc_decode",
     "sc_decode_batch",
-    "sc_decode_genie",
     "genie_error_counts",
-    "extend_leaf",
-    "select_top",
     "list_decode",
-    "codeword_loglik",
-    "likelihood_table",
     "ml_decode",
     "run_simulation",
     "write_csv",

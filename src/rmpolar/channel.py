@@ -114,11 +114,8 @@ def posteriors(channel, observed):
 
 
 class SoftVector:
-    """A block of per-position beliefs stored in the LLR domain.
-
-    Supports the double index (i, j): half i of a length-len block is the
-    slice [i*len/2 : (i+1)*len/2], i.e. flat index i*(len/2) + j.
-    """
+    """One frame of per-position beliefs, stored as read-only LLRs clipped
+    to +-LLR_CLAMP; the q, g and h views are computed on demand."""
 
     __slots__ = ("llr",)
 
@@ -160,13 +157,6 @@ class SoftVector:
     def h(self):
         """Likelihood-ratio view q / (1 - q)."""
         return np.exp(self.llr)
-
-    def half(self, i):
-        """The i-th half block (i in {0, 1}) as a read-only LLR array."""
-        if i not in (0, 1):
-            raise ValueError(f"half index must be 0 or 1, got {i}")
-        mid = self.llr.size // 2
-        return self.llr[:mid] if i == 0 else self.llr[mid:]
 
     def __len__(self):
         return self.llr.size

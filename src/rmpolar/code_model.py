@@ -123,11 +123,14 @@ class CodeSpec:
     """A code of length 2**m fixed by its information set.
 
     `info_indices` takes distinct integers in [0, 2**m) in any order and is
-    stored as a read-only ascending int64 array.  `info_set` builds the Paths
-    on demand in processing order, decreasing index (the i=1 branch first).
-    `rm_order` records the weight rule of :func:`freeze_rm`, else None; it is
-    advisory: specs with equal (m, info_indices) are equal and hash equal,
-    and the frozen-set file format does not persist it.
+    stored as a read-only ascending int64 array.  Input that already
+    ascends strictly is neither sorted nor searched for duplicates.  Such an
+    int64 array is stored as it is when it is read-only, which marks it as
+    one nobody writes to; any other input is copied, so writing to the
+    caller's array never changes the spec.  `rm_order` records the weight
+    rule of :func:`freeze_rm`, else None; it is advisory: specs with equal
+    (m, info_indices) are equal and hash equal, and the frozen-set file
+    format does not persist it.
     """
 
     m: int
@@ -141,9 +144,14 @@ class CodeSpec:
             raise ValueError(f"info_indices must be 1-d integers, got {raw.dtype} of shape {raw.shape}")
         if raw.size and (raw.min() < 0 or raw.max() >= self.n):
             raise ValueError(f"info_indices must lie in [0, {self.n}) for m={self.m}")
-        indices = np.sort(raw).astype(np.int64, copy=False)
-        if np.any(indices[1:] == indices[:-1]):
-            raise ValueError("info_indices contains duplicates")
+        if not np.all(raw[1:] > raw[:-1]):
+            indices = np.sort(raw).astype(np.int64, copy=False)
+            if np.any(indices[1:] == indices[:-1]):
+                raise ValueError("info_indices contains duplicates")
+        elif raw.dtype != np.int64 or raw.flags.writeable:
+            indices = raw.astype(np.int64)
+        else:
+            indices = raw
         indices.setflags(write=False)
         object.__setattr__(self, "info_indices", indices)
 
@@ -162,11 +170,6 @@ class CodeSpec:
     @property
     def dimension(self):
         return self.info_indices.size
-
-    @cached_property
-    def info_set(self):
-        """The information paths as Path objects, in processing order."""
-        return tuple(Path.from_index(int(i), self.m) for i in self.info_indices[::-1])
 
     @cached_property
     def info_mask(self):
@@ -225,7 +228,9 @@ def freeze_rm(r, m):
     weight = np.zeros(1, dtype=np.uint8)
     for _ in range(m):
         weight = np.concatenate([weight, weight + np.uint8(1)])
-    return CodeSpec(m=m, info_indices=np.flatnonzero(weight <= r), rm_order=r)
+    info = np.flatnonzero(weight <= r)
+    info.setflags(write=False)  # ascending and unshared: CodeSpec keeps it
+    return CodeSpec(m=m, info_indices=info, rm_order=r)
 
 
 def bec_erasure_parameters(m, z):
@@ -382,4 +387,6 @@ def load_frozen_set(path):
             previous = index
     if len(indices) != k:
         raise ValueError(f"{path}:1: header says k={k} but {len(indices)} index lines follow")
-    return CodeSpec(m=m, info_indices=np.frombuffer(indices, dtype=np.int64))
+    info = np.frombuffer(indices, dtype=np.int64)
+    info.setflags(write=False)  # ascending and unshared: CodeSpec keeps it
+    return CodeSpec(m=m, info_indices=info)

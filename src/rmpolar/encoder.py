@@ -2,17 +2,14 @@
 
 A coefficient vector a (indexed by path index) maps to the codeword by m
 butterfly stages of (c0, c0 + c1) combinations, one stage per variable, for
-n/2 XORs per stage.  encode_reference computes the same map by summing
-monomial evaluations and is kept as a slow cross-check.
+n/2 XORs per stage.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .code_model import monomial_codeword
-
-__all__ = ["encode", "encode_reference", "random_info_bits", "info_bits_to_int"]
+__all__ = ["encode", "random_info_bits", "info_bits_to_int"]
 
 
 def _as_bit_matrix(bits, width, what):
@@ -75,20 +72,6 @@ def _plotkin_transform(coeff, counter=None):
         if counter is not None:
             counter.kernel += n >> 1
     return out
-
-
-def encode_reference(spec, info_bits):
-    """Reference encoder: XOR of monomial evaluations, O(n * 2**m) per word.
-
-    Slow on purpose; use :func:`encode` for real work.
-    """
-    words, squeeze = _as_bit_matrix(info_bits, spec.dimension, "info_bits")
-    out = np.zeros((words.shape[0], spec.n), dtype=np.uint8)
-    for col, path in enumerate(spec.info_set):
-        rows = words[:, col] == 1
-        if rows.any():
-            out[rows] ^= monomial_codeword(path)
-    return out[0] if squeeze else out
 
 
 def random_info_bits(spec, rng, size=None):

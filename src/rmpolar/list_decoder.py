@@ -75,8 +75,6 @@ __all__ = [
     "METRIC_TIE_EPS",
     "Candidate",
     "ListResult",
-    "extend_leaf",
-    "select_top",
     "list_decode",
 ]
 
@@ -116,34 +114,17 @@ class ListResult:
         return self.candidates[0]
 
 
-def extend_leaf(metrics, leaf_llrs, frozen, frozen_metric="include"):
-    """Extend every candidate through one leaf.
+def extend_leaf(metrics, leaf_llrs):
+    """Extend every hypothesis through one information leaf.
 
-    Parameters
-    ----------
-    metrics : per-candidate log metrics, in rank order; 1-d, or 2-d with one
-        column per frame.
-    leaf_llrs : per-candidate leaf belief (positive favors bit 0), same shape.
-    frozen : whether the leaf is frozen to bit 0.
-    frozen_metric : 'include' adds the bit-0 log posterior at frozen leaves,
-        'ignore' leaves the metric unchanged there.
-
-    Returns the extension pool, ordered down axis 0 by parent rank, then bit:
-    at a frozen leaf one bit-0 entry per candidate (entry i extends parent i),
-    otherwise both bits per candidate (entry i extends parent i // 2 with bit
-    i % 2).  For 2-d input the pool is shaped (entries, frames), and each
-    column is the pool of that column alone.
+    `metrics` and `leaf_llrs` are (live, frames) float64 arrays in rank
+    order: the log metric of each hypothesis and its leaf belief (positive
+    favors bit 0).  Returns the (2 * live, frames) extension pool, each
+    column ordered by parent rank, then bit: entry i extends parent i // 2
+    with bit i % 2.
     """
-    if frozen_metric not in _FROZEN_METRIC_MODES:
-        raise ValueError(f"frozen_metric must be one of {_FROZEN_METRIC_MODES}, got {frozen_metric!r}")
-    metrics = np.asarray(metrics, dtype=np.float64)
-    lam = np.asarray(leaf_llrs, dtype=np.float64)
-    if metrics.shape != lam.shape or metrics.ndim not in (1, 2):
-        raise ValueError("metrics and leaf_llrs must have one entry per candidate")
-    if frozen:
-        return metrics + log_expit(lam) if frozen_metric == "include" else metrics + 0.0
-    signs = _BIT_SIGNS if metrics.ndim == 1 else _BIT_SIGNS[:, None]
-    return (metrics[:, None] + log_expit(lam[:, None] * signs)).reshape(-1, *metrics.shape[1:])
+    pool = metrics[:, None] + log_expit(leaf_llrs[:, None] * _BIT_SIGNS[:, None])
+    return pool.reshape(-1, metrics.shape[1])
 
 
 def select_top(pool, limit, counter=None):
@@ -201,6 +182,14 @@ def _check_beliefs(spec, beliefs):
     return llr, single
 
 
+def _one_frame(spec, beliefs):
+    """Checked beliefs of exactly one frame, as a (1, n) block."""
+    llr, _ = _check_beliefs(spec, beliefs)
+    if len(llr) != 1:
+        raise ValueError(f"expected one frame of beliefs, got {len(llr)}")
+    return llr
+
+
 def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     """List-decode channel beliefs under `spec`, one frame or a block.
 
@@ -213,9 +202,10 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     list_size : maximum number of live hypotheses L >= 1.  L = 1 is
         successive cancellation: each information bit is the sign of its
         leaf belief, the tie going to bit 0.
-    frozen_metric : see :func:`extend_leaf`.  With 'include' and
-        list_size >= 2**N the rank-1 candidate is a maximum-likelihood
-        decision.
+    frozen_metric : 'include' adds the bit-0 log posterior of every frozen
+        leaf to the metric, 'ignore' leaves the metric unchanged there.
+        With 'include' and list_size >= 2**N the rank-1 candidate is a
+        maximum-likelihood decision.
 
     Returns
     -------
@@ -275,6 +265,9 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     `leaf_llr`, a (frames, n) array, is filled with the belief of every leaf.
     Both are read or written in place through strided views, never copied.
     """
+    if int(list_size).bit_length() > spec.dimension:
+        # at most 2**N hypotheses can ever live: size the row buffers for those
+        list_size = 1 << spec.dimension
     m = spec.m
     frames = len(llr)
     info_by_leaf = spec.info_mask_by_leaf
@@ -348,7 +341,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             else:
                 cur = truth[:, j : j + 1].T
         elif info_by_leaf[j]:
-            pool = extend_leaf(metrics, lam.reshape(live, frames), frozen=False)
+            pool = extend_leaf(metrics, lam.reshape(live, frames))
             keep = select_top(pool, list_size, counter=counter)
             metrics = pool.take(keep if frames == 1 else keep * frames + cols)
             parent = keep >> 1

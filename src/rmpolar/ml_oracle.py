@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_expit
 
-from .channel import SoftVector
 from .encoder import encode
-from .list_decoder import METRIC_TIE_EPS
+from .list_decoder import METRIC_TIE_EPS, _one_frame
 
-__all__ = ["MAX_ENUM_BITS", "MLResult", "codeword_loglik", "likelihood_table", "ml_decode"]
+__all__ = ["MAX_ENUM_BITS", "MLResult", "ml_decode"]
 
 MAX_ENUM_BITS = 20
 
@@ -36,16 +35,6 @@ class MLResult:
     info_bits: np.ndarray
     codeword: np.ndarray
     loglik: float
-
-
-def _beliefs_llr(spec, beliefs):
-    if isinstance(beliefs, SoftVector):
-        llr = beliefs.llr
-    else:
-        llr = np.asarray(beliefs, dtype=np.float64)
-    if llr.ndim != 1 or llr.size != spec.n:
-        raise ValueError(f"beliefs must have {spec.n} positions, got shape {llr.shape}")
-    return llr
 
 
 def _codebook(spec):
@@ -74,19 +63,11 @@ def _codebook(spec):
     return book
 
 
-def codeword_loglik(codeword, beliefs):
-    """Log-likelihood of one codeword: sum over positions of ln q if the bit
-    is 0, else ln(1 - q)."""
-    bits = np.asarray(codeword, dtype=np.float64)
-    llr = np.asarray(beliefs.llr if isinstance(beliefs, SoftVector) else beliefs, dtype=np.float64)
-    if bits.shape != llr.shape:
-        raise ValueError(f"codeword shape {bits.shape} does not match beliefs shape {llr.shape}")
-    return float(np.sum(log_expit((1.0 - 2.0 * bits) * llr)))
-
-
 def likelihood_table(spec, beliefs):
-    """Log-likelihood of every codeword, indexed by information-word integer."""
-    llr = _beliefs_llr(spec, beliefs)
+    """Log-likelihood of every codeword, indexed by information-word integer:
+    the sum over positions of ln q where the codeword bit is 0, else
+    ln(1 - q), for one frame of beliefs."""
+    llr = _one_frame(spec, beliefs)[0]
     _, codewords = _codebook(spec)
     logq = log_expit(llr)
     log1mq = log_expit(-llr)

@@ -5,8 +5,8 @@ decoders here are thin wrappers over its core, rmpolar.list_decoder._decode:
 an information leaf takes the sign of its belief, the tie going to bit 0,
 and the wrappers read each decision as leaf belief < 0 and each posterior as
 expit(leaf belief).  Any number of independent trials ride through one pass
-as rows of a matrix; the genie-aided pass propagates the true symbols in
-place of the decisions.
+as rows of a matrix; the genie-aided pass of genie_error_counts propagates
+the true symbols in place of the decisions.
 """
 
 from __future__ import annotations
@@ -16,19 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .channel import LLR_CLAMP
-
 __all__ = [
     "OpCounter",
-    "combine_v",
-    "combine_u",
     "combine_v_llr",
     "combine_u_llr",
     "DecodeResult",
-    "GenieResult",
     "sc_decode",
     "sc_decode_batch",
-    "sc_decode_genie",
     "genie_error_counts",
 ]
 
@@ -37,9 +31,9 @@ __all__ = [
 class OpCounter:
     """Running totals of decoder work, in per-frame units.
 
-    kernel counts one combine_v or combine_u evaluation per vector element;
-    select counts the extensions weighed per live hypothesis: two at an
-    information leaf, one at a frozen leaf, at every list size.  moved
+    kernel counts one combine_v_llr or combine_u_llr evaluation per vector
+    element; select counts the extensions weighed per live hypothesis: two
+    at an information leaf, one at a frozen leaf, at every list size.  moved
     counts the stored decoder entries gathered into a new row order after
     forks of the list decoder (none at list size 1).
     """
@@ -49,30 +43,8 @@ class OpCounter:
     moved: int = 0
 
 
-def combine_v(g0, g1):
-    """Offset-domain belief of the i=1 child: the product g0 * g1.
-
-    Degrading: |result| <= min(|g0|, |g1|).
-    """
-    return np.multiply(g0, g1)
-
-
-def combine_u(h0, h1, v):
-    """Likelihood-ratio belief of the i=0 child: h0 * h1**v.
-
-    `v` holds the decided +-1 symbols of the i=1 child.  A zero ratio on the
-    inverted side saturates at the clamp scale instead of dividing by zero.
-    """
-    h0 = np.asarray(h0, dtype=np.float64)
-    h1 = np.asarray(h1, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    floor = np.exp(-LLR_CLAMP)
-    h1 = np.maximum(h1, floor)
-    return np.where(v > 0, h0 * h1, h0 / h1)
-
-
 def combine_v_llr(l0, l1):
-    """LLR form of combine_v: 2*atanh(tanh(l0/2) * tanh(l1/2)).
+    """Belief of the i=1 child: 2*atanh(tanh(l0/2) * tanh(l1/2)).
 
     Evaluated in the exact min-sum-with-correction form, which is stable for
     any finite inputs and keeps zeros exact:
@@ -98,7 +70,8 @@ def combine_v_llr(l0, l1):
 
 
 def combine_u_llr(l0, l1, v):
-    """LLR form of combine_u: l0 + v * l1 for decided symbols v."""
+    """Belief of the i=0 child: l0 + v * l1 for the decided +-1 symbols v
+    of the i=1 child."""
     return l0 + v * l1
 
 
@@ -118,29 +91,6 @@ class DecodeResult:
     op_count: int
 
 
-@dataclass
-class GenieResult:
-    """Outcome of one genie-aided pass (decisions corrected to the truth).
-
-    indicators : per-leaf first-error flags in processing order, shape (n,);
-                 True where the raw decision disagreed with the truth.
-    posteriors : posterior of bit 0 at every leaf, shape (n,).
-    """
-
-    indicators: np.ndarray
-    posteriors: np.ndarray
-
-
-def _one_frame(spec, beliefs):
-    """Checked beliefs of exactly one frame, as a (1, n) block."""
-    from .list_decoder import _check_beliefs
-
-    llr, _ = _check_beliefs(spec, beliefs)
-    if len(llr) != 1:
-        raise ValueError(f"expected one frame of beliefs, got {len(llr)}")
-    return llr
-
-
 def sc_decode(spec, beliefs):
     """Decode one frame of channel beliefs under `spec`.
 
@@ -154,7 +104,7 @@ def sc_decode(spec, beliefs):
     DecodeResult; the codeword field always equals the re-encoding of the
     decided information bits.
     """
-    from .list_decoder import _decode
+    from .list_decoder import _decode, _one_frame
 
     llr = _one_frame(spec, beliefs)
     leaf_llr = np.empty_like(llr)
@@ -168,33 +118,36 @@ def sc_decode(spec, beliefs):
     )
 
 
-def sc_decode_batch(spec, llr_matrix, counter=None):
+def sc_decode_batch(spec, llr_matrix):
     """Decode many independent frames in one pass.
 
     llr_matrix has shape (trials, n).  Returns (info_bits, codewords) with
     shapes (trials, N) and (trials, n).  Bit-identical to per-frame
-    :func:`sc_decode`.  `counter.kernel` grows by the work of one frame.
+    :func:`sc_decode`.
     """
     from .list_decoder import _check_beliefs, _decode
 
     llr, _ = _check_beliefs(spec, llr_matrix)
     leaf_llr = np.empty_like(llr)
-    code_syms, _, _, work = _decode(spec, llr, 1, "ignore", leaf_llr=leaf_llr)
-    if counter is not None:
-        counter.kernel += work.kernel
+    code_syms, _, _, _ = _decode(spec, llr, 1, "ignore", leaf_llr=leaf_llr)
     bits = (leaf_llr[:, spec.info_mask_by_leaf] < 0.0).astype(np.uint8)
     return bits, (code_syms < 0.0).astype(np.uint8)
 
 
-def _genie_pass(spec, beliefs, info_bits):
-    """Genie-aided pass over a block: the leaf beliefs and the raw decision
-    errors, each (trials, n) in processing order."""
+def genie_error_counts(spec, llr_matrix, info_bits):
+    """Per-leaf raw-decision error totals over a batch of genie passes.
+
+    llr_matrix is (trials, n), info_bits is (trials, N), one word per row.
+    Every decision is corrected to the truth, and the raw decision at each
+    information leaf is recorded before the correction, so each error is a
+    first error at that leaf; frozen leaves are forced and never counted.
+    Returns an int64 array of length n in processing order.  Used by the
+    Monte-Carlo construction.
+    """
     from .list_decoder import _check_beliefs, _decode
 
-    llr, _ = _check_beliefs(spec, beliefs)
+    llr, _ = _check_beliefs(spec, llr_matrix)
     words = np.asarray(info_bits, dtype=np.uint8)
-    if words.ndim == 1:
-        words = words[None, :]
     if words.ndim != 2 or words.shape[1] != spec.dimension:
         raise ValueError(
             f"truth needs {spec.dimension} information bits per word, got shape {words.shape}"
@@ -207,27 +160,4 @@ def _genie_pass(spec, beliefs, info_bits):
     leaf_llr = np.empty_like(llr)
     _decode(spec, llr, 1, "ignore", truth=truth, leaf_llr=leaf_llr)
     wrong = ((leaf_llr < 0.0) != (truth < 0.0)) & spec.info_mask_by_leaf
-    return leaf_llr, wrong
-
-
-def sc_decode_genie(spec, beliefs, truth_bits):
-    """Genie-aided pass: every decision is corrected to the truth.
-
-    `truth_bits` holds the transmitted information word in processing order.
-    The raw decision at each leaf is recorded before the correction, so each
-    indicator flags a first error at that leaf.  Frozen leaves are forced and
-    never flagged.
-    """
-    leaf_llr, wrong = _genie_pass(spec, _one_frame(spec, beliefs), truth_bits)
-    return GenieResult(indicators=wrong[0], posteriors=expit(leaf_llr[0]))
-
-
-def genie_error_counts(spec, llr_matrix, info_bits):
-    """Per-leaf raw-decision error totals over a batch of genie passes.
-
-    llr_matrix is (trials, n), info_bits is (trials, N), one word per row.
-    Returns an int64 array of length n in processing order.  Used by the
-    Monte-Carlo construction.
-    """
-    _, wrong = _genie_pass(spec, llr_matrix, info_bits)
     return wrong.sum(axis=0, dtype=np.int64)

@@ -6,14 +6,73 @@ import numpy as np
 from scipy.special import expit, log_expit
 
 from rmpolar import (
+    LLR_CLAMP,
     METRIC_TIE_EPS,
     Candidate,
     CodeSpec,
     ListResult,
     OpCounter,
+    Path,
+    SoftVector,
     combine_u_llr,
     combine_v_llr,
+    monomial_codeword,
 )
+
+
+def info_paths(spec):
+    """The information paths of `spec` as Path objects, in processing order
+    (decreasing index, the i=1 branch first)."""
+    return tuple(Path.from_index(int(i), spec.m) for i in spec.info_indices[::-1])
+
+
+def combine_v(g0, g1):
+    """Offset-domain belief of the i=1 child: the product g0 * g1.
+
+    Degrading: |result| <= min(|g0|, |g1|).
+    """
+    return np.multiply(g0, g1)
+
+
+def combine_u(h0, h1, v):
+    """Likelihood-ratio belief of the i=0 child: h0 * h1**v.
+
+    `v` holds the decided +-1 symbols of the i=1 child.  A zero ratio on the
+    inverted side saturates at the clamp scale instead of dividing by zero.
+    """
+    h0 = np.asarray(h0, dtype=np.float64)
+    h1 = np.asarray(h1, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    h1 = np.maximum(h1, np.exp(-LLR_CLAMP))
+    return np.where(v > 0, h0 * h1, h0 / h1)
+
+
+def encode_reference(spec, info_bits):
+    """Reference encoder: XOR of monomial evaluations, O(n * 2**m) per word.
+
+    Built on monomial_codeword and never on the library's butterfly encoder.
+    Takes one word of shape (N,) or a batch (batch, N).
+    """
+    words = np.asarray(info_bits, dtype=np.uint8)
+    squeeze = words.ndim == 1
+    if squeeze:
+        words = words[None, :]
+    out = np.zeros((words.shape[0], spec.n), dtype=np.uint8)
+    for col, path in enumerate(info_paths(spec)):
+        rows = words[:, col] == 1
+        if rows.any():
+            out[rows] ^= monomial_codeword(path)
+    return out[0] if squeeze else out
+
+
+def codeword_loglik(codeword, beliefs):
+    """Log-likelihood of one codeword: sum over positions of ln q if the bit
+    is 0, else ln(1 - q)."""
+    bits = np.asarray(codeword, dtype=np.float64)
+    llr = np.asarray(beliefs.llr if isinstance(beliefs, SoftVector) else beliefs, dtype=np.float64)
+    if bits.shape != llr.shape:
+        raise ValueError(f"codeword shape {bits.shape} does not match beliefs shape {llr.shape}")
+    return float(np.sum(log_expit((1.0 - 2.0 * bits) * llr)))
 
 
 def gf2_rank(matrix):
@@ -46,7 +105,7 @@ def eval_polynomial_oracle(spec, info_bits):
     for p in range(n):
         x = [(p >> (m - 1 - level)) & 1 for level in range(m)]
         acc = 0
-        for path, bit in zip(spec.info_set, np.asarray(info_bits).astype(int)):
+        for path, bit in zip(info_paths(spec), np.asarray(info_bits).astype(int)):
             if not bit:
                 continue
             term = 1
@@ -172,7 +231,7 @@ def leaf_bits_for(spec, info_bits):
     """Per-leaf bits (processing order) of the word named by info_bits."""
     coeff = np.zeros(spec.n, dtype=np.uint8)
     if spec.dimension:
-        coeff[[p.index for p in spec.info_set]] = np.asarray(info_bits, dtype=np.uint8)
+        coeff[[p.index for p in info_paths(spec)]] = np.asarray(info_bits, dtype=np.uint8)
     return coeff[::-1]
 
 

@@ -14,13 +14,10 @@ from rmpolar import (
     Path,
     SoftVector,
     bec_erasure_parameters,
-    combine_u,
     combine_u_llr,
-    combine_v,
     combine_v_llr,
     complexity_probe,
     encode,
-    encode_reference,
     freeze_bec,
     freeze_rm,
     genie_error_counts,
@@ -38,6 +35,9 @@ from rmpolar import (
 from conftest import criterion
 from helpers import (
     all_hard_patterns,
+    combine_u,
+    combine_v,
+    encode_reference,
     full_spec,
     reference_list_decode,
     reference_sc_decode,

@@ -134,6 +134,7 @@ def test_softvector_round_trips():
     rng = np.random.default_rng(26)
     q = rng.uniform(1e-9, 1 - 1e-9, size=200)
     sv = SoftVector.from_q(q)
+    assert len(sv) == 200
     np.testing.assert_allclose((sv.g + 1.0) / 2.0, q, atol=1e-12)
     np.testing.assert_allclose(sv.h / (1.0 + sv.h), q, atol=1e-12)
     np.testing.assert_allclose(expit(sv.llr), q, atol=1e-12)
@@ -158,19 +159,6 @@ def test_softvector_validation():
         SoftVector.from_q(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         SoftVector.from_q(np.array([]))
-
-
-def test_softvector_half_splits():
-    sv = SoftVector.from_llr(np.array([1.0, 2.0, 3.0, 4.0]))
-    np.testing.assert_array_equal(sv.half(0), [1.0, 2.0])
-    np.testing.assert_array_equal(sv.half(1), [3.0, 4.0])
-    assert len(sv) == 4
-    with pytest.raises(ValueError):
-        sv.half(2)
-    # The double index (i, j) lands at flat position i * len/2 + j.
-    for i in (0, 1):
-        for j in (0, 1):
-            assert sv.half(i)[j] == sv.llr[i * 2 + j]
 
 
 def test_posterior_calibration_bsc():

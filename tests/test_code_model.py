@@ -17,7 +17,7 @@ from rmpolar import (
     save_frozen_set,
 )
 from rmpolar.code_model import MAX_M
-from helpers import full_spec, gf2_rank, random_spec
+from helpers import full_spec, gf2_rank, info_paths, random_spec
 
 
 def test_rm_dimension_examples():
@@ -120,8 +120,8 @@ def test_codespec_properties_and_ordering():
     spec = CodeSpec(m=3, info_indices=(1, 6, 3))
     assert spec.n == 8
     assert spec.dimension == 3
-    # Stored ascending; info_set builds the paths by decreasing index.
-    assert [p.index for p in spec.info_set] == [6, 3, 1]
+    # Stored ascending; the paths in processing order have decreasing index.
+    assert [p.index for p in info_paths(spec)] == [6, 3, 1]
     assert list(spec.info_indices) == [1, 3, 6]
     mask = np.zeros(8, dtype=bool)
     mask[[1, 3, 6]] = True
@@ -204,14 +204,14 @@ def test_freeze_rm_matches_weight_rule():
             spec = freeze_rm(r, m)
             assert spec.dimension == rm_dimension(r, m)
             assert spec.rm_order == r
-            included = {p.index for p in spec.info_set}
+            included = {p.index for p in info_paths(spec)}
             for idx in range(1 << m):
                 path = Path.from_index(idx, m)
                 assert (path.weight <= r) == (idx in included)
 
 
 def test_freeze_rm_edge_orders():
-    assert {p.index for p in freeze_rm(0, 3).info_set} == {0}
+    assert {p.index for p in info_paths(freeze_rm(0, 3))} == {0}
     assert freeze_rm(3, 3).dimension == 8
 
 
@@ -249,16 +249,16 @@ def test_bec_erasure_parameters_bounds():
 
 
 def test_freeze_bec_m2_selections():
-    assert [p.index for p in freeze_bec(2, 1, 0.5).info_set] == [0]
-    assert sorted(p.index for p in freeze_bec(2, 2, 0.5).info_set) == [0, 1]
-    assert sorted(p.index for p in freeze_bec(2, 3, 0.5).info_set) == [0, 1, 2]
+    assert [p.index for p in info_paths(freeze_bec(2, 1, 0.5))] == [0]
+    assert sorted(p.index for p in info_paths(freeze_bec(2, 2, 0.5))) == [0, 1]
+    assert sorted(p.index for p in info_paths(freeze_bec(2, 3, 0.5))) == [0, 1, 2]
 
 
 def test_freeze_bec_ties_prefer_smaller_index():
     # Degenerate designs make every parameter equal; the tie rule decides.
     for z in (0.0, 1.0):
         spec = freeze_bec(3, 4, z)
-        assert sorted(p.index for p in spec.info_set) == [0, 1, 2, 3]
+        assert sorted(p.index for p in info_paths(spec)) == [0, 1, 2, 3]
 
 
 def test_freeze_bec_selects_k_smallest():
@@ -266,7 +266,7 @@ def test_freeze_bec_selects_k_smallest():
     params = bec_erasure_parameters(m, z)
     for k in (1, 5, 12, 16):
         spec = freeze_bec(m, k, z)
-        chosen = sorted(p.index for p in spec.info_set)
+        chosen = sorted(p.index for p in info_paths(spec))
         threshold = np.sort(params)[k - 1]
         assert len(chosen) == k
         assert all(params[i] <= threshold for i in chosen)
@@ -284,14 +284,14 @@ def test_freeze_montecarlo_bec_example():
     from rmpolar import Channel
 
     spec = freeze_montecarlo(2, 2, Channel.bec(0.5), trials=100_000, seed=1)
-    assert sorted(p.index for p in spec.info_set) == [0, 1]
+    assert sorted(p.index for p in info_paths(spec)) == [0, 1]
 
 
 def test_freeze_montecarlo_noiseless_ties():
     from rmpolar import Channel
 
     spec = freeze_montecarlo(3, 3, Channel.bsc(0.0), trials=64, seed=0)
-    assert sorted(p.index for p in spec.info_set) == [0, 1, 2]
+    assert sorted(p.index for p in info_paths(spec)) == [0, 1, 2]
 
 
 def test_freeze_montecarlo_matches_exact_bec_ranking():
@@ -299,7 +299,7 @@ def test_freeze_montecarlo_matches_exact_bec_ranking():
 
     # z = 0.4, m = 3: exact parameters leave a wide gap around rank 4.
     spec = freeze_montecarlo(3, 4, Channel.bec(0.4), trials=20_000, seed=9)
-    assert sorted(p.index for p in spec.info_set) == [0, 1, 2, 4]
+    assert sorted(p.index for p in info_paths(spec)) == [0, 1, 2, 4]
 
 
 def test_freeze_montecarlo_is_deterministic():

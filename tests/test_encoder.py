@@ -5,14 +5,20 @@ from rmpolar import (
     CodeSpec,
     OpCounter,
     encode,
-    encode_reference,
     freeze_bec,
     freeze_rm,
     info_bits_to_int,
     monomial_codeword,
     random_info_bits,
 )
-from helpers import eval_polynomial_oracle, full_spec, info_bits_to_int_loop, random_spec
+from helpers import (
+    encode_reference,
+    eval_polynomial_oracle,
+    full_spec,
+    info_bits_to_int_loop,
+    info_paths,
+    random_spec,
+)
 
 
 def test_encode_m1_example():
@@ -40,7 +46,7 @@ def test_single_path_words_reproduce_monomials():
         for idx in range(1 << m):
             spec = CodeSpec(m=m, info_indices=(idx,))
             np.testing.assert_array_equal(
-                encode(spec, [1]), monomial_codeword(spec.info_set[0])
+                encode(spec, [1]), monomial_codeword(info_paths(spec)[0])
             )
 
 

@@ -1,7 +1,6 @@
 """The information set is stored and consumed as one ascending index array.
 
-Constructions, loads and decodes read the array; Path objects are built only
-when `CodeSpec.info_set` is asked for.
+Constructions, loads and decodes read the array and build no Path objects.
 """
 
 import hashlib
@@ -21,6 +20,7 @@ from rmpolar import (
     save_frozen_set,
 )
 from rmpolar.cli import main
+from helpers import info_paths
 
 # SHA-256 of the frozen-set files of _golden_specs, saved and concatenated in
 # order; recorded before CodeSpec held indices, when it held Path tuples.
@@ -65,7 +65,7 @@ def no_paths(monkeypatch):
 
 def test_constructions_loads_and_runs_build_no_paths(no_paths, tmp_path, capsys):
     with pytest.raises(AssertionError, match="a Path was built"):
-        freeze_rm(1, 3).info_set
+        info_paths(freeze_rm(1, 3))
     specs = [
         freeze_rm(2, 6),
         freeze_bec(6, 20, 0.5),
@@ -115,6 +115,7 @@ def test_freeze_rm_keeps_indices_of_popcount_at_most_r():
         np.array([9], dtype=np.uint64),
         [3, 1, 3],  # duplicate
         [Path.from_index(1, 3)],  # the old Path-tuple form
+        np.array([2, 2, 5]),  # ascending, but not strictly
     ],
 )
 def test_codespec_rejects_bad_indices(indices):
@@ -147,16 +148,24 @@ def test_codespec_equality_and_hash_follow_the_index_set():
 
 
 def test_codespec_indices_are_read_only_and_not_shared():
-    source = np.array([5, 2, 7])
-    spec = CodeSpec(m=3, info_indices=source)
-    with pytest.raises(ValueError):
-        spec.info_indices[0] = 1
-    source[0] = 0
-    assert source.flags.writeable
-    assert spec.info_indices.tolist() == [2, 5, 7]
+    # input that already ascends skips the sort, but a writable array, or
+    # one of another dtype, is still copied
+    for source in (np.array([5, 2, 7]), np.array([2, 5, 7]), np.array([2, 5, 7], dtype=np.int32)):
+        spec = CodeSpec(m=3, info_indices=source)
+        with pytest.raises(ValueError):
+            spec.info_indices[0] = 1
+        source[0] = 0
+        assert source.flags.writeable
+        assert spec.info_indices.tolist() == [2, 5, 7]
+    # a read-only ascending int64 array is kept as it is
+    frozen = np.array([2, 5, 7])
+    frozen.setflags(write=False)
+    assert CodeSpec(m=3, info_indices=frozen).info_indices is frozen
 
 
 def test_info_set_builds_paths_in_decreasing_index_order():
+    # the tests' Path view of a spec, which the polynomial and monomial-sum
+    # oracles read in processing order
     spec = CodeSpec(m=3, info_indices=[1, 6, 3])
-    assert spec.info_set == (Path((1, 1, 0)), Path((0, 1, 1)), Path((0, 0, 1)))
-    assert CodeSpec(m=2, info_indices=()).info_set == ()
+    assert info_paths(spec) == (Path((1, 1, 0)), Path((0, 1, 1)), Path((0, 0, 1)))
+    assert info_paths(CodeSpec(m=2, info_indices=())) == ()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from rmpolar import (
     SoftVector,
     combine_u_llr,
     encode,
-    extend_leaf,
     freeze_bec,
     freeze_rm,
     info_bits_to_int,
@@ -28,9 +28,9 @@ from rmpolar import (
     random_info_bits,
     sc_decode,
     sc_decode_batch,
-    select_top,
     transmit,
 )
+from rmpolar.list_decoder import extend_leaf, select_top
 from helpers import (
     full_spec,
     metric_replay,
@@ -50,25 +50,15 @@ def _received_llr(spec, ch, rng, sent=None):
 
 
 def test_extend_leaf_info_example():
-    pool = extend_leaf([0.0], [math.log(9.0)], frozen=False)
+    pool = extend_leaf(np.array([[0.0]]), np.array([[math.log(9.0)]]))
     # entry i extends parent i // 2 with bit i % 2
-    assert pool.shape == (2,)
-    assert pool[0] == pytest.approx(math.log(0.9), abs=1e-12)
-    assert pool[1] == pytest.approx(math.log(0.1), abs=1e-12)
-
-
-def test_extend_leaf_frozen_modes():
-    certain = extend_leaf([-1.5], [40.0], frozen=True, frozen_metric="include")
-    assert certain.shape == (1,)
-    assert certain[0] == pytest.approx(-1.5, abs=1e-12)
-    doubtful = extend_leaf([-1.5], [-2.0], frozen=True, frozen_metric="include")
-    assert doubtful[0] == pytest.approx(-1.5 + log_expit(-2.0), abs=1e-12)
-    ignored = extend_leaf([-1.5], [-2.0], frozen=True, frozen_metric="ignore")
-    assert ignored[0] == -1.5
+    assert pool.shape == (2, 1)
+    assert pool[0, 0] == pytest.approx(math.log(0.9), abs=1e-12)
+    assert pool[1, 0] == pytest.approx(math.log(0.1), abs=1e-12)
 
 
 def test_extend_leaf_orders_pool_by_parent():
-    pool = extend_leaf([-0.1, -0.7], [2.0, -2.0], frozen=False)
+    pool = extend_leaf(np.array([[-0.1], [-0.7]]), np.array([[2.0], [-2.0]]))
     # (parent, bit) = (0, 0), (0, 1), (1, 0), (1, 1)
     expected = [
         -0.1 + log_expit(2.0),
@@ -76,14 +66,7 @@ def test_extend_leaf_orders_pool_by_parent():
         -0.7 + log_expit(-2.0),
         -0.7 + log_expit(2.0),
     ]
-    np.testing.assert_array_equal(pool, expected)
-
-
-def test_extend_leaf_validation():
-    with pytest.raises(ValueError):
-        extend_leaf([0.0], [1.0, 2.0], frozen=False)
-    with pytest.raises(ValueError):
-        extend_leaf([0.0], [1.0], frozen=True, frozen_metric="drop")
+    np.testing.assert_array_equal(pool[:, 0], expected)
 
 
 def test_select_top_keeps_best_and_breaks_ties():
@@ -127,19 +110,18 @@ def test_two_dimensional_extend_and_select_match_each_column():
     # values on a coarse grid, so that pool entries tie within a column
     metrics = rng.integers(-3, 1, size=(live, frames)) / 2.0
     lam = rng.choice([-2.0, 0.0, 2.0], size=(live, frames))
-    for frozen, mode in ((False, "include"), (True, "include"), (True, "ignore")):
-        pool = extend_leaf(metrics, lam, frozen=frozen, frozen_metric=mode)
-        assert pool.shape == ((1 if frozen else 2) * live, frames)
+    pool = extend_leaf(metrics, lam)
+    assert pool.shape == (2 * live, frames)
+    for f in range(frames):
+        column = extend_leaf(metrics[:, f : f + 1], lam[:, f : f + 1])
+        np.testing.assert_array_equal(pool[:, f : f + 1], column)
+    for limit in (1, 2, 4, 8):
+        counter = OpCounter()
+        kept = select_top(pool, limit, counter=counter)
+        assert kept.shape == (min(limit, len(pool)), frames)
+        assert counter.select == len(pool)
         for f in range(frames):
-            column = extend_leaf(metrics[:, f], lam[:, f], frozen=frozen, frozen_metric=mode)
-            np.testing.assert_array_equal(pool[:, f], column)
-        for limit in (1, 2, 4, 8):
-            counter = OpCounter()
-            kept = select_top(pool, limit, counter=counter)
-            assert kept.shape == (min(limit, len(pool)), frames)
-            assert counter.select == len(pool)
-            for f in range(frames):
-                np.testing.assert_array_equal(kept[:, f], select_top(pool[:, f], limit))
+            np.testing.assert_array_equal(kept[:, f], select_top(pool[:, f], limit))
 
 
 def test_block_decode_returns_one_result_per_row():
@@ -241,6 +223,28 @@ def test_list_decode_rejects_non_finite_beliefs():
         llr[0] = bad
         with pytest.raises(ValueError, match="finite"):
             list_decode(spec, llr, list_size=2)
+
+
+def test_list_size_beyond_every_word_allocates_as_the_full_list():
+    # at most 2**N hypotheses can live, so a larger list size must size
+    # nothing by itself: L = 10**7 once built arrays of 10**7 entries
+    spec = freeze_rm(1, 3)  # N = 4
+    full = list_decode(spec, np.ones(8), list_size=16)
+    assert len(full.candidates) == 16
+    tracemalloc.start()
+    try:
+        huge = list_decode(spec, np.ones(8), list_size=10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert same_list_result(huge, full)
+    assert same_list_result(list_decode(spec, np.ones(8), list_size=np.int64(1 << 40)), full)
+    assert same_list_result(list_decode(spec, np.ones(8), list_size=1 << 100), full)
+    empty = CodeSpec(m=3, info_indices=())
+    assert same_list_result(
+        list_decode(empty, np.ones(8), list_size=10**7), list_decode(empty, np.ones(8), list_size=1)
+    )
 
 
 def test_metrics_replay_along_decision_path():

@@ -8,11 +8,9 @@ from rmpolar import (
     Channel,
     CodeSpec,
     SoftVector,
-    codeword_loglik,
     encode,
     freeze_bec,
     freeze_rm,
-    likelihood_table,
     list_decode,
     ml_decode,
     modulate,
@@ -20,7 +18,8 @@ from rmpolar import (
     random_info_bits,
     transmit,
 )
-from helpers import random_spec
+from rmpolar.ml_oracle import likelihood_table
+from helpers import codeword_loglik, random_spec
 
 
 def test_loglik_of_certain_codeword_is_zero():

@@ -11,23 +11,23 @@ from rmpolar import (
     OpCounter,
     SoftVector,
     bec_erasure_parameters,
-    combine_u,
     combine_u_llr,
-    combine_v,
     combine_v_llr,
     encode,
     freeze_bec,
     freeze_rm,
     genie_error_counts,
+    ml_decode,
     modulate,
     posteriors,
     random_info_bits,
     sc_decode,
     sc_decode_batch,
-    sc_decode_genie,
     transmit,
 )
 from helpers import (
+    combine_u,
+    combine_v,
     full_spec,
     leaf_bits_for,
     q_domain_reference_decode,
@@ -282,12 +282,10 @@ def test_sc_batch_matches_single():
 def test_genie_noiseless_has_no_errors():
     rng = np.random.default_rng(39)
     spec = freeze_rm(1, 4)
-    sent = random_info_bits(spec, rng)
-    out = sc_decode_genie(spec, _noiseless(encode(spec, sent)), sent)
-    assert out.indicators.shape == (spec.n,)
-    assert out.posteriors.shape == (spec.n,)
-    assert not out.indicators.any()
-    assert not out.indicators[~spec.info_mask_by_leaf].any()
+    sent = random_info_bits(spec, rng, size=1)
+    counts = genie_error_counts(spec, _noiseless(encode(spec, sent[0])).llr[None], sent)
+    assert counts.shape == (spec.n,) and counts.dtype == np.int64
+    assert not counts.any()
 
 
 def test_genie_errors_are_first_divergence_only():
@@ -296,13 +294,12 @@ def test_genie_errors_are_first_divergence_only():
     # can disturb only paths whose codewords cover that position.
     spec = freeze_rm(2, 4)
     rng = np.random.default_rng(40)
-    sent = random_info_bits(spec, rng)
+    sent = random_info_bits(spec, rng, size=1)
     cw = encode(spec, sent)
     llr = np.where(cw == 0, 40.0, -40.0).astype(np.float64)
-    llr[3] = -llr[3]
-    out = sc_decode_genie(spec, SoftVector.from_llr(llr), sent)
+    llr[0, 3] = -llr[0, 3]
     # A single flipped position cannot overturn any length-16 decision.
-    assert not out.indicators.any()
+    assert not genie_error_counts(spec, llr, sent).any()
 
 
 def test_genie_bec_matches_exact_erasure_recursion():
@@ -335,8 +332,7 @@ def test_genie_counts_match_singleton_runs():
     counts = genie_error_counts(spec, llr, words)
     manual = np.zeros(spec.n, dtype=np.int64)
     for t in range(trials):
-        out = sc_decode_genie(spec, SoftVector.from_llr(llr[t]), words[t])
-        manual += out.indicators
+        manual += genie_error_counts(spec, llr[t : t + 1], words[t : t + 1])
     np.testing.assert_array_equal(counts, manual)
 
 
@@ -357,6 +353,8 @@ def test_sc_rejects_non_finite_beliefs():
             sc_decode_batch(spec, np.vstack([np.ones(8), llr]))
         with pytest.raises(ValueError, match="finite"):
             genie_error_counts(spec, llr[None, :], np.zeros((1, spec.dimension), np.uint8))
+        with pytest.raises(ValueError, match="finite"):
+            ml_decode(spec, llr)
 
 
 _PROPERTY_CHANNELS = {"bsc": Channel.bsc(0.1), "bec": Channel.bec(0.5), "awgn": Channel.awgn(0.9)}
@@ -373,7 +371,7 @@ _PROPERTY_CHANNELS = {"bsc": Channel.bsc(0.1), "bec": Channel.bec(0.5), "awgn": 
 def test_property_sc_wrappers_match_recursive_reference(m, full, channel, frames, seed):
     # every wrapper over the decoder core against the independent recursive
     # pass: decisions, codewords, posterior bytes, kernel counts and the
-    # genie's raw-decision errors
+    # genie's raw-decision errors, per frame and summed
     rng = np.random.default_rng(seed)
     spec = full_spec(m) if full else freeze_bec(m, max(1, (1 << m) // 2), 0.5)
     ch = _PROPERTY_CHANNELS[channel]
@@ -383,11 +381,9 @@ def test_property_sc_wrappers_match_recursive_reference(m, full, channel, frames
     counter = OpCounter()
     bits, post, code_syms = reference_sc_decode(spec, llr, counter=counter)
     codewords = (code_syms < 0.0).astype(np.uint8)
-    batch = OpCounter()
-    batch_bits, batch_words = sc_decode_batch(spec, llr, counter=batch)
+    batch_bits, batch_words = sc_decode_batch(spec, llr)
     np.testing.assert_array_equal(batch_bits, bits[:, info])
     np.testing.assert_array_equal(batch_words, codewords)
-    assert batch.kernel == counter.kernel
     for f in range(frames):
         single = sc_decode(spec, llr[f])
         np.testing.assert_array_equal(single.info_bits, bits[f, info])
@@ -395,13 +391,11 @@ def test_property_sc_wrappers_match_recursive_reference(m, full, channel, frames
         assert single.leaf_posteriors.tobytes() == post[f, info].tobytes()
         assert single.op_count == counter.kernel
     truth = 1.0 - 2.0 * np.stack([leaf_bits_for(spec, w) for w in words])
-    raw, genie_post, _ = reference_sc_decode(spec, llr, truth_syms=truth)
+    raw, _, _ = reference_sc_decode(spec, llr, truth_syms=truth)
     wrong = (raw != (truth < 0.0)) & info
     np.testing.assert_array_equal(genie_error_counts(spec, llr, words), wrong.sum(axis=0))
     for f in range(frames):
-        genie = sc_decode_genie(spec, llr[f], words[f])
-        np.testing.assert_array_equal(genie.indicators, wrong[f])
-        assert genie.posteriors.tobytes() == genie_post[f].tobytes()
+        np.testing.assert_array_equal(genie_error_counts(spec, llr[f : f + 1], words[f : f + 1]), wrong[f])
 
 
 def test_genie_rejects_a_word_count_that_differs_from_the_frames():
@@ -412,7 +406,7 @@ def test_genie_rejects_a_word_count_that_differs_from_the_frames():
         with pytest.raises(ValueError, match="one information word per frame"):
             genie_error_counts(spec, llr[:frames], words[:count])
     with pytest.raises(ValueError, match="one information word per frame"):
-        sc_decode_genie(spec, llr[0], words[:2])
+        genie_error_counts(spec, llr[0], words[:2])
     assert genie_error_counts(spec, llr, words).sum() == 0
 
 
@@ -422,5 +416,6 @@ def test_single_frame_decoders_reject_a_block():
     with pytest.raises(ValueError, match="one frame"):
         sc_decode(spec, block)
     with pytest.raises(ValueError, match="one frame"):
-        sc_decode_genie(spec, block, np.zeros((2, spec.dimension), dtype=np.uint8))
+        ml_decode(spec, block)
     assert sc_decode(spec, block[:1]).info_bits.shape == (spec.dimension,)
+    assert ml_decode(spec, block[:1]).info_bits.shape == (spec.dimension,)
