@@ -9,6 +9,7 @@ other views are computed on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class Channel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}, expected one of {_KINDS}")
+        if not math.isfinite(self.param):
+            raise ValueError(f"{self.kind} parameter must be finite, got {self.param}")
         if self.kind in ("bsc", "bec"):
             if not 0.0 <= self.param <= 1.0:
                 raise ValueError(f"{self.kind} parameter must lie in [0, 1], got {self.param}")
@@ -193,6 +196,13 @@ def parse_channel(text, rate=None):
             raise ValueError("awgn channels need the code rate to fix sigma")
         if rate <= 0.0:
             raise ValueError(f"code rate must be positive, got {rate}")
-        sigma = (2.0 * rate * 10.0 ** (ebn0_db / 10.0)) ** -0.5
+        try:
+            sigma = (2.0 * rate * 10.0 ** (ebn0_db / 10.0)) ** -0.5
+        except (OverflowError, ZeroDivisionError):
+            sigma = math.nan
+        # a non-finite Eb/N0 gives sigma nan or 0; the beliefs divide by
+        # sigma**2, which must be positive and finite
+        if not 0.0 < sigma * sigma < math.inf:
+            raise ValueError(f"awgn Eb/N0 in {text!r} must be finite and keep sigma**2 in floating-point range")
         return Channel.awgn(sigma), ebn0_db
     raise ValueError(f"unknown channel kind {kind!r}")

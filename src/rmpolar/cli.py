@@ -18,7 +18,7 @@ import numpy as np
 from .channel import LLR_CLAMP, parse_channel
 from .code_model import check_m, freeze_bec, freeze_montecarlo, freeze_rm, load_frozen_set, save_frozen_set
 from .encoder import encode
-from .list_decoder import list_decode
+from .list_decoder import check_list_size, list_decode
 from .sim import block_frames, complexity_probe, run_simulation, write_csv
 
 
@@ -88,6 +88,7 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     spec = load_frozen_set(args.frozen_set)
+    check_list_size(spec.m, spec.dimension, args.list_size)
     frames = []
     with open(args.infile, "r", encoding="ascii") as fh:
         for ln, line in enumerate(fh, start=1):

@@ -127,15 +127,12 @@ class CodeSpec:
     ascends strictly is neither sorted nor searched for duplicates.  Such an
     int64 array is stored as it is when it is read-only, which marks it as
     one nobody writes to; any other input is copied, so writing to the
-    caller's array never changes the spec.  `rm_order` records the weight
-    rule of :func:`freeze_rm`, else None; it is advisory: specs with equal
-    (m, info_indices) are equal and hash equal, and the frozen-set file
-    format does not persist it.
+    caller's array never changes the spec.  Specs with equal (m,
+    info_indices) are equal and hash equal.
     """
 
     m: int
     info_indices: np.ndarray
-    rm_order: int | None = None
 
     def __post_init__(self):
         check_m(self.m)
@@ -230,7 +227,7 @@ def freeze_rm(r, m):
         weight = np.concatenate([weight, weight + np.uint8(1)])
     info = np.flatnonzero(weight <= r)
     info.setflags(write=False)  # ascending and unshared: CodeSpec keeps it
-    return CodeSpec(m=m, info_indices=info, rm_order=r)
+    return CodeSpec(m=m, info_indices=info)
 
 
 def bec_erasure_parameters(m, z):

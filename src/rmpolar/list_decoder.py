@@ -82,6 +82,10 @@ __all__ = [
 # hard-decision channels) and resolved toward the smaller information word.
 METRIC_TIE_EPS = 1e-9
 
+# Most float64 entries (1 GiB) that the stored levels of one frame may take,
+# about 2 * min(L, 2**N) * n; a larger list is refused before allocating.
+MAX_LIST_ENTRIES = 1 << 27
+
 _FROZEN_METRIC_MODES = ("include", "ignore")
 
 # The leaf belief is multiplied by these to score bit 0 and bit 1.
@@ -144,6 +148,20 @@ def select_top(pool, limit, counter=None):
     return np.argsort(-pool, axis=0, kind="stable")[:limit]
 
 
+def check_list_size(m, dimension, list_size):
+    """Raise ValueError unless list_size >= 1 and the stored levels of one
+    frame of length 2**m, about 2 * min(list_size, 2**dimension) * 2**m
+    entries, fit in MAX_LIST_ENTRIES; 2**dimension is never built."""
+    if list_size < 1:
+        raise ValueError(f"list size must be >= 1, got {list_size}")
+    live = 1 << dimension if int(list_size).bit_length() > dimension else int(list_size)
+    if live << (m + 1) > MAX_LIST_ENTRIES:
+        raise ValueError(
+            f"list size {list_size} at m={m}, k={dimension} would store about {live << (m + 1)} "
+            f"entries per frame, above MAX_LIST_ENTRIES={MAX_LIST_ENTRIES}"
+        )
+
+
 def _frozen_leaf_beliefs(lam, depth, live, counter):
     """Leaf beliefs of an all-frozen subtree, formed breadth first.
 
@@ -199,9 +217,9 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     beliefs : SoftVector of length spec.n, an array of spec.n finite LLRs, or
         a (frames, spec.n) array of finite LLRs, one frame per row.  Raw
         arrays are decoded as given; only SoftVector clips to +-LLR_CLAMP.
-    list_size : maximum number of live hypotheses L >= 1.  L = 1 is
-        successive cancellation: each information bit is the sign of its
-        leaf belief, the tie going to bit 0.
+    list_size : maximum number of live hypotheses L >= 1, bounded by
+        check_list_size.  L = 1 is successive cancellation: each information
+        bit is the sign of its leaf belief, the tie going to bit 0.
     frozen_metric : 'include' adds the bit-0 log posterior of every frozen
         leaf to the metric, 'ignore' leaves the metric unchanged there.
         With 'include' and list_size >= 2**N the rank-1 candidate is a
@@ -215,8 +233,7 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     block, a list with one such ListResult per row, each equal to decoding
     that row alone.
     """
-    if list_size < 1:
-        raise ValueError(f"list size must be >= 1, got {list_size}")
+    check_list_size(spec.m, spec.dimension, list_size)
     if frozen_metric not in _FROZEN_METRIC_MODES:
         raise ValueError(f"frozen_metric must be one of {_FROZEN_METRIC_MODES}, got {frozen_metric!r}")
     llr, single = _check_beliefs(spec, beliefs)

@@ -6,22 +6,24 @@ farmed out independently without changing the aggregate.  The trials of all
 points form one point-major stream, cut into blocks of block_frames(spec, L)
 frames (the last one may be shorter), one list_decode call per block; a block
 may hold frames of several points, each point's beliefs formed by its own
-channel.  Every frame decodes as it would alone, and each point sums only
-its own rows, so the block size bounds memory, never the results.
+channel, written in place into the block's one belief array.  Every frame
+decodes as it would alone, and each point sums only its own rows, so the
+block size bounds memory, never the results.  complexity_probe measures its
+work counts through the same pipeline.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .channel import Channel, modulate, posteriors, transmit
 from .code_model import CodeSpec, check_m
 from .encoder import encode, random_info_bits
-from .list_decoder import list_decode
+from .list_decoder import check_list_size, list_decode
 from .sc_decoder import OpCounter
 
 __all__ = [
@@ -60,19 +62,8 @@ class TrialResult:
     seed: int
 
     def row(self):
-        return [
-            self.channel,
-            str(self.param),
-            str(self.trials),
-            str(self.frame_errors),
-            str(self.bit_errors),
-            str(self.fer),
-            str(self.ber),
-            str(self.fer_ci95),
-            str(self.avg_kernel_ops),
-            str(self.avg_select_ops),
-            str(self.seed),
-        ]
+        """The CSV cells: the fields, declared in CSV_HEADER order, as str."""
+        return [str(value) for value in astuple(self)]
 
 
 def block_frames(spec, list_size):
@@ -106,6 +97,7 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
         raise ValueError(f"trials must be >= 1, got {trials}")
     if spec.dimension < 1:
         raise ValueError("cannot simulate a spec with no information paths")
+    check_list_size(spec.m, spec.dimension, list_size)
 
     nbits = spec.dimension
     per_block = block_frames(spec, list_size)
@@ -122,12 +114,13 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
             (p, slice(max(first, p * trials) - first, min(last, (p + 1) * trials) - first))
             for p in range(first // trials, (last - 1) // trials + 1)
         ]
-        llr = []
+        llr = np.empty((last - first, spec.n))
         for p, rows in runs:
             ch = points[p][0]
             observed = np.stack([transmit(ch, row, rng) for row, rng in zip(symbols[rows], rngs[rows])])
-            llr.append(posteriors(ch, observed))
-        outcomes = list_decode(spec, np.concatenate(llr), list_size, frozen_metric=frozen_metric)
+            llr[rows] = posteriors(ch, observed)
+        del symbols, observed
+        outcomes = list_decode(spec, llr, list_size, frozen_metric=frozen_metric)
         decided = np.stack([outcome.best.info_bits for outcome in outcomes])
         wrong = np.count_nonzero(decided != sent, axis=1)
         for p, rows in runs:
@@ -224,32 +217,16 @@ class ComplexityReport:
         }
 
 
-def _probe_blocks(spec, channel, trials, seed, step, counter):
-    """Received LLR blocks of at most `step` frames, `trials` frames in all.
-
-    One generator, default_rng(seed), draws each frame's information word,
-    then its channel noise, frame after frame, so the frames do not depend
-    on `step`.  `counter`, if given, counts the encoder's work.
-    """
-    rng = np.random.default_rng(seed)
-    for first in range(0, trials, step):
-        received = []
-        for _ in range(min(step, trials - first)):
-            bits = random_info_bits(spec, rng)
-            cw = encode(spec, bits, counter=counter)
-            received.append(transmit(channel, modulate(cw), rng))
-        yield posteriors(channel, np.stack(received))
-
-
 def complexity_probe(m_values, list_sizes, trials=1, seed=7):
     """Measure encoder/decoder kernel counts over a grid of (m, L).
 
     Uses full-rate specs (every path informational) so the list reaches its
     full width immediately; kernel counts per hypothesis do not depend on the
-    frozen set.  Counts are noise-independent, so small `trials` suffice.
-    Every list size decodes the same frames, drawn, transmitted and decoded
-    in blocks of block_frames(spec, L), as in :func:`run_simulation`, so
-    memory does not grow with `trials`.
+    frozen set.  The counts depend on the frozen set and L only, never on the
+    frames, so small `trials` suffice.  Each (m, L) point is one
+    :func:`run_simulation` on awgn with sigma 1 and base seed seed + m, its
+    frames made and decoded in blocks as in any sweep; the encoder point is
+    the count of one :func:`encode` call, the same for every word.
     """
     m_values = list(m_values)
     list_sizes = list(list_sizes)
@@ -259,25 +236,20 @@ def complexity_probe(m_values, list_sizes, trials=1, seed=7):
         raise ValueError(f"trials must be >= 1, got {trials}")
     for m in m_values:
         check_m(m)
+        for L in list_sizes:
+            check_list_size(m, 1 << m, L)
 
     decoder_points = []
     encoder_points = []
     for m in m_values:
         n = 1 << m
         spec = CodeSpec(m=m, info_indices=np.arange(n))
-        ch = Channel.awgn(1.0)
-        enc_counter = OpCounter()
-        for i, L in enumerate(list_sizes):
-            kernel = select = 0
-            # the frames are drawn again for every list size; encoding work
-            # is counted on the first pass only
-            blocks = _probe_blocks(spec, ch, trials, seed + m, block_frames(spec, L), enc_counter if i == 0 else None)
-            for frames in blocks:
-                for outcome in list_decode(spec, frames, L):
-                    kernel += outcome.kernel_ops
-                    select += outcome.select_ops
-            decoder_points.append((m, n, L, kernel / trials, select / trials))
-        encoder_points.append((m, n, enc_counter.kernel / trials))
+        for L in list_sizes:
+            (row,) = run_simulation(spec, [(Channel.awgn(1.0), 1.0)], L, trials, seed + m)
+            decoder_points.append((m, n, L, row.avg_kernel_ops, row.avg_select_ops))
+        counter = OpCounter()
+        encode(spec, np.zeros(n, dtype=np.uint8), counter=counter)
+        encoder_points.append((m, n, float(counter.kernel)))
 
     dec_fit, dec_res = _fit_through_origin(
         [L * n * math.log2(n) for (_, n, L, _, _) in decoder_points],

@@ -31,6 +31,10 @@ def test_channel_validation():
         Channel.awgn(0.0)
     with pytest.raises(ValueError):
         Channel(kind="laplace", param=1.0)
+    for kind in ("bsc", "bec", "awgn"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Channel(kind=kind, param=bad)
 
 
 def test_bsc_transmit_flip_rate():
@@ -210,3 +214,7 @@ def test_parse_channel_rejects_bad_tokens():
         parse_channel("awgn:2.0", rate=0.5)  # missing dB suffix
     with pytest.raises(ValueError):
         parse_channel("awgn:2.0dB")  # rate required
+    # non-finite Eb/N0, and Eb/N0 whose sigma overflows or underflows
+    for token in ("awgn:nandB", "awgn:infdB", "awgn:-infdB", "awgn:-4000dB", "awgn:4000dB", "awgn:-3100dB"):
+        with pytest.raises(ValueError, match=token):
+            parse_channel(token, rate=0.5)

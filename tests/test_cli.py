@@ -1,11 +1,13 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rmpolar import sim
 from rmpolar import (
+    CodeSpec,
     SoftVector,
     encode,
     freeze_bec,
@@ -218,6 +220,41 @@ def test_simulate_rejects_bad_channel_token(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--frozen-set", str(fs), "--channel", "gauss:1.0",
               "--trials", "5"])
+
+
+@pytest.mark.parametrize("token", ["awgn:-4000dB", "awgn:-infdB", "awgn:nandB", "awgn:4000dB"])
+def test_simulate_rejects_out_of_range_awgn_token(tmp_path, token):
+    spec = freeze_rm(1, 3)
+    fs = _frozen_set_file(tmp_path, spec)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--frozen-set", str(fs), "--channel", token, "--trials", "5"])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and token in message and "\n" not in message
+
+
+def test_list_memory_bound_refused_before_allocating(tmp_path):
+    # full rate at m=10: L = 2**17 hypotheses would store about 2**28 entries
+    fs = _frozen_set_file(tmp_path, CodeSpec(m=10, info_indices=np.arange(1024)))
+    frames = tmp_path / "llr.txt"
+    frames.write_text(" ".join(["1.0"] * 1024) + "\n")
+    out = str(tmp_path / "out.txt")
+    big = str(1 << 17)
+    for argv in (
+        ["decode", "--frozen-set", str(fs), "--in", str(frames), "--out", out, "--list-size", big],
+        ["simulate", "--frozen-set", str(fs), "--channel", "bsc:0.1", "--list-size", big],
+        ["complexity", "--m-range", "4,10", "--l-range", "1," + big],
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message = str(exc.value.code)
+        assert message.startswith("error:") and "MAX_LIST_ENTRIES" in message, argv
+        assert "\n" not in message, argv
+        assert peak < 1 << 20, argv
 
 
 def test_complexity_report_file(tmp_path):

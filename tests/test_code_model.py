@@ -203,7 +203,6 @@ def test_freeze_rm_matches_weight_rule():
         for r in range(m + 1):
             spec = freeze_rm(r, m)
             assert spec.dimension == rm_dimension(r, m)
-            assert spec.rm_order == r
             included = {p.index for p in info_paths(spec)}
             for idx in range(1 << m):
                 path = Path.from_index(idx, m)

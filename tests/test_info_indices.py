@@ -137,8 +137,7 @@ def test_codespec_equality_and_hash_follow_the_index_set():
         assert spec.info_indices.tolist() == [1, 4, 6]
     assert CodeSpec(m=4, info_indices=range(4)) == CodeSpec(m=4, info_indices=[3, 2, 1, 0])
     assert hash(CodeSpec(m=4, info_indices=range(4))) == hash(CodeSpec(m=4, info_indices=[3, 2, 1, 0]))
-    # rm_order is advisory and stays out of equality
-    assert freeze_rm(1, 3) == CodeSpec(m=3, info_indices=[0, 1, 2, 4], rm_order=None)
+    assert freeze_rm(1, 3) == CodeSpec(m=3, info_indices=[0, 1, 2, 4])
     assert len({freeze_rm(1, 3), CodeSpec(m=3, info_indices=[4, 2, 1, 0])}) == 1
     # m and the index set both count
     assert CodeSpec(m=3, info_indices=[0]) != CodeSpec(m=4, info_indices=[0])

@@ -225,6 +225,27 @@ def test_list_decode_rejects_non_finite_beliefs():
             list_decode(spec, llr, list_size=2)
 
 
+def test_list_memory_bound():
+    # about 2 * min(L, 2**N) * n stored entries per frame; the check runs on
+    # the sizes alone, never building 2**N, so no failing size is decoded
+    assert list_decoder.MAX_LIST_ENTRIES == 1 << 27
+    for m, dimension, list_size in ((24, 1 << 23, 4), (24, 2, 1 << 100), (20, 1 << 19, 64)):
+        list_decoder.check_list_size(m, dimension, list_size)
+    for m, dimension, list_size in ((24, 1 << 23, 8), (24, 3, 1 << 100), (20, 1 << 19, 65), (10, 1024, 1 << 17)):
+        with pytest.raises(ValueError, match="MAX_LIST_ENTRIES"):
+            list_decoder.check_list_size(m, dimension, list_size)
+    # list_decode refuses before it reads or allocates anything
+    spec = CodeSpec(m=10, info_indices=np.arange(1024))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_LIST_ENTRIES"):
+            list_decode(spec, np.ones((4, 1024)), list_size=1 << 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_list_size_beyond_every_word_allocates_as_the_full_list():
     # at most 2**N hypotheses can live, so a larger list size must size
     # nothing by itself: L = 10**7 once built arrays of 10**7 entries

@@ -1,5 +1,8 @@
 import csv
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +249,35 @@ def test_complexity_probe_decodes_in_blocks(monkeypatch, entries):
             sizes = [size for (cm, cl, size) in calls if (cm, cl) == (m, L)]
             assert len(sizes) == math.ceil(trials / per_block)
             assert sum(sizes) == trials and max(sizes) <= per_block
+
+
+def test_complexity_report_bytes_are_pinned():
+    # recorded when the probe drew its frames from one generator of its own:
+    # the counts never depend on the frames, so the bytes must not move
+    payload = json.dumps(complexity_probe([4, 5, 6], [1, 2, 4, 8], trials=3, seed=7).to_dict(), sort_keys=True)
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == "f2a5f6796cfa960e83180de887d5b4cea1dcded814080d6529ff8a2f8ae9b132"
+
+
+def test_list_memory_bound_refused_before_the_first_draw(monkeypatch):
+    # full rate at m=10: L = 2**17 hypotheses would store about 2**28 entries
+    spec = CodeSpec(m=10, info_indices=np.arange(1024))
+    runs = []
+    monkeypatch.setattr(sim, "run_simulation", lambda *args, **kwargs: runs.append(args))
+    for call in (
+        lambda: run_simulation(spec, [(Channel.bsc(0.1), 0.1)], list_size=1 << 17, trials=10**9, seed=0),
+        # every (m, L) is checked before the first point runs
+        lambda: complexity_probe([4, 10], [1, 1 << 17], trials=10**9),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_LIST_ENTRIES"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert runs == []
 
 
 def test_complexity_probe_validation():
