@@ -11,11 +11,11 @@ from rmpolar import (
     Channel,
     encode,
     freeze_rm,
+    list_decode,
     modulate,
     posteriors,
     random_info_bits,
     sc_decode,
-    sc_decode_batch,
     transmit,
 )
 
@@ -45,11 +45,13 @@ print(f"leaf posteriors for the decided bits: {np.round(res.leaf_posteriors, 3)}
 assert np.array_equal(res.info_bits, info)
 print()
 
-# Batched decoding shares the same tree walk across frames.  A quick frame
-# error estimate at this noise level:
+# A block of frames, one per row, shares the same tree walk.  The list
+# decoder at list size 1 is successive cancellation, and its rank-1
+# candidates of every frame are the decisions.  A quick frame error estimate
+# at this noise level:
 trials = 20000
 words = random_info_bits(spec, rng, size=trials)
 yb = transmit(ch, modulate(encode(spec, words)), rng)
-decided, _ = sc_decode_batch(spec, posteriors(ch, yb))
+decided = list_decode(spec, posteriors(ch, yb), list_size=1).best.info_bits
 fer = np.mean(np.any(decided != words, axis=1))
 print(f"frame error rate over {trials} frames at p=0.06: {fer:.4f}")

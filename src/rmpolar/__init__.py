@@ -41,7 +41,6 @@ from .sc_decoder import (
     combine_v_llr,
     genie_error_counts,
     sc_decode,
-    sc_decode_batch,
 )
 from .sim import (
     CSV_HEADER,
@@ -88,7 +87,6 @@ __all__ = [
     "combine_v_llr",
     "combine_u_llr",
     "sc_decode",
-    "sc_decode_batch",
     "genie_error_counts",
     "list_decode",
     "ml_decode",

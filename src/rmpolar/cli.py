@@ -111,8 +111,7 @@ def _cmd_decode(args):
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         for first in range(0, len(llr), step):
             block = list_decode(spec, llr[first : first + step], args.list_size, frozen_metric=args.frozen_metric)
-            for outcome in block:
-                fh.write("".join(str(int(b)) for b in outcome.best.info_bits) + "\n")
+            fh.writelines("".join(map(str, bits)) + "\n" for bits in block.best.info_bits)
     print(f"decoded {len(frames)} frame(s) -> {args.out}")
     return 0
 

@@ -34,7 +34,8 @@ def encode(spec, info_bits, counter=None):
         Bits for the information paths in processing order, shape (N,) or
         (batch, N).  Paths outside the information set implicitly carry 0.
     counter : OpCounter, optional
-        When given, its `kernel` field is advanced by n/2 per stage per word.
+        When given, its `kernel` field grows by n/2 per stage, once per call
+        whatever the batch: the per-frame unit that OpCounter documents.
 
     Returns
     -------

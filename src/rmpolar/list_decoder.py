@@ -57,18 +57,20 @@ posterior of that bit, as the pool entry would.
 How many hypotheses live after each step depends only on the frozen set
 and L, never on the beliefs, so the frames of a block always have the same
 number of rows, and each frame's result, work counts included, is exactly
-what decoding it alone gives.  A single frame is the F = 1 block.
+what decoding it alone gives.  A single frame is the F = 1 block.  _rank
+ranks the survivors of every frame at once, in arrays, for one ListResult.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import log_expit
 
 from .channel import SoftVector
-from .encoder import info_bits_of, info_bits_to_int
+from .encoder import info_bits_of
 from .sc_decoder import OpCounter, combine_u_llr, combine_v_llr
 
 __all__ = [
@@ -107,11 +109,21 @@ class Candidate:
 
 @dataclass
 class ListResult:
-    """Candidates ranked by metric descending; rank 1 is the decision."""
+    """Candidates ranked by metric descending; rank 1 is the decision.  The
+    arrays info_bits (..., live, N), codewords (..., live, n) and metrics
+    (..., live) have a leading frames axis for a block; the work counts are
+    one frame's.  Each of `candidates` and `best` views one rank of them."""
 
-    candidates: list
+    info_bits: np.ndarray
+    codewords: np.ndarray
+    metrics: np.ndarray
     kernel_ops: int
     select_ops: int
+
+    @cached_property
+    def candidates(self):
+        ranks = range(self.metrics.shape[-1])
+        return [Candidate(self.info_bits[..., r, :], self.codewords[..., r, :], self.metrics[..., r]) for r in ranks]
 
     @property
     def best(self):
@@ -150,8 +162,8 @@ def select_top(pool, limit, counter=None):
 
 def check_list_size(m, dimension, list_size):
     """Raise ValueError unless list_size >= 1 and the stored levels of one
-    frame of length 2**m, about 2 * min(list_size, 2**dimension) * 2**m
-    entries, fit in MAX_LIST_ENTRIES; 2**dimension is never built."""
+    frame of length 2**m, about 2 * live * 2**m entries, fit in MAX_LIST_ENTRIES;
+    return live = min(list_size, 2**dimension), never building 2**dimension."""
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
     live = 1 << dimension if int(list_size).bit_length() > dimension else int(list_size)
@@ -160,6 +172,7 @@ def check_list_size(m, dimension, list_size):
             f"list size {list_size} at m={m}, k={dimension} would store about {live << (m + 1)} "
             f"entries per frame, above MAX_LIST_ENTRIES={MAX_LIST_ENTRIES}"
         )
+    return live
 
 
 def _frozen_leaf_beliefs(lam, depth, live, counter):
@@ -227,50 +240,50 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
 
     Returns
     -------
-    For one frame, a ListResult with at most list_size candidates, ranked by
-    metric descending; metric ties within METRIC_TIE_EPS of the best resolve
-    the rank-1 slot toward the smaller information-word integer.  For a 2-d
-    block, a list with one such ListResult per row, each equal to decoding
-    that row alone.
+    A ListResult of min(list_size, 2**N) candidates per frame by metric
+    descending, exact ties and the rank-1 slot among metrics within
+    METRIC_TIE_EPS of the best going to the smaller information-word integer.
+    A 2-d block gives one ListResult with a leading frames axis, each frame's
+    entries equal to decoding that row alone.
     """
-    check_list_size(spec.m, spec.dimension, list_size)
+    live = check_list_size(spec.m, spec.dimension, list_size)
     if frozen_metric not in _FROZEN_METRIC_MODES:
         raise ValueError(f"frozen_metric must be one of {_FROZEN_METRIC_MODES}, got {frozen_metric!r}")
     llr, single = _check_beliefs(spec, beliefs)
-    frames = len(llr)
-    if frames == 0:
-        return []
-    code_syms, metrics, live, counter = _decode(spec, llr, list_size, frozen_metric)
-
-    codewords = (code_syms < 0.0).astype(np.uint8)
+    if not len(llr):
+        bits, codewords = (np.zeros((0, live, width), dtype=np.uint8) for width in (spec.dimension, spec.n))
+        return ListResult(bits, codewords, np.zeros((0, live)), 0, 0)
+    code_syms, metrics, live, counter = _decode(spec, llr, live, frozen_metric)
+    codewords = (code_syms < 0.0).astype(np.uint8).reshape(live, len(llr), spec.n)
     bits = info_bits_of(spec, codewords)
-    results = []
-    for f in range(frames):
-        ranked = []
-        for r in range(live):
-            row = r * frames + f
-            word = bits[row]
-            ranked.append((float(metrics[r, f]), info_bits_to_int(word), word, codewords[row]))
-        ranked.sort(key=lambda t: (-t[0], t[1]))
-        top_metric = ranked[0][0]
-        best = min(
-            (t for t in ranked if t[0] >= top_metric - METRIC_TIE_EPS),
-            key=lambda t: t[1],
-        )
-        ranked.remove(best)
-        ranked.insert(0, best)
-        results.append(
-            ListResult(
-                candidates=[Candidate(info_bits=t[2], codeword=t[3], metric=t[0]) for t in ranked],
-                kernel_ops=counter.kernel,
-                select_ops=counter.select,
-            )
-        )
-    return results[0] if single else results
+    order = _rank(metrics, bits)
+    # every frame's hypotheses in rank order: (frames, live) indices, or (live,)
+    rows = (order[:, 0], 0) if single else (order.T, np.arange(len(llr))[:, None])
+    return ListResult(bits[rows], codewords[rows], metrics[rows], counter.kernel, counter.select)
+
+
+def _rank(metrics, bits):
+    """The (live, frames) rank order of hypotheses with (live, frames) `metrics`
+    and (live, frames, N) words `bits`: metric descending, exact ties to the
+    smaller word, then the smallest word within METRIC_TIE_EPS of the top."""
+    live, frames = metrics.shape
+    if live == 1:
+        return np.zeros((1, frames), dtype=np.intp)
+    # 64-bit keys of each word, least significant first: its reversed bits read little-endian
+    padded = np.zeros((live, frames, -(-bits.shape[-1] // 64) * 64), dtype=np.uint8)
+    padded[..., : bits.shape[-1]] = bits[..., ::-1]
+    words = np.packbits(padded, axis=-1, bitorder="little").view("<u8").transpose(2, 0, 1)
+    cols = np.arange(frames)
+    order = np.lexsort((*words, -metrics), axis=0)
+    ranked = metrics[order, cols]
+    # the rank of the smallest word within METRIC_TIE_EPS of the top
+    pick = np.lexsort((*words[:, order, cols], ranked < ranked[0] - METRIC_TIE_EPS), axis=0)[0]
+    rank = np.arange(live)[:, None]
+    return order[np.where(rank == 0, pick, rank - (rank <= pick)), cols]
 
 
 def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
-    """The decoder core: decode a checked (frames, n) LLR block.
+    """The decoder core: decode a checked (frames, n) LLR block, list_size <= 2**N.
 
     Returns (code_syms, metrics, live, counter): the +-1 codeword symbols of
     every surviving hypothesis, shape (live*frames, n) in hypothesis-major
@@ -282,9 +295,6 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     `leaf_llr`, a (frames, n) array, is filled with the belief of every leaf.
     Both are read or written in place through strided views, never copied.
     """
-    if int(list_size).bit_length() > spec.dimension:
-        # at most 2**N hypotheses can ever live: size the row buffers for those
-        list_size = 1 << spec.dimension
     m = spec.m
     frames = len(llr)
     info_by_leaf = spec.info_mask_by_leaf

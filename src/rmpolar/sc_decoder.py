@@ -4,9 +4,9 @@ Successive cancellation (SC) is the list decoder at list size 1, so the
 decoders here are thin wrappers over its core, rmpolar.list_decoder._decode:
 an information leaf takes the sign of its belief, the tie going to bit 0,
 and the wrappers read each decision as leaf belief < 0 and each posterior as
-expit(leaf belief).  Any number of independent trials ride through one pass
-as rows of a matrix; the genie-aided pass of genie_error_counts propagates
-the true symbols in place of the decisions.
+expit(leaf belief).  sc_decode decodes one frame, list_decode(spec, llr, 1)
+a block; genie_error_counts runs a block of trials as the rows of one pass,
+propagating the true symbols in place of the decisions.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "combine_u_llr",
     "DecodeResult",
     "sc_decode",
-    "sc_decode_batch",
     "genie_error_counts",
 ]
 
@@ -116,22 +115,6 @@ def sc_decode(spec, beliefs):
         leaf_posteriors=expit(lam),
         op_count=counter.kernel,
     )
-
-
-def sc_decode_batch(spec, llr_matrix):
-    """Decode many independent frames in one pass.
-
-    llr_matrix has shape (trials, n).  Returns (info_bits, codewords) with
-    shapes (trials, N) and (trials, n).  Bit-identical to per-frame
-    :func:`sc_decode`.
-    """
-    from .list_decoder import _check_beliefs, _decode
-
-    llr, _ = _check_beliefs(spec, llr_matrix)
-    leaf_llr = np.empty_like(llr)
-    code_syms, _, _, _ = _decode(spec, llr, 1, "ignore", leaf_llr=leaf_llr)
-    bits = (leaf_llr[:, spec.info_mask_by_leaf] < 0.0).astype(np.uint8)
-    return bits, (code_syms < 0.0).astype(np.uint8)
 
 
 def genie_error_counts(spec, llr_matrix, info_bits):

@@ -7,9 +7,9 @@ points form one point-major stream, cut into blocks of block_frames(spec, L)
 frames (the last one may be shorter), one list_decode call per block; a block
 may hold frames of several points, each point's beliefs formed by its own
 channel, written in place into the block's one belief array.  Every frame
-decodes as it would alone, and each point sums only its own rows, so the
-block size bounds memory, never the results.  complexity_probe measures its
-work counts through the same pipeline.
+decodes as it would alone, and each point sums only its own rows of the
+block's one ListResult, so the block size bounds memory, never the results.
+complexity_probe measures its work counts through the same pipeline.
 """
 
 from __future__ import annotations
@@ -120,19 +120,18 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
             observed = np.stack([transmit(ch, row, rng) for row, rng in zip(symbols[rows], rngs[rows])])
             llr[rows] = posteriors(ch, observed)
         del symbols, observed
-        outcomes = list_decode(spec, llr, list_size, frozen_metric=frozen_metric)
-        decided = np.stack([outcome.best.info_bits for outcome in outcomes])
-        wrong = np.count_nonzero(decided != sent, axis=1)
+        result = list_decode(spec, llr, list_size, frozen_metric=frozen_metric)
+        wrong = np.count_nonzero(result.best.info_bits != sent, axis=1)
         for p, rows in runs:
             total = totals[p]
+            frames = rows.stop - rows.start  # the work counts are those of one frame
             total[0] += int(np.count_nonzero(wrong[rows]))
             total[1] += int(wrong[rows].sum())
-            total[2] += sum(outcome.kernel_ops for outcome in outcomes[rows])
-            total[3] += sum(outcome.select_ops for outcome in outcomes[rows])
+            total[2] += result.kernel_ops * frames
+            total[3] += result.select_ops * frames
 
     results = []
     for (ch, display), (frame_errors, bit_errors, kernel_total, select_total) in zip(points, totals):
-        fer = frame_errors / trials
         results.append(
             TrialResult(
                 channel=ch.kind,
@@ -140,9 +139,9 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
                 trials=trials,
                 frame_errors=frame_errors,
                 bit_errors=bit_errors,
-                fer=fer,
+                fer=frame_errors / trials,
                 ber=bit_errors / (trials * nbits),
-                fer_ci95=1.96 * math.sqrt(fer * (1.0 - fer) / trials),
+                fer_ci95=_wilson_halfwidth(frame_errors, trials),
                 avg_kernel_ops=kernel_total / trials,
                 avg_select_ops=select_total / trials,
                 seed=seed,
@@ -150,6 +149,15 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
         )
     results.sort(key=lambda r: (r.channel, r.param))
     return results
+
+
+def _wilson_halfwidth(errors, trials, z=1.96):
+    """The larger distance from errors / trials to the bounds of its 95% Wilson
+    score interval (Brown, Cai and DasGupta, Stat. Sci. 2001), never 0."""
+    rate, zz = errors / trials, z * z / trials
+    centre = (rate + zz / 2) / (1 + zz)
+    half = z / (1 + zz) * math.sqrt(rate * (1 - rate) / trials + zz / (4 * trials))
+    return half + abs(centre - rate)
 
 
 def write_csv(results, path):

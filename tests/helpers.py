@@ -8,7 +8,6 @@ from scipy.special import expit, log_expit
 from rmpolar import (
     LLR_CLAMP,
     METRIC_TIE_EPS,
-    Candidate,
     CodeSpec,
     ListResult,
     OpCounter,
@@ -424,23 +423,27 @@ def reference_list_decode(spec, llr, list_size, frozen_metric="include"):
     ranked.insert(0, best)
 
     return ListResult(
-        candidates=[Candidate(info_bits=t[2], codeword=t[3], metric=t[0]) for t in ranked],
+        info_bits=np.stack([t[2] for t in ranked]),
+        codewords=np.stack([t[3] for t in ranked]),
+        metrics=np.array([t[0] for t in ranked]),
         kernel_ops=counter.kernel,
         select_ops=counter.select,
     )
 
 
+def frame_of(block, f):
+    """Frame f of a block's ListResult, as a one-frame ListResult."""
+    return ListResult(block.info_bits[f], block.codewords[f], block.metrics[f], block.kernel_ops, block.select_ops)
+
+
 def same_list_result(a, b):
-    """Whether two ListResults agree exactly: every candidate's information
-    bits, codeword and metric bytes (so -0.0 is not 0.0), in order, and both
-    work counts."""
-    if len(a.candidates) != len(b.candidates):
-        return False
-    if (a.kernel_ops, a.select_ops) != (b.kernel_ops, b.select_ops):
-        return False
-    return all(
-        np.array_equal(c.info_bits, d.info_bits)
-        and np.array_equal(c.codeword, d.codeword)
-        and np.float64(c.metric).tobytes() == np.float64(d.metric).tobytes()
-        for c, d in zip(a.candidates, b.candidates)
+    """Whether two ListResults agree exactly: the shapes, every candidate's
+    information bits, codeword and metric bytes (so -0.0 is not 0.0), in
+    order, and both work counts."""
+    return (
+        (a.kernel_ops, a.select_ops) == (b.kernel_ops, b.select_ops)
+        and a.metrics.shape == b.metrics.shape
+        and np.array_equal(a.info_bits, b.info_bits)
+        and np.array_equal(a.codewords, b.codewords)
+        and a.metrics.tobytes() == b.metrics.tobytes()
     )

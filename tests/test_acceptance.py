@@ -28,7 +28,6 @@ from rmpolar import (
     posteriors,
     random_info_bits,
     run_simulation,
-    sc_decode_batch,
     transmit,
     write_csv,
 )
@@ -110,21 +109,18 @@ def test_criterion_2_list_of_one_matches_sc():
             ch = Channel.awgn(0.9)
             rng = np.random.default_rng(200 + m)
             frames = []
-            decided = []
             for _ in range(1000):
                 sent = random_info_bits(spec, rng)
                 y = transmit(ch, modulate(encode(spec, sent)), rng)
-                sv = posteriors(ch, y)
-                frames.append(sv.llr)
-                decided.append(list_decode(spec, sv, list_size=1).best)
+                frames.append(posteriors(ch, y).llr)
+            llr = np.stack(frames)
+            best = list_decode(spec, llr, list_size=1).best
             # the independent recursive SC reference, once over the block
-            bits, _, code_syms = reference_sc_decode(spec, np.stack(frames))
-            sc_bits = bits[:, spec.info_mask_by_leaf]
-            sc_words = (code_syms < 0.0).astype(np.uint8)
-            for best, sc_b, sc_w in zip(decided, sc_bits, sc_words):
-                same = np.array_equal(best.info_bits, sc_b) and np.array_equal(best.codeword, sc_w)
-                mismatches += int(not same)
-                total += 1
+            bits, _, code_syms = reference_sc_decode(spec, llr)
+            wrong = (best.info_bits != bits[:, spec.info_mask_by_leaf]).any(axis=1)
+            wrong |= (best.codeword != (code_syms < 0.0)).any(axis=1)
+            mismatches += int(wrong.sum())
+            total += len(frames)
         out["ok"] = mismatches == 0
         out["detail"] = f"{mismatches} mismatches in {total} frames (m in {{4, 6, 8}})"
 
@@ -156,7 +152,7 @@ def _sc_frame_error_rate(spec, p, trials, seed):
     rng = np.random.default_rng(seed)
     words = random_info_bits(spec, rng, size=trials)
     y = transmit(ch, modulate(encode(spec, words)), rng)
-    decided, _ = sc_decode_batch(spec, posteriors(ch, y))
+    decided = list_decode(spec, posteriors(ch, y), list_size=1).best.info_bits
     fer = float(np.mean(np.any(decided != words, axis=1)))
     return fer, 1.96 * math.sqrt(fer * (1.0 - fer) / trials)
 

@@ -44,13 +44,13 @@ PUBLIC = [
     "run_simulation",
     "save_frozen_set",
     "sc_decode",
-    "sc_decode_batch",
     "transmit",
     "write_csv",
 ]
 
 # Test oracles (now in tests/helpers.py), a second single-frame genie entry
-# point, and the decoder core's step helpers.
+# point, the decoder core's step helpers, and the SC block entry point that
+# list_decode(spec, llr, 1) replaces.
 REMOVED = [
     "combine_v",
     "combine_u",
@@ -61,6 +61,7 @@ REMOVED = [
     "select_top",
     "sc_decode_genie",
     "GenieResult",
+    "sc_decode_batch",
 ]
 
 MODULES = ["channel", "code_model", "encoder", "list_decoder", "ml_oracle", "sc_decoder", "sim"]
@@ -74,7 +75,7 @@ TRACED_HELPERS = {
 
 def test_package_exports_the_public_names():
     assert sorted(rmpolar.__all__) == sorted(PUBLIC)
-    assert len(rmpolar.__all__) == len(set(rmpolar.__all__)) == 40
+    assert len(rmpolar.__all__) == len(set(rmpolar.__all__)) == 39
     for name in PUBLIC:
         assert getattr(rmpolar, name) is not None
 

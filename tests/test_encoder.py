@@ -119,6 +119,17 @@ def test_encode_op_count():
         assert counter.kernel == (1 << m) * m // 2
 
 
+def test_encode_op_count_is_per_frame_for_a_batch():
+    # the count is OpCounter's per-frame unit: a batch of 5 words adds what
+    # one word adds, (n/2) * m
+    spec = freeze_rm(2, 6)
+    rng = np.random.default_rng(14)
+    one, batch = OpCounter(), OpCounter()
+    encode(spec, random_info_bits(spec, rng), counter=one)
+    encode(spec, random_info_bits(spec, rng, size=5), counter=batch)
+    assert one.kernel == batch.kernel == (64 // 2) * 6
+
+
 def test_encode_op_count_growth_ratio():
     counts = {}
     for m in (6, 7, 8, 9, 10):

@@ -10,7 +10,6 @@ from scipy.special import log_expit
 from rmpolar import list_decoder
 from rmpolar import (
     LLR_CLAMP,
-    Candidate,
     Channel,
     CodeSpec,
     ListResult,
@@ -27,11 +26,11 @@ from rmpolar import (
     posteriors,
     random_info_bits,
     sc_decode,
-    sc_decode_batch,
     transmit,
 )
 from rmpolar.list_decoder import extend_leaf, select_top
 from helpers import (
+    frame_of,
     full_spec,
     metric_replay,
     q_domain_reference_decode,
@@ -125,16 +124,25 @@ def test_two_dimensional_extend_and_select_match_each_column():
 
 
 def test_block_decode_returns_one_result_per_row():
+    # one ListResult for the block, its arrays with a leading frames axis:
+    # row f of every array is the result of decoding frame f alone
     rng = np.random.default_rng(62)
     spec = freeze_bec(4, 8, 0.5)
     llr = rng.normal(1.0, 1.5, size=(3, spec.n))
     block = list_decode(spec, llr, list_size=4)
-    assert isinstance(block, list) and len(block) == 3
-    for row, result in zip(llr, block):
-        assert same_list_result(result, list_decode(spec, row, list_size=4))
-    (lone,) = list_decode(spec, llr[:1], list_size=4)
-    assert same_list_result(lone, block[0])
-    assert list_decode(spec, llr[:0], list_size=4) == []
+    assert isinstance(block, ListResult)
+    assert (block.info_bits.shape, block.codewords.shape, block.metrics.shape) == ((3, 4, 8), (3, 4, 16), (3, 4))
+    for f, row in enumerate(llr):
+        assert same_list_result(frame_of(block, f), list_decode(spec, row, list_size=4))
+    np.testing.assert_array_equal(block.best.info_bits, block.info_bits[:, 0])
+    np.testing.assert_array_equal(block.candidates[2].metric, block.metrics[:, 2])
+    lone = list_decode(spec, llr[:1], list_size=4)
+    assert lone.metrics.shape == (1, 4)
+    assert same_list_result(frame_of(lone, 0), frame_of(block, 0))
+    # an empty block decodes to empty arrays of min(L, 2**N) candidates
+    empty = list_decode(spec, llr[:0], list_size=4)
+    assert (empty.info_bits.shape, empty.codewords.shape, empty.metrics.shape) == ((0, 4, 8), (0, 4, 16), (0, 4))
+    assert list_decode(freeze_rm(1, 3), np.ones((0, 8)), list_size=10**7).info_bits.shape == (0, 16, 4)
     with pytest.raises(ValueError, match="positions"):
         list_decode(spec, llr[:, :8], list_size=4)
     with pytest.raises(ValueError, match="positions"):
@@ -164,9 +172,9 @@ def test_list_size_one_matches_sc_on_bsc():
     llr = posteriors(ch, transmit(ch, modulate(encode(spec, words)), rng))
     bits, _, code_syms = reference_sc_decode(spec, llr)
     sc_bits = bits[:, spec.info_mask_by_leaf]
-    outcomes = list_decode(spec, llr, list_size=1)
-    np.testing.assert_array_equal(np.stack([r.best.info_bits for r in outcomes]), sc_bits)
-    np.testing.assert_array_equal(np.stack([r.best.codeword for r in outcomes]), code_syms < 0.0)
+    best = list_decode(spec, llr, list_size=1).best
+    np.testing.assert_array_equal(best.info_bits, sc_bits)
+    np.testing.assert_array_equal(best.codeword, code_syms < 0.0)
 
 
 @pytest.mark.parametrize(
@@ -185,8 +193,7 @@ def test_list_size_one_and_sc_break_a_tie_toward_bit_zero(llr, lam):
     assert list(list_decode(spec, llr, list_size=1).best.info_bits) == [bit]
     assert list(sc_decode(spec, llr).info_bits) == [bit]
     block = np.stack([llr, llr])
-    assert [list(r.best.info_bits) for r in list_decode(spec, block, list_size=1)] == [[bit], [bit]]
-    np.testing.assert_array_equal(sc_decode_batch(spec, block)[0], [[bit], [bit]])
+    assert list_decode(spec, block, list_size=1).best.info_bits.tolist() == [[bit], [bit]]
 
 
 def test_list_decode_matches_reference_decoder():
@@ -371,11 +378,11 @@ def test_kernel_calls_keep_the_half_width_last(monkeypatch, L, frames):
         for k in (1, (1 << m) // 3 + 1, 1 << m):
             spec = random_spec(m, k, rng)
             calls.clear()
-            results = list_decode(spec, rng.normal(1.0, 2.0, (frames, spec.n)), list_size=L)
+            result = list_decode(spec, rng.normal(1.0, 2.0, (frames, spec.n)), list_size=L)
             for _, h, out in calls:
                 assert h >= 1 and h & (h - 1) == 0
                 assert out.shape[-1] == h
-            assert sum(out.size for _, _, out in calls) == results[0].kernel_ops * frames
+            assert sum(out.size for _, _, out in calls) == result.kernel_ops * frames
 
 
 def test_kernel_calls_per_half_width_are_pinned(monkeypatch):
@@ -439,8 +446,8 @@ def test_larger_lists_do_not_hurt_frame_error_rate():
     llr = np.clip(posteriors(ch, y), -LLR_CLAMP, LLR_CLAMP)
     errors = {}
     for L in (1, 4):
-        block = list_decode(spec, llr, list_size=L)
-        errors[L] = sum(not np.array_equal(r.best.info_bits, w) for r, w in zip(block, words))
+        decided = list_decode(spec, llr, list_size=L).best.info_bits
+        errors[L] = int(np.any(decided != words, axis=1).sum())
     assert errors[4] <= errors[1]
     assert errors[1] > 0  # the comparison is not vacuous at this noise level
 
@@ -522,10 +529,10 @@ def test_property_block_decode_matches_per_frame(data, m, L, frames, mode, chann
     words = random_info_bits(spec, rng, size=frames)
     llr = posteriors(ch, transmit(ch, modulate(encode(spec, words)), rng))
     block = list_decode(spec, llr, list_size=L, frozen_metric=mode)
-    assert len(block) == frames
-    for row, result in zip(llr, block):
+    assert block.metrics.shape == (frames, min(L, 1 << k))
+    for f, row in enumerate(llr):
         alone = list_decode(spec, SoftVector(row), list_size=L, frozen_metric=mode)
-        assert same_list_result(result, alone)
+        assert same_list_result(frame_of(block, f), alone)
 
 
 @settings(max_examples=60, deadline=None)
@@ -620,14 +627,37 @@ def test_property_frozen_step_ties_rank_as_leaf_by_leaf_sorts(data, m, L, level,
     rng = np.random.default_rng(seed)
     spec = random_spec(m, k, rng)
     llr = level * rng.integers(-1, 2, size=(32, n))
-    for row, result in zip(llr, list_decode(spec, llr, list_size=L)):
-        assert same_list_result(result, reference_list_decode(spec, row, L))
+    block = list_decode(spec, llr, list_size=L)
+    for f, row in enumerate(llr):
+        assert same_list_result(frame_of(block, f), reference_list_decode(spec, row, L))
 
 
 def test_same_list_result_tells_the_sign_of_zero():
     def result(metric):
-        word = Candidate(np.zeros(2, dtype=np.uint8), np.zeros(8, dtype=np.uint8), metric)
-        return ListResult(candidates=[word], kernel_ops=1, select_ops=1)
+        return ListResult(np.zeros((1, 2), dtype=np.uint8), np.zeros((1, 8), dtype=np.uint8), np.array([metric]), 1, 1)
 
     assert same_list_result(result(0.0), result(0.0))
     assert not same_list_result(result(0.0), result(-0.0))
+
+
+@pytest.mark.parametrize("mode", ["include", "ignore"])
+@pytest.mark.parametrize("beliefs", ["bsc:0.2", "bsc:0.4", "zero"])
+def test_rank_rule_matches_reference_on_tie_heavy_blocks(beliefs, mode):
+    # hard-decision and all-zero beliefs make exact metric ties, and ties
+    # within METRIC_TIE_EPS, common at the end of a decode: the array rank
+    # rule must order every frame's candidates as the per-frame Python rule
+    # of the reference decoder does, L >= 2**N included
+    rng = np.random.default_rng(91)
+    cases = [(freeze_bec(5, 12, 0.5), 2), (freeze_bec(5, 12, 0.5), 4), (freeze_bec(5, 12, 0.5), 16),
+             (freeze_rm(1, 3), 16), (freeze_bec(4, 3, 0.5), 16)]
+    for spec, L in cases:
+        words = random_info_bits(spec, rng, size=4)
+        if beliefs == "zero":
+            llr = np.zeros((4, spec.n))
+        else:
+            ch = Channel.bsc(float(beliefs.split(":")[1]))
+            llr = posteriors(ch, transmit(ch, modulate(encode(spec, words)), rng))
+        block = list_decode(spec, llr, list_size=L, frozen_metric=mode)
+        assert block.metrics.shape == (4, min(L, 1 << spec.dimension))
+        for f, row in enumerate(llr):
+            assert same_list_result(frame_of(block, f), reference_list_decode(spec, row, L, frozen_metric=mode))

@@ -17,12 +17,12 @@ from rmpolar import (
     freeze_bec,
     freeze_rm,
     genie_error_counts,
+    list_decode,
     ml_decode,
     modulate,
     posteriors,
     random_info_bits,
     sc_decode,
-    sc_decode_batch,
     transmit,
 )
 from helpers import (
@@ -271,12 +271,12 @@ def test_sc_batch_matches_single():
     words = random_info_bits(spec, rng, size=64)
     y = transmit(ch, modulate(encode(spec, words)), rng)
     llr = posteriors(ch, y)
-    batch_bits, batch_codewords = sc_decode_batch(spec, llr)
-    assert batch_bits.shape == (64, 16)
+    batch = list_decode(spec, llr, 1).best
+    assert batch.info_bits.shape == (64, 16)
     for i in range(64):
         single = sc_decode(spec, SoftVector.from_llr(llr[i]))
-        np.testing.assert_array_equal(batch_bits[i], single.info_bits)
-        np.testing.assert_array_equal(batch_codewords[i], single.codeword)
+        np.testing.assert_array_equal(batch.info_bits[i], single.info_bits)
+        np.testing.assert_array_equal(batch.codeword[i], single.codeword)
 
 
 def test_genie_noiseless_has_no_errors():
@@ -350,7 +350,7 @@ def test_sc_rejects_non_finite_beliefs():
         with pytest.raises(ValueError, match="finite"):
             sc_decode(spec, llr)
         with pytest.raises(ValueError, match="finite"):
-            sc_decode_batch(spec, np.vstack([np.ones(8), llr]))
+            list_decode(spec, np.vstack([np.ones(8), llr]), 1)
         with pytest.raises(ValueError, match="finite"):
             genie_error_counts(spec, llr[None, :], np.zeros((1, spec.dimension), np.uint8))
         with pytest.raises(ValueError, match="finite"):
@@ -381,9 +381,9 @@ def test_property_sc_wrappers_match_recursive_reference(m, full, channel, frames
     counter = OpCounter()
     bits, post, code_syms = reference_sc_decode(spec, llr, counter=counter)
     codewords = (code_syms < 0.0).astype(np.uint8)
-    batch_bits, batch_words = sc_decode_batch(spec, llr)
-    np.testing.assert_array_equal(batch_bits, bits[:, info])
-    np.testing.assert_array_equal(batch_words, codewords)
+    batch = list_decode(spec, llr, 1).best
+    np.testing.assert_array_equal(batch.info_bits, bits[:, info])
+    np.testing.assert_array_equal(batch.codeword, codewords)
     for f in range(frames):
         single = sc_decode(spec, llr[f])
         np.testing.assert_array_equal(single.info_bits, bits[f, info])

@@ -28,12 +28,22 @@ def test_csv_header_layout():
     )
 
 
+def _wilson_bounds(errors, trials, z=1.96):
+    """The 95% Wilson score interval of errors / trials, in its textbook form."""
+    p = errors / trials
+    centre = p + z * z / (2 * trials)
+    spread = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
+    return (centre - spread) / (1 + z * z / trials), (centre + spread) / (1 + z * z / trials)
+
+
 def test_noiseless_point_has_no_errors():
     spec = freeze_rm(1, 3)
     results = run_simulation(spec, [(Channel.bsc(0.0), 0.0)], list_size=1, trials=50, seed=0)
     (res,) = results
     assert res.frame_errors == 0 and res.bit_errors == 0
-    assert res.fer == 0.0 and res.ber == 0.0 and res.fer_ci95 == 0.0
+    assert res.fer == 0.0 and res.ber == 0.0
+    # zero errors in 50 trials still leave a Wilson interval [0, z^2 / (50 + z^2)]
+    assert res.fer_ci95 == pytest.approx(1.96**2 / (50 + 1.96**2), rel=1e-12)
     assert res.trials == 50 and res.seed == 0
     assert res.avg_kernel_ops > 0
     assert res.avg_select_ops > 0
@@ -74,10 +84,50 @@ def test_rates_and_ci_are_consistent():
     (res,) = results
     assert res.fer == res.frame_errors / res.trials
     assert res.ber == res.bit_errors / (res.trials * spec.dimension)
-    assert res.fer_ci95 == pytest.approx(
-        1.96 * math.sqrt(res.fer * (1 - res.fer) / res.trials), rel=1e-12
-    )
+    # fer +- fer_ci95 covers the Wilson interval and touches one of its bounds
+    lo, hi = _wilson_bounds(res.frame_errors, res.trials)
+    assert 0.0 < lo < res.fer < hi < 1.0
+    assert res.fer_ci95 == pytest.approx(max(res.fer - lo, hi - res.fer), rel=1e-12)
     assert res.bit_errors >= res.frame_errors  # an errored frame has >= 1 bit wrong
+
+
+@pytest.mark.parametrize("errors, trials", [(0, 1), (0, 1000), (1, 1), (3, 7), (500, 1000), (999, 1000), (1000, 1000)])
+def test_fer_ci95_is_the_wilson_interval(errors, trials):
+    lo, hi = _wilson_bounds(errors, trials)
+    half = sim._wilson_halfwidth(errors, trials)
+    fer = errors / trials
+    assert half > 0.0
+    assert half == pytest.approx(max(fer - lo, hi - fer), rel=1e-12)
+    assert fer - half <= lo + 1e-15 and fer + half >= hi - 1e-15
+
+
+# The CSV columns that perfbench gates (GATED_COLUMNS in perfbench/workloads.py)
+# of one fixed sweep, recorded before the list decoder returned one array
+# ListResult per block: refactors of the decoder must not move them.
+GOLDEN_GATED_ROWS = {
+    1: [
+        ("awgn", "1.0", "64", "15", "86", "160.0", "13"),
+        ("bec", "0.4", "64", "19", "105", "160.0", "13"),
+        ("bsc", "0.1", "64", "21", "132", "160.0", "13"),
+    ],
+    4: [
+        ("awgn", "1.0", "64", "15", "85", "420.0", "13"),
+        ("bec", "0.4", "64", "12", "51", "420.0", "13"),
+        ("bsc", "0.1", "64", "20", "121", "420.0", "13"),
+    ],
+}
+
+
+@pytest.mark.parametrize("list_size", sorted(GOLDEN_GATED_ROWS))
+def test_gated_csv_columns_are_pinned(tmp_path, list_size):
+    gated = ("channel", "param", "trials", "frame_errors", "bit_errors", "avg_kernel_ops", "seed")
+    spec = freeze_bec(5, 16, 0.5)
+    points = [(Channel.bsc(0.1), 0.1), (Channel.bec(0.4), 0.4), (Channel.awgn(0.9), 1.0)]
+    target = tmp_path / "sweep.csv"
+    write_csv(run_simulation(spec, points, list_size, trials=64, seed=13), target)
+    with open(target, newline="", encoding="ascii") as fh:
+        rows = [tuple(row[c] for c in gated) for row in csv.DictReader(fh)]
+    assert rows == GOLDEN_GATED_ROWS[list_size]
 
 
 def test_same_seed_reproduces_results():
