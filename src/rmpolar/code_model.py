@@ -11,9 +11,8 @@ the bit-frozen subcodes tuned to a target channel.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -184,6 +183,29 @@ class CodeSpec:
         return mask
 
     @cached_property
+    def _steps(self):
+        """First leaf and node level of every decode step, as int64 arrays.
+
+        A frozen leaf j lies in the aligned block of 2**t leaves from
+        (j >> t) << t, which holds no information leaf exactly when bit t is
+        at or below the highest bit where j differs from the information
+        leaf before it, and from the one after it.  The leaves are offset by
+        n, so that the stand-ins n - 1 (none before) and 2n (none after)
+        allow every t up to m.
+        """
+        m, n = self.m, self.n
+        info = self.info_mask_by_leaf
+        leaf = np.arange(n, 2 * n)
+        before = np.maximum.accumulate(np.where(info, leaf, n - 1))
+        after = np.minimum.accumulate(np.where(info, leaf, 2 * n)[::-1])[::-1]
+        # frexp(x)[1] is the bit length of an integer x; an information leaf
+        # differs from neither, and gets t = -1
+        t = np.minimum(np.frexp(leaf ^ before)[1], np.frexp(leaf ^ after)[1]) - 1
+        level = m - np.maximum(t, 0)
+        first = np.flatnonzero((leaf & ((1 << (m - level)) - 1)) == 0)
+        return first, level[first]
+
+    @cached_property
     def decode_steps(self):
         """The list decoder's steps, as (first leaf, node level) pairs.
 
@@ -192,16 +214,67 @@ class CodeSpec:
         leaves of one level-`level` subtree, decoded in one step.  The steps
         cover every leaf once, in processing order.
         """
-        m = self.m
-        frozen = ~self.info_mask_by_leaf
-        level = np.full(self.n, m)
-        # coarser levels last, so each leaf ends at its largest frozen subtree
-        for node in range(m - 1, -1, -1):
-            width = 1 << (m - node)
-            blocks = level.reshape(-1, width)
-            blocks[frozen.reshape(-1, width).all(axis=1)] = node
-        first = np.flatnonzero((np.arange(self.n) & ((1 << (m - level)) - 1)) == 0)
-        return tuple(zip(first.tolist(), level[first].tolist()))
+        first, node = self._steps
+        return tuple(zip(first.tolist(), node.tolist()))
+
+    @cached_property
+    def decode_plan(self):
+        """decode_steps compiled for the list decoder's step loop.
+
+        One tuple per step, (j, node, start, half, levels, info, width, stop,
+        work), all Python ints but `levels` and `info`:
+
+        - j, node: the step's first leaf and node level, as in decode_steps;
+        - start, half: the level whose beliefs the step refreshes first, from
+          its parent's through combine_u_llr at half width half = j & -j, the
+          lowest set bit of j; the first step (j = 0, half = 0) starts from
+          the channel beliefs at level 0 instead;
+        - levels: range(start + 1, node + 1), the levels then formed by
+          combine_v_llr down to the node;
+        - info: True at an information leaf (a Python bool);
+        - width: 2**(m - node), the leaves of the step;
+        - stop: the level where the fold of the step's symbols ends, node
+          minus the trailing ones of j >> (m - node): the decided symbols
+          are stored there as pending i=1 symbols, or form the codeword at 0;
+        - work: the kernel evaluations of the step per live hypothesis,
+          2 * half - width for the refresh (n - width at j = 0), plus
+          width * (m - node) in a frozen subtree.
+        """
+        m, n = self.m, self.n
+        first, node = self._steps
+        half = first & -first
+        # half = 2**t is refreshed at level m - t: frexp(2**t) has exponent t + 1
+        start = m + 1 - np.frexp(half)[1]
+        start[0] = 0
+        width = 1 << (m - node)
+        work = 2 * half + width * (m - node - 1)
+        work[0] += n
+        # j + width carries through the trailing ones of j >> (m - node), so
+        # the fold ends where the next step's refresh starts
+        stop = np.append(start[1:], 0)
+        return tuple(
+            zip(
+                first.tolist(),
+                node.tolist(),
+                start.tolist(),
+                half.tolist(),
+                _level_ranges(m)[start, node].tolist(),
+                self.info_mask_by_leaf[first].tolist(),
+                width.tolist(),
+                stop.tolist(),
+                work.tolist(),
+            )
+        )
+
+
+@cache
+def _level_ranges(m):
+    """range(start + 1, node + 1) at [start, node], for 0 <= start, node <= m."""
+    ranges = np.empty((m + 1, m + 1), dtype=object)
+    for start in range(m + 1):
+        for node in range(m + 1):
+            ranges[start, node] = range(start + 1, node + 1)
+    return ranges
 
 
 def freeze_rm(r, m):
@@ -350,14 +423,19 @@ def _header(path, line):
     raise ValueError(f"{path}:1: malformed header {line!r}, expected 'm=<m> k=<k>'")
 
 
+# Characters of a frozen-set file parsed at a time by load_frozen_set, and
+# the value of a decimal digit at each place.
+_LOAD_CHUNK = 1 << 16
+_PLACE_VALUES = 10 ** np.arange(len(str(1 << MAX_M)), dtype=np.int64)
+
+
 def load_frozen_set(path):
     """Read a frozen-set file written by :func:`save_frozen_set`.
 
     Every error names the file, and the line when one line is at fault.
-    Index lines must be integers in [0, 2**m), strictly ascending; blank
-    lines are skipped.
+    Index lines must be decimal integers (digits only) in [0, 2**m),
+    strictly ascending; blank lines are skipped.
     """
-    indices = array("q")
     with open(path, "r", encoding="ascii") as fh:
         head = fh.readline()
         if not head:
@@ -367,23 +445,83 @@ def load_frozen_set(path):
             check_m(m)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        n = 1 << m
+        if not 0 <= k <= 1 << m:
+            raise ValueError(f"{path}:1: header says k={k}, outside [0, {1 << m}] for m={m}")
+        info = np.empty(k, dtype=np.int64)
+        count = 0
+        number = 2  # of the block's first line
         previous = -1
-        for number, line in enumerate(fh, start=2):
-            if line == "\n":
-                continue
-            try:
-                index = int(line)
-            except ValueError:
-                raise ValueError(f"{path}:{number}: index line {line.rstrip()!r} is not an integer") from None
-            if not 0 <= index < n:
-                raise ValueError(f"{path}:{number}: index {index} out of range for m={m}")
-            if index <= previous:
-                raise ValueError(f"{path}:{number}: index {index} follows {previous}, indices must strictly ascend")
-            indices.append(index)
-            previous = index
-    if len(indices) != k:
-        raise ValueError(f"{path}:1: header says k={k} but {len(indices)} index lines follow")
-    info = np.frombuffer(indices, dtype=np.int64)
+        for block in _line_blocks(fh):
+            values = _decimal_lines(block, len(str((1 << m) - 1)))
+            # fall back to line by line, which names the faulty line
+            if values is None or not _ascending_below(values, previous, 1 << m):
+                values = _index_lines(path, number, block, m, previous)
+            if len(values):
+                previous = int(values[-1])
+                info[count : count + len(values)] = values[: max(k - count, 0)]
+                count += len(values)
+            number += block.count("\n")
+    if count != k:
+        raise ValueError(f"{path}:1: header says k={k} but {count} index lines follow")
     info.setflags(write=False)  # ascending and unshared: CodeSpec keeps it
     return CodeSpec(m=m, info_indices=info)
+
+
+def _line_blocks(fh):
+    """The rest of text file `fh` in blocks of whole newline-terminated lines."""
+    tail = ""
+    while text := fh.read(_LOAD_CHUNK):
+        block = tail + text
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield block[:cut]
+        tail = block[cut:]
+    if tail:
+        yield tail + "\n"
+
+
+def _decimal_lines(block, most_digits):
+    """The int64 values of a block of newline-terminated lines, skipping
+    blank ones, or None unless every other line is 1 to `most_digits`
+    decimal digits."""
+    buf = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    digits = buf - np.uint8(ord("0"))  # below '0' wraps past 9
+    newline = buf == ord("\n")
+    if not (newline | (digits < 10)).all():
+        return None
+    ends = newline.nonzero()[0]
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    length = ends - starts
+    if length.max() > most_digits:
+        return None
+    # each byte's place in its line, counted from the right: -1 at the newline
+    place = ends.repeat(length + 1) - np.arange(len(buf))
+    place -= 1
+    values = np.add.reduceat(np.where(newline, 0, digits) * _PLACE_VALUES.take(place, mode="clip"), starts)
+    return values if length.all() else values[length > 0]
+
+
+def _ascending_below(values, previous, n):
+    """Whether `values` ascend strictly from above `previous` to below n."""
+    return not len(values) or bool(values[0] > previous and values[-1] < n and (values[1:] > values[:-1]).all())
+
+
+def _index_lines(path, number, block, m, previous):
+    """The indices of a block of lines from line `number`, checked line by
+    line: the first faulty line raises ValueError naming it."""
+    indices = []
+    for number, line in enumerate(block.split("\n"), start=number):
+        if not line:
+            continue
+        if not line.isdigit():
+            raise ValueError(f"{path}:{number}: index line {line!r} is not a decimal integer")
+        index = int(line)
+        if index >= 1 << m:
+            raise ValueError(f"{path}:{number}: index {index} out of range for m={m}")
+        if index <= previous:
+            raise ValueError(f"{path}:{number}: index {index} follows {previous}, indices must strictly ascend")
+        indices.append(index)
+        previous = index
+    return np.array(indices, dtype=np.int64)

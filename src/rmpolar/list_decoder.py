@@ -21,20 +21,29 @@ are read off the final codewords by inverting the encoder.
 
 Steps.  A step is one information leaf, or one maximal aligned block of
 frozen leaves: a whole subtree whose leaves are all frozen
-(CodeSpec.decode_steps).  At an information leaf every hypothesis forks on
-the two bit values, the metric of each child growing by the log posterior
-of its bit.  The pool of extensions is shaped (entries, F), each column
-laid out by parent rank, then bit, so one stable sort of the negated
-metrics down axis 0 keeps the L best of every frame and breaks exact ties
-toward the earlier parent, then bit 0.
+(CodeSpec.decode_steps).  The loop reads them from CodeSpec.decode_plan,
+built once per spec in one numpy pass: each step's refresh start and half
+width, the levels it forms, its width, the level where its fold stops and
+its kernel work per hypothesis, all as Python ints, so that a step spends
+its Python-level calls on the kernels and the selection, not on deriving
+its shape.  The work counts build up in local ints.
+
+At an information leaf every hypothesis forks on the two bit values, the
+metric of each child growing by the log posterior of its bit.  The pool of
+extensions is shaped (entries, F), each column laid out by parent rank,
+then bit, so one stable sort of the negated metrics down axis 0 keeps the L
+best of every frame and breaks exact ties toward the earlier parent, then
+bit 0.
 
 Lazy forks (Tal and Vardy's lazy copying, in array form).  Survivors
 become the new rows in rank order, but no stored array moves at a fork.
 One (slots, rows) integer map holds, for each stored array, the physical
 row that each current row reads; a fork composes every map with the survivors'
 parent rows in one take, after resetting to identity the maps of the
-arrays written since the previous fork.  A fork that keeps the live rows in
-their order composes nothing.  An array is gathered through its map only
+arrays written since the previous fork (a fixed list of per-slot flags and
+the list of slots flagged).  A fork that keeps the live rows in their order,
+told by comparing the parent ranks' bytes with those of the identity,
+composes nothing.  An array is gathered through its map only
 where it is read: the operands of combine_u_llr at a refresh (the parent's
 beliefs and the pending i=1 symbols) and the pending symbols in the fold.
 OpCounter.moved counts the entries gathered: about 1-1.5 times the kernel
@@ -48,7 +57,9 @@ and every kernel of the leaf-by-leaf order is still evaluated.  Each frozen
 leaf either adds its bit-0 log posterior to the metric
 (frozen_metric='include', the default), leaf by leaf in order, or nothing
 ('ignore').  The hypotheses are then re-ranked once, as the stable sort
-after every frozen leaf would have left them: one fork.
+after every frozen leaf would have left them: one fork.  A lone frozen leaf
+(width 1) is its node: its log posterior is added to the metric directly,
+and the one-key sort is a stable argsort of the negated metrics.
 
 At L = 1 there is no pool and no fork: an information leaf takes the sign
 of its belief, the tie going to bit 0, and the metric grows by the log
@@ -92,6 +103,7 @@ _FROZEN_METRIC_MODES = ("include", "ignore")
 
 # The leaf belief is multiplied by these to score bit 0 and bit 1.
 _BIT_SIGNS = np.array([1.0, -1.0])
+_BIT_SIGN_COLUMN = _BIT_SIGNS[:, None]
 
 # The decided symbol of every frozen leaf.  A numpy scalar rather than 1.0,
 # because perfbench's kernel tracer sizes every kernel argument by nbytes.
@@ -139,7 +151,7 @@ def extend_leaf(metrics, leaf_llrs):
     column ordered by parent rank, then bit: entry i extends parent i // 2
     with bit i % 2.
     """
-    pool = metrics[:, None] + log_expit(leaf_llrs[:, None] * _BIT_SIGNS[:, None])
+    pool = metrics[:, None] + log_expit(leaf_llrs[:, None] * _BIT_SIGN_COLUMN)
     return pool.reshape(-1, metrics.shape[1])
 
 
@@ -157,7 +169,7 @@ def select_top(pool, limit, counter=None):
     pool = np.asarray(pool, dtype=np.float64)
     if counter is not None:
         counter.select += len(pool)
-    return np.argsort(-pool, axis=0, kind="stable")[:limit]
+    return (-pool).argsort(axis=0, kind="stable")[:limit]
 
 
 def check_list_size(m, dimension, list_size):
@@ -175,7 +187,7 @@ def check_list_size(m, dimension, list_size):
     return live
 
 
-def _frozen_leaf_beliefs(lam, depth, live, counter):
+def _frozen_leaf_beliefs(lam, depth):
     """Leaf beliefs of an all-frozen subtree, formed breadth first.
 
     `lam` holds the (2**depth, rows) position-major beliefs of the subtree's
@@ -190,7 +202,6 @@ def _frozen_leaf_beliefs(lam, depth, live, counter):
     for _ in range(depth):
         nodes, size, _ = blocks.shape
         h = size // 2
-        counter.kernel += 2 * nodes * h * live
         a, b = blocks[:, :h].swapaxes(1, 2), blocks[:, h:].swapaxes(1, 2)
         v = combine_v_llr(a, b).swapaxes(1, 2)
         u = combine_u_llr(a, b, _PLUS_ONE).swapaxes(1, 2)
@@ -297,28 +308,23 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     """
     m = spec.m
     frames = len(llr)
-    info_by_leaf = spec.info_mask_by_leaf
-    counter = OpCounter()
+    include = frozen_metric == "include"
+    kernel = select = moved = 0
     # frame of each column, for flat indices of hypothesis-major rows
     cols = np.arange(frames)
-    ranks = np.arange(list_size)[:, None]
+    # the parent ranks of a fork that keeps every row in place, as bytes
+    unmoved = np.arange(list_size).repeat(frames).tobytes()
     ones = {}  # read-only symbol blocks of frozen steps, by (live, width)
     bel = [np.ascontiguousarray(llr.T)] + [None] * m
     vsym = [None] * (m + 1)
     # Row maps of the stored arrays, bel[lvl] in slot lvl and vsym[lvl] in
     # slot m + lvl: physical row maps[s, r] of stored array s holds current
-    # row r.  The slots in `fresh` were written since the last fork, so
-    # their physical rows are the current rows and their maps are stale.
+    # row r.  The slots listed in `written` (fresh[s] True) were written
+    # since the last fork, so their physical rows are the current rows and
+    # their maps are stale.
     maps = np.zeros((2 * m + 1, frames), dtype=np.intp)
-    fresh = set()
-
-    def current(stored, slot):
-        """A stored array with its physical rows gathered into current row order."""
-        if slot in fresh:
-            return stored
-        stored = stored.take(maps[slot], axis=1)
-        counter.moved += stored.size // frames
-        return stored
+    fresh = [False] * (2 * m + 1)
+    written = []
 
     # symbol of information-leaf pool entry e, whose bit is e % 2
     entry_symbols = np.tile(_BIT_SIGNS, list_size)
@@ -326,99 +332,126 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     live = 1
     code_syms = None
 
-    for j, node in spec.decode_steps:
+    for j, node, start, half, levels, info, width, stop, work in spec.decode_plan:
+        kernel += work * live
         # refresh the level-node beliefs from the deepest level still valid
-        if j == 0:
-            lam = bel[0]
-            start = 1
-        else:
-            start = m - ((j & -j).bit_length() - 1)
-            h = 1 << (m - start)
-            counter.kernel += h * live
+        if half:
             # the pending i=1 symbols are read again by the fold
-            v = vsym[start] = current(vsym[start], m + start)
-            fresh.add(m + start)
+            s = m + start
+            v = vsym[start]
+            if not fresh[s]:
+                v = vsym[start] = v.take(maps[s], axis=1)
+                moved += v.size // frames
+                fresh[s] = True
+                written.append(s)
             # the level start-1 node gets its last child: free its beliefs
-            base = bel[0] if start == 1 else current(bel[start - 1], start - 1)
+            if start == 1:
+                base = bel[0]
+            else:
+                base = bel[start - 1]
+                if not fresh[start - 1]:
+                    base = base.take(maps[start - 1], axis=1)
+                    moved += base.size // frames
             bel[start - 1] = None
             if start == 1 and live > 1 and frames > 1:
                 # bel[0] has one row per frame, shared by its hypotheses
-                u = combine_u_llr(base[:h, None].T, base[h:, None].T, v.reshape(h, live, frames).T)
-                lam = u.T.reshape(h, -1)
+                u = combine_u_llr(base[:half, None].T, base[half:, None].T, v.reshape(half, live, frames).T)
+                lam = u.T.reshape(half, -1)
             else:
-                lam = combine_u_llr(base[:h].T, base[h:].T, v.T).T
+                lam = combine_u_llr(base[:half].T, base[half:].T, v.T).T
             bel[start] = lam
-            fresh.add(start)
-            start += 1
-        for lvl in range(start, node + 1):
+            if not fresh[start]:
+                fresh[start] = True
+                written.append(start)
+        else:
+            lam = bel[0]
+        for lvl in levels:
             h = 1 << (m - lvl)
-            counter.kernel += h * live
             lam = combine_v_llr(lam[:h].T, lam[h:].T).T
             bel[lvl] = lam
-            fresh.add(lvl)
+            if not fresh[lvl]:
+                fresh[lvl] = True
+                written.append(lvl)
 
         parent = None  # parent rank of each survivor, where rows may move
-        if info_by_leaf[j] and list_size == 1:
+        if info and list_size == 1:
             if leaf_llr is not None:
                 leaf_llr[:, j] = lam[0]
-            counter.select += 2
+            select += 2
             if truth is None:
                 cur = np.where(lam < 0.0, -1.0, 1.0)
                 metrics = metrics + log_expit(lam * cur)
             else:
                 cur = truth[:, j : j + 1].T
-        elif info_by_leaf[j]:
+        elif info:
             pool = extend_leaf(metrics, lam.reshape(live, frames))
-            keep = select_top(pool, list_size, counter=counter)
+            select += len(pool)
+            keep = select_top(pool, list_size)
             metrics = pool.take(keep if frames == 1 else keep * frames + cols)
             parent = keep >> 1
             cur = entry_symbols.take(keep.reshape(1, -1))
         else:
-            width = 1 << (m - node)
-            leaves = _frozen_leaf_beliefs(lam, m - node, live, counter).reshape(width, live, frames)
-            if leaf_llr is not None:
-                leaf_llr[:, j : j + width] = leaves[:, 0].T
-            counter.select += live * width
-            if frozen_metric == "include":
-                # the metric after each leaf, (metric + l1) + l2 + ... in
-                # leaf order, rounded as one extension per leaf would be
-                running = log_expit(leaves)
-                running[0] += metrics
-                running = np.add.accumulate(running, axis=0)
-                metrics = running[-1]
-                if live > 1:
-                    # one stable sort per leaf, composed: the last leaf's
-                    # metric ranks first, earlier leaves break its ties
-                    parent = np.lexsort(-running, axis=0)
-                    metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
+            select += live * width
+            if width == 1:
+                # one frozen leaf: its belief is the node's
+                if leaf_llr is not None:
+                    leaf_llr[:, j] = lam[0]
+                if include:
+                    metrics = log_expit(lam).reshape(live, frames) + metrics
+                    if live > 1:
+                        parent = (-metrics).argsort(axis=0, kind="stable")
+            else:
+                leaves = _frozen_leaf_beliefs(lam, m - node).reshape(width, live, frames)
+                if leaf_llr is not None:
+                    leaf_llr[:, j : j + width] = leaves[:, 0].T
+                if include:
+                    # the metric after each leaf, (metric + l1) + l2 + ... in
+                    # leaf order, rounded as one extension per leaf would be
+                    running = log_expit(leaves)
+                    running[0] += metrics
+                    running = np.add.accumulate(running, axis=0)
+                    metrics = running[-1]
+                    if live > 1:
+                        # one stable sort per leaf, composed: the last leaf's
+                        # metric ranks first, earlier leaves break its ties
+                        parent = np.lexsort(-running, axis=0)
+            if parent is not None:
+                metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
             # with 'ignore' the metrics, ranked already, do not change
             cur = ones.get((live, width))
             if cur is None:
                 cur = ones[live, width] = np.ones((width, live * frames))
                 cur.setflags(write=False)
 
-        survivors = live if parent is None else len(parent)
-        if parent is not None and (survivors != live or (parent != ranks[:live]).any()):
-            # a lazy fork: survivor r reads what its parent row read.  The
-            # fresh maps are identity, and identity composed with the parent
-            # rows is the parent rows themselves
-            rows = (parent if frames == 1 else parent * frames + cols).ravel()
-            maps = maps.take(rows, axis=1)
-            if fresh:
-                maps[list(fresh)] = rows
-                fresh.clear()
-        live = survivors
+        if parent is not None:
+            survivors = len(parent)
+            if survivors != live or not unmoved.startswith(parent.tobytes()):
+                # a lazy fork: survivor r reads what its parent row read.  The
+                # fresh maps are identity, and identity composed with the
+                # parent rows is the parent rows themselves
+                rows = (parent if frames == 1 else parent * frames + cols).ravel()
+                maps = maps.take(rows, axis=1)
+                if written:
+                    maps[written] = rows
+                    for s in written:
+                        fresh[s] = False
+                    written.clear()
+            live = survivors
 
         # fold the decided symbols back up the completed subtrees
-        d = node
-        while d >= 1 and (j >> (m - d)) & 1:
-            cur = np.concatenate([cur, cur * current(vsym[d], m + d)])
+        for d in range(node, stop, -1):
+            v = vsym[d]
+            if not fresh[m + d]:
+                v = v.take(maps[m + d], axis=1)
+                moved += v.size // frames
+            cur = np.concatenate([cur, cur * v])
             vsym[d] = None
-            d -= 1
-        if d >= 1:
-            vsym[d] = cur
-            fresh.add(m + d)
+        if stop:
+            vsym[stop] = cur
+            if not fresh[m + stop]:
+                fresh[m + stop] = True
+                written.append(m + stop)
         else:
             code_syms = cur
 
-    return np.ascontiguousarray(code_syms.T), metrics, live, counter
+    return np.ascontiguousarray(code_syms.T), metrics, live, OpCounter(kernel, select, moved)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,11 +12,15 @@ from rmpolar import (
     freeze_bec,
     freeze_montecarlo,
     freeze_rm,
+    genie_error_counts,
+    list_decode,
     load_frozen_set,
     monomial_codeword,
     rm_dimension,
     save_frozen_set,
+    sc_decode,
 )
+from rmpolar import code_model
 from rmpolar.code_model import MAX_M
 from helpers import full_spec, gf2_rank, info_paths, random_spec
 
@@ -189,6 +194,64 @@ def test_decode_steps_edge_cases():
     assert len(freeze_rm(3, 8).decode_steps) == 163
 
 
+def _plan_by_steps(spec):
+    """decode_plan recomputed one step at a time from decode_steps."""
+    m = spec.m
+    plan = []
+    for j, node in spec.decode_steps:
+        half = j & -j
+        start = m - (half.bit_length() - 1) if j else 0
+        width = 1 << (m - node)
+        stop = node
+        while stop >= 1 and (j >> (m - stop)) & 1:
+            stop -= 1
+        levels = range(start + 1, node + 1)
+        work = half + sum(1 << (m - lvl) for lvl in levels) + width * (m - node)
+        plan.append((j, node, start, half, levels, bool(spec.info_mask_by_leaf[j]), width, stop, work))
+    return tuple(plan)
+
+
+def test_decode_plan_matches_a_step_by_step_recomputation():
+    rng = np.random.default_rng(72)
+    for m in range(1, 11):
+        n = 1 << m
+        specs = []
+        for k in sorted({0, 1, n // 3, n}):
+            specs += [random_spec(m, k, rng), freeze_bec(m, k, 0.5)]
+        specs += [freeze_rm(r, m) for r in range(m + 1)]
+        for spec in specs:
+            plan = spec.decode_plan
+            assert plan == _plan_by_steps(spec)
+            for step in plan:
+                assert [type(field) for field in step] == [int] * 4 + [range, bool] + [int] * 3
+            # the work of the steps is the kernel count of a pass at L = 1
+            assert sum(step[-1] for step in plan) == list_decode(spec, np.ones(n), 1).kernel_ops
+
+
+def test_decode_plan_is_built_once_per_spec(monkeypatch):
+    builds = []
+    build = CodeSpec.decode_plan.func
+
+    def counted(spec):
+        builds.append(spec)
+        return build(spec)
+
+    plan = functools.cached_property(counted)
+    plan.__set_name__(CodeSpec, "decode_plan")
+    monkeypatch.setattr(CodeSpec, "decode_plan", plan)
+    rng = np.random.default_rng(73)
+    spec = freeze_bec(6, 20, 0.5)
+    for L, frames in ((1, 1), (4, 1), (4, 3), (1, 5)):
+        list_decode(spec, rng.normal(1.0, 1.0, (frames, spec.n)), L)
+    sc_decode(spec, rng.normal(1.0, 1.0, spec.n))
+    genie_error_counts(spec, rng.normal(1.0, 1.0, (2, spec.n)), np.zeros((2, spec.dimension), dtype=np.uint8))
+    assert builds == [spec] and spec.decode_plan is spec.decode_plan
+    # an equal spec is another object, with a plan of its own
+    twin = CodeSpec(m=6, info_indices=spec.info_indices)
+    list_decode(twin, np.ones(spec.n), 2)
+    assert len(builds) == 2 and builds[1] is twin
+
+
 def test_codespec_validation():
     with pytest.raises(ValueError):
         CodeSpec(m=2, info_indices=(6,))
@@ -338,6 +401,8 @@ def test_frozen_set_load_rejects_malformed(tmp_path):
     bad = [
         ("m=2\n0\n", 1),  # header missing k
         ("m=2 k=2\n0\n", 1),  # fewer indices than promised
+        ("m=2 k=1\n0\n1\n", 1),  # more indices than promised
+        ("m=2 k=5\n0\n1\n2\n3\n", 1),  # more indices than m allows
         ("m=2 k=2\n1\n0\n", 3),  # not ascending
         ("m=2 k=2\n0\n4\n", 3),  # index out of range
         ("m=2 k=2\n0\n0\n", 3),  # duplicate
@@ -348,12 +413,44 @@ def test_frozen_set_load_rejects_malformed(tmp_path):
         ("m=2 k=1 k=1\n0\n", 1),  # repeated header key
         ("m=2 k=1 z=5\n0\n", 1),  # unknown header key
         ("m=2 k=1 x\n0\n", 1),  # header field without '='
+        ("m=4 k=3\n1_0\n11\n12\n", 2),  # int() would read 10
+        ("m=4 k=3\n10\n +11\n12\n", 3),  # int() would read 11
+        ("m=4 k=2\n3\n4 \n", 3),  # trailing whitespace
     ]
     for i, (text, line) in enumerate(bad):
         target = tmp_path / f"bad{i}.txt"
         target.write_text(text)
         with pytest.raises(ValueError, match=rf"bad{i}\.txt:{line}: "):
             load_frozen_set(target)
+
+
+def test_frozen_set_load_parses_blocks_of_lines(tmp_path, monkeypatch):
+    # tiny blocks put block boundaries inside and between lines: the values,
+    # the skipped blank lines and the line an error names do not change
+    rng = np.random.default_rng(74)
+    spec = random_spec(9, 200, rng)
+    lines = [str(i) for i in spec.info_indices]
+    good = tmp_path / "good.txt"
+    bad = tmp_path / "bad.txt"
+    for chunk in (1, 2, 3, 7, 64, 1 << 16):
+        monkeypatch.setattr(code_model, "_LOAD_CHUNK", chunk)
+        # blank lines, a leading-zero line longer than any index, no final newline
+        body = lines[:50] + ["", ""] + lines[50:120] + ["0000000000" + lines[120]] + lines[121:]
+        good.write_text("m=9 k=200\n" + "\n".join(body))
+        assert load_frozen_set(good) == spec
+        for at, text, message in (
+            (150, "x", "is not a decimal integer"),
+            (151, "512", "out of range"),
+            (199, lines[3], "indices must strictly ascend"),
+        ):
+            broken = lines[:at] + [text] + lines[at + 1 :]
+            bad.write_text("m=9 k=200\n" + "\n".join(broken) + "\n")
+            with pytest.raises(ValueError, match=rf"bad\.txt:{at + 2}: .*{message}"):
+                load_frozen_set(bad)
+        # more lines than the header promises, over several blocks
+        bad.write_text("m=9 k=150\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.txt:1: header says k=150 but 200 index lines follow"):
+            load_frozen_set(bad)
 
 
 def test_dimension_consistency_against_comb():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -398,18 +399,48 @@ def test_kernel_calls_per_half_width_are_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "m, k, L, frames",
-    [(8, 128, 16, 2), (8, 256, 16, 2), (10, 512, 16, 4), (10, 512, 4, 4), (10, 1024, 32, 2), (6, 64, 64, 3), (8, 93, 4, 1)],
+    "spec, L, frames, digest",
+    [
+        (freeze_rm(3, 8), 4, 1, "0214f1edfd8f2313f0291f62d1a4a9afa488df60e26b4ae380701aaa19e4b764"),
+        (freeze_bec(8, 128, 0.5), 16, 2, "e2ab49a435fbc6fde76ed01b968a95ba9f48a2b0bb512313382c3f07a5d82bb8"),
+    ],
+    ids=["rm-3-8-L4", "bec-8-128-L16"],
 )
+@pytest.mark.parametrize("mode", ["include", "ignore"])
+def test_kernel_call_sequence_is_pinned(monkeypatch, spec, L, frames, digest, mode):
+    # every kernel call in order, as (kernel, half width, rows): the decoder's
+    # step loop may change, the work it hands to the kernels may not
+    calls = _record_kernel_calls(monkeypatch)
+    list_decode(spec, np.random.default_rng(82).normal(1.0, 2.0, (frames, spec.n)), L, mode)
+    sequence = "".join(f"{name} {h} {out.size // h}\n" for name, h, out in calls)
+    assert hashlib.sha256(sequence.encode()).hexdigest() == digest
+
+
+# the entries moved by the forks of a list decode, with frozen_metric
+# 'include' and 'ignore', by (m, k, L, frames)
+_MOVED = {
+    (8, 128, 16, 2): (29290, 27098),
+    (8, 256, 16, 2): (37352, 37352),
+    (10, 512, 16, 4): (144034, 136154),
+    (10, 512, 4, 4): (31878, 32050),
+    (10, 1024, 32, 2): (376536, 376536),
+    (6, 64, 64, 3): (28760, 28760),
+    (8, 93, 4, 1): (5322, 5098),
+}
+
+
+@pytest.mark.parametrize("m, k, L, frames", list(_MOVED))
 def test_forks_move_at_most_twice_the_kernel_work(m, k, L, frames):
     # a fork composes row maps; a stored array is gathered only where it is
     # read, so the entries moved stay within the kernel work (Tal & Vardy's
-    # lazy copy), and nothing moves without forks
+    # lazy copy), and nothing moves without forks.  The exact counts pin
+    # which entries are gathered
     spec = freeze_bec(m, k, 0.5)
     llr = np.random.default_rng(81).normal(1.0, 1.5, (frames, spec.n))
-    for mode in ("include", "ignore"):
+    for mode, moved in zip(("include", "ignore"), _MOVED[m, k, L, frames]):
         counter = list_decoder._decode(spec, llr, L, mode)[3]
         assert 0 < counter.moved <= 2 * counter.kernel
+        assert counter.moved == moved
         assert list_decoder._decode(spec, llr, 1, mode)[3].moved == 0
 
 
