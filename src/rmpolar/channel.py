@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "LLR_CLAMP",
@@ -149,6 +148,8 @@ class SoftVector:
     @property
     def q(self):
         """Posterior probability of the +1 symbol (bit 0)."""
+        from scipy.special import expit
+
         return expit(self.llr)
 
     @property

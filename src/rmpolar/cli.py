@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -111,7 +112,7 @@ def _cmd_decode(args):
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         for first in range(0, len(llr), step):
             block = list_decode(spec, llr[first : first + step], args.list_size, frozen_metric=args.frozen_metric)
-            fh.writelines("".join(map(str, bits)) + "\n" for bits in block.best.info_bits)
+            fh.writelines("".join(map(str, bits)) + "\n" for bits in block.info_bits[:, 0])
     print(f"decoded {len(frames)} frame(s) -> {args.out}")
     return 0
 
@@ -222,10 +223,20 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser of every main call in this process, built once."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:
+        # a file that cannot be opened, read or written
+        where = f"{exc.filename}: " if exc.filename else ""
+        raise SystemExit(f"error: {where}{exc.strerror or exc}")
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 

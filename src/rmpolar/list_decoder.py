@@ -61,9 +61,12 @@ after every frozen leaf would have left them: one fork.  A lone frozen leaf
 (width 1) is its node: its log posterior is added to the metric directly,
 and the one-key sort is a stable argsort of the negated metrics.
 
-At L = 1 there is no pool and no fork: an information leaf takes the sign
-of its belief, the tie going to bit 0, and the metric grows by the log
-posterior of that bit, as the pool entry would.
+At L = 1 there is no pool, no fork and no metric: an information leaf
+takes the sign of its belief, the tie going to bit 0, and the core records
+every leaf's belief.  The metric, which only ranks a list, is summed from
+those beliefs when ListResult.metrics is first read, leaf by leaf in order
+as the pool entries would have grown it, so a caller that reads only the
+decisions never pays for it, nor for importing scipy.special.
 
 How many hypotheses live after each step depends only on the frozen set
 and L, never on the beliefs, so the frames of a block always have the same
@@ -75,10 +78,9 @@ ranks the survivors of every frame at once, in arrays, for one ListResult.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import log_expit
 
 from .channel import SoftVector
 from .encoder import info_bits_of
@@ -110,6 +112,34 @@ _BIT_SIGN_COLUMN = _BIT_SIGNS[:, None]
 _PLUS_ONE = np.float64(1.0)
 
 
+def log_expit(x):
+    """scipy.special.log_expit, which replaces this function on its first
+    call: importing scipy.special costs more than numpy itself, and
+    successive cancellation never needs it."""
+    global log_expit
+    from scipy.special import log_expit
+
+    return log_expit(x)
+
+
+# From this many entries up, the symbols of a frozen step are a zero-stride
+# view of _PLUS_ONE rather than an array of ones: numpy's kernels take small
+# contiguous operands faster, and a view spares reading large ones (the two
+# cross at about 2048 entries).
+_ONES_VIEW_ENTRIES = 2048
+
+
+@lru_cache(maxsize=64)
+def _frozen_symbols(width, rows):
+    """The decided symbols of a frozen step: read-only (width, rows) ones,
+    shared by every step and call of that shape."""
+    if width * rows >= _ONES_VIEW_ENTRIES:
+        return np.broadcast_to(_PLUS_ONE, (width, rows))
+    ones = np.ones((width, rows))
+    ones.setflags(write=False)
+    return ones
+
+
 @dataclass
 class Candidate:
     """A ranked decoding hypothesis in a ListResult."""
@@ -124,7 +154,9 @@ class ListResult:
     """Candidates ranked by metric descending; rank 1 is the decision.  The
     arrays info_bits (..., live, N), codewords (..., live, n) and metrics
     (..., live) have a leading frames axis for a block; the work counts are
-    one frame's.  Each of `candidates` and `best` views one rank of them."""
+    one frame's.  Each of `candidates` and `best` views one rank of them.
+    At L = 1, `metrics` (and so `candidates` and `best`) is computed when
+    first read; the decisions alone need no metric."""
 
     info_bits: np.ndarray
     codewords: np.ndarray
@@ -140,6 +172,31 @@ class ListResult:
     @property
     def best(self):
         return self.candidates[0]
+
+
+class _SCResult(ListResult):
+    """The ListResult of a decode that kept one hypothesis (L = 1), whose
+    metrics are summed from the (frames, n) leaf beliefs on first read."""
+
+    def __init__(self, info_bits, codewords, spec, leaf_llr, frozen_metric, kernel_ops, select_ops):
+        self.info_bits = info_bits
+        self.codewords = codewords
+        self.kernel_ops = kernel_ops
+        self.select_ops = select_ops
+        self._leaves = spec.info_mask_by_leaf, leaf_llr, frozen_metric == "include"
+
+    @cached_property
+    def metrics(self):
+        info, leaf_llr, include = self._leaves
+        # log_expit(|b|) at an information leaf, the log posterior of the bit
+        # its sign decides; under 'include' log_expit(b) at a frozen leaf
+        beliefs = np.where(info, np.abs(leaf_llr), leaf_llr) if include else np.abs(leaf_llr[:, info])
+        terms = np.zeros((len(beliefs), 1 + beliefs.shape[1]))
+        terms[:, 1:] = log_expit(beliefs)
+        # one leaf at a time from +0.0, as the extensions grow a list's metric:
+        # not np.sum, whose pairwise order rounds differently
+        total = np.add.accumulate(terms, axis=1)[:, -1]
+        return total.reshape(self.info_bits.shape[:-1])
 
 
 def extend_leaf(metrics, leaf_llrs):
@@ -264,9 +321,14 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     if not len(llr):
         bits, codewords = (np.zeros((0, live, width), dtype=np.uint8) for width in (spec.dimension, spec.n))
         return ListResult(bits, codewords, np.zeros((0, live)), 0, 0)
-    code_syms, metrics, live, counter = _decode(spec, llr, live, frozen_metric)
+    leaf_llr = np.empty_like(llr) if live == 1 else None
+    code_syms, metrics, live, counter = _decode(spec, llr, live, frozen_metric, leaf_llr=leaf_llr)
     codewords = (code_syms < 0.0).astype(np.uint8).reshape(live, len(llr), spec.n)
     bits = info_bits_of(spec, codewords)
+    if leaf_llr is not None:
+        # the one hypothesis needs no ranking: (frames, 1, ...) views, or (1, ...)
+        bits, codewords = (a[0] if single else a[0][:, None] for a in (bits, codewords))
+        return _SCResult(bits, codewords, spec, leaf_llr, frozen_metric, counter.kernel, counter.select)
     order = _rank(metrics, bits)
     # every frame's hypotheses in rank order: (frames, live) indices, or (live,)
     rows = (order[:, 0], 0) if single else (order.T, np.arange(len(llr))[:, None])
@@ -278,8 +340,6 @@ def _rank(metrics, bits):
     and (live, frames, N) words `bits`: metric descending, exact ties to the
     smaller word, then the smallest word within METRIC_TIE_EPS of the top."""
     live, frames = metrics.shape
-    if live == 1:
-        return np.zeros((1, frames), dtype=np.intp)
     # 64-bit keys of each word, least significant first: its reversed bits read little-endian
     padded = np.zeros((live, frames, -(-bits.shape[-1] // 64) * 64), dtype=np.uint8)
     padded[..., : bits.shape[-1]] = bits[..., ::-1]
@@ -300,21 +360,23 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     every surviving hypothesis, shape (live*frames, n) in hypothesis-major
     rows, their metrics, shape (live, frames), in rank order, and the work
     counts.  At list_size 1 an information leaf takes the sign of its belief,
-    the tie going to bit 0.  Two arguments serve that successive-cancellation
-    pass only: `truth`, (frames, n) per-leaf +-1 symbols, is propagated in
-    place of the decisions (the genie mode, which keeps no metric), and
-    `leaf_llr`, a (frames, n) array, is filled with the belief of every leaf.
+    the tie going to bit 0, and there is no metric (None): `leaf_llr`, a
+    (frames, n) array, is filled with the belief of every leaf instead (a
+    scratch one if not given).  `truth`, (frames, n) per-leaf +-1 symbols,
+    is propagated in place of the decisions of that pass (the genie mode).
     Both are read or written in place through strided views, never copied.
     """
     m = spec.m
     frames = len(llr)
-    include = frozen_metric == "include"
+    # a list's metric; at list_size 1 the leaf beliefs stand in for it
+    include = frozen_metric == "include" and list_size > 1
+    if list_size == 1 and leaf_llr is None:
+        leaf_llr = np.empty((frames, spec.n))
     kernel = select = moved = 0
     # frame of each column, for flat indices of hypothesis-major rows
     cols = np.arange(frames)
     # the parent ranks of a fork that keeps every row in place, as bytes
     unmoved = np.arange(list_size).repeat(frames).tobytes()
-    ones = {}  # read-only symbol blocks of frozen steps, by (live, width)
     bel = [np.ascontiguousarray(llr.T)] + [None] * m
     vsym = [None] * (m + 1)
     # Row maps of the stored arrays, bel[lvl] in slot lvl and vsym[lvl] in
@@ -328,7 +390,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
 
     # symbol of information-leaf pool entry e, whose bit is e % 2
     entry_symbols = np.tile(_BIT_SIGNS, list_size)
-    metrics = np.zeros((1, frames))
+    metrics = np.zeros((1, frames)) if list_size > 1 else None
     live = 1
     code_syms = None
 
@@ -375,14 +437,9 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
 
         parent = None  # parent rank of each survivor, where rows may move
         if info and list_size == 1:
-            if leaf_llr is not None:
-                leaf_llr[:, j] = lam[0]
+            leaf_llr[:, j] = lam[0]
             select += 2
-            if truth is None:
-                cur = np.where(lam < 0.0, -1.0, 1.0)
-                metrics = metrics + log_expit(lam * cur)
-            else:
-                cur = truth[:, j : j + 1].T
+            cur = np.where(lam < 0.0, -1.0, 1.0) if truth is None else truth[:, j : j + 1].T
         elif info:
             pool = extend_leaf(metrics, lam.reshape(live, frames))
             select += len(pool)
@@ -418,10 +475,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             if parent is not None:
                 metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
             # with 'ignore' the metrics, ranked already, do not change
-            cur = ones.get((live, width))
-            if cur is None:
-                cur = ones[live, width] = np.ones((width, live * frames))
-                cur.setflags(write=False)
+            cur = _frozen_symbols(width, live * frames)
 
         if parent is not None:
             survivors = len(parent)

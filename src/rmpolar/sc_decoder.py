@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "OpCounter",
@@ -103,6 +102,8 @@ def sc_decode(spec, beliefs):
     DecodeResult; the codeword field always equals the re-encoding of the
     decided information bits.
     """
+    from scipy.special import expit
+
     from .list_decoder import _decode, _one_frame
 
     llr = _one_frame(spec, beliefs)

@@ -121,7 +121,8 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
             llr[rows] = posteriors(ch, observed)
         del symbols, observed
         result = list_decode(spec, llr, list_size, frozen_metric=frozen_metric)
-        wrong = np.count_nonzero(result.best.info_bits != sent, axis=1)
+        # the rank-1 words only: at L = 1 reading metrics would sum them
+        wrong = np.count_nonzero(result.info_bits[:, 0] != sent, axis=1)
         for p, rows in runs:
             total = totals[p]
             frames = rows.stop - rows.start  # the work counts are those of one frame

@@ -1,6 +1,11 @@
 """The public API: rmpolar exports what the CLI, the demos and users call."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +106,53 @@ def test_traced_helpers_stay_module_attributes():
         mod = importlib.import_module(f"rmpolar.{module}")
         for name in names:
             assert callable(getattr(mod, name)), f"rmpolar.{module}.{name}"
+
+
+# Runs in a fresh interpreter: prints, after each stage, whether
+# scipy.special has been imported.
+_SCIPY_SPECIAL_PROBE = """
+import json, sys
+import numpy as np
+import rmpolar
+from rmpolar.cli import main
+
+stages = [("import rmpolar", "scipy.special" in sys.modules)]
+def stage(name, argv):
+    main(argv)
+    stages.append((name, "scipy.special" in sys.modules))
+
+stage("construct rm", ["construct", "--m", "5", "--construction", "rm", "--design-param", "2", "--out", "rm.txt"])
+stage("construct bec", ["construct", "--m", "5", "--k", "12", "--construction", "bec", "--design-param", "0.5",
+                        "--out", "bec.txt"])
+stage("construct mc", ["construct", "--m", "5", "--k", "12", "--construction", "mc", "--channel", "bsc:0.1",
+                       "--trials", "200", "--out", "mc.txt"])
+with open("words.txt", "w") as fh:
+    fh.write("010101010101\\n111111111111\\n")
+stage("encode", ["encode", "--frozen-set", "bec.txt", "--in", "words.txt", "--out", "code.txt"])
+stage("simulate", ["simulate", "--frozen-set", "bec.txt", "--channel", "bsc:0.05,awgn:2.0dB", "--list-size", "1",
+                   "--trials", "30", "--csv", "sim.csv"])
+with open("llr.txt", "w") as fh:
+    for row in np.random.default_rng(3).normal(1.0, 1.0, size=(3, 32)):
+        fh.write(" ".join(map(repr, row.tolist())) + "\\n")
+stage("decode", ["decode", "--frozen-set", "bec.txt", "--in", "llr.txt", "--out", "dec.txt", "--list-size", "1"])
+rmpolar.list_decode(rmpolar.load_frozen_set("bec.txt"), np.ones(32), 2)
+stages.append(("list_decode L=2", "scipy.special" in sys.modules))
+print(json.dumps(stages))
+"""
+
+
+def test_import_construct_and_list_size_one_never_load_scipy_special(tmp_path):
+    # importing scipy.special costs more than numpy itself; successive
+    # cancellation, encoding and every construction never need it, while a
+    # list of two ranks by log posteriors, so the probe can tell
+    path = [str(Path(rmpolar.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_SPECIAL_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    assert [name for name, _ in stages] == [
+        "import rmpolar", "construct rm", "construct bec", "construct mc", "encode", "simulate", "decode",
+        "list_decode L=2",
+    ]
+    assert [name for name, loaded in stages if loaded] == ["list_decode L=2"]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmpolar import sim
+from rmpolar import list_decoder, sim
 from rmpolar import (
     CodeSpec,
     SoftVector,
@@ -279,3 +279,58 @@ def test_complexity_range_forms(tmp_path):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_decode_at_list_size_one_computes_no_metric(tmp_path, monkeypatch):
+    # the decoded words are the rank-1 decisions; the L=1 metric, summed on
+    # first read, is never read
+    def no_log_expit(x):
+        raise AssertionError("log_expit was called")
+
+    spec = freeze_bec(4, 6, 0.5)
+    fs = _frozen_set_file(tmp_path, spec)
+    llr = np.random.default_rng(72).normal(1.0, 1.5, size=(5, spec.n))
+    infile = tmp_path / "llr.txt"
+    infile.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in llr))
+    outs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(list_decoder, "log_expit", no_log_expit)
+        out = tmp_path / f"decoded-{patched}.txt"
+        assert main(["decode", "--frozen-set", str(fs), "--in", str(infile), "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines() == ["".join(map(str, bits)) for bits in list_decode(spec, llr, 1).info_bits[:, 0]]
+
+
+@pytest.mark.parametrize("fault", ["frozen-set", "in", "out"])
+def test_unreadable_or_unwritable_files_end_in_one_error_line(tmp_path, fault):
+    # a missing file, a directory in a file's place or a missing directory
+    # is one `error:` line naming the path, not a traceback
+    fs = _frozen_set_file(tmp_path, freeze_bec(4, 6, 0.5))
+    words = tmp_path / "words.txt"
+    words.write_text("010101\n")
+    missing = str(tmp_path / "missing.txt")
+    unwritable = str(tmp_path / "no-such-dir" / "out.txt")
+    out = str(tmp_path / "out.txt")
+    cases = {
+        "frozen-set": [
+            ["simulate", "--frozen-set", missing, "--channel", "bsc:0.1"],
+            ["decode", "--frozen-set", str(tmp_path), "--in", str(words), "--out", out],
+        ],
+        "in": [
+            ["encode", "--frozen-set", str(fs), "--in", missing, "--out", out],
+            ["decode", "--frozen-set", str(fs), "--in", str(tmp_path), "--out", out],
+        ],
+        "out": [
+            ["encode", "--frozen-set", str(fs), "--in", str(words), "--out", unwritable],
+            ["construct", "--m", "3", "--construction", "rm", "--design-param", "1", "--out", str(tmp_path)],
+            ["simulate", "--frozen-set", str(fs), "--channel", "bsc:0.1", "--trials", "2", "--csv", unwritable],
+        ],
+    }
+    for argv in cases[fault]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        bad = next(arg for arg in argv if arg in (missing, unwritable, str(tmp_path)))
+        assert message.startswith("error:") and bad in message and "\n" not in message, argv

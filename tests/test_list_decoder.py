@@ -692,3 +692,58 @@ def test_rank_rule_matches_reference_on_tie_heavy_blocks(beliefs, mode):
         assert block.metrics.shape == (4, min(L, 1 << spec.dimension))
         for f, row in enumerate(llr):
             assert same_list_result(frame_of(block, f), reference_list_decode(spec, row, L, frozen_metric=mode))
+
+
+# raw beliefs whose log posteriors reach both signs of zero: log_expit(800)
+# is -0.0, so a metric summed without its +0.0 start would read -0.0
+_SC_METRIC_BELIEFS = np.array([0.0, -0.0, 1.5, -1.5, 40.0, -40.0, 800.0, -800.0])
+
+
+@pytest.mark.parametrize("mode", ["include", "ignore"])
+def test_list_size_one_metric_bytes_match_the_per_leaf_reference(mode):
+    # at L=1 the core keeps no metric: it is summed from the leaf beliefs on
+    # first read, and must keep the bytes of the per-leaf oracle's running sum
+    rng = np.random.default_rng(97)
+    for spec in (freeze_bec(5, 12, 0.5), freeze_rm(2, 6), CodeSpec(m=3, info_indices=np.arange(8))):
+        blocks = (
+            rng.choice(_SC_METRIC_BELIEFS, size=(6, spec.n)),
+            np.full((2, spec.n), 800.0),
+            rng.normal(0.3, 2.0, size=(3, spec.n)),
+        )
+        for llr in blocks:
+            block = list_decode(spec, llr, 1, frozen_metric=mode)
+            assert block.metrics.shape == (len(llr), 1)
+            for f, row in enumerate(llr):
+                expected = reference_list_decode(spec, row, 1, frozen_metric=mode)
+                assert same_list_result(frame_of(block, f), expected)
+                one = list_decode(spec, row[None, :], 1, frozen_metric=mode)
+                assert one.metrics.shape == (1, 1) and same_list_result(frame_of(one, 0), expected)
+                alone = list_decode(spec, row, 1, frozen_metric=mode)
+                assert same_list_result(alone, expected)
+            clipped = np.clip(llr[0], -LLR_CLAMP, LLR_CLAMP)
+            soft = list_decode(spec, SoftVector(clipped), 1, frozen_metric=mode)
+            assert same_list_result(soft, reference_list_decode(spec, clipped, 1, frozen_metric=mode))
+        # every log posterior of an all-800 frame is -0.0; the sum is +0.0
+        zero = list_decode(spec, np.full(spec.n, 800.0), 1, frozen_metric=mode).metrics
+        assert zero.tobytes() == np.zeros(1).tobytes()
+        empty = list_decode(spec, np.zeros((0, spec.n)), 1, frozen_metric=mode)
+        assert (empty.info_bits.shape, empty.metrics.shape) == ((0, 1, spec.dimension), (0, 1))
+
+
+def test_list_size_one_metric_is_computed_on_first_read(monkeypatch):
+    # the decisions need no log posterior; only reading the metric does
+    def no_log_expit(x):
+        raise AssertionError("log_expit was called")
+
+    spec = freeze_bec(5, 12, 0.5)
+    llr = np.random.default_rng(98).normal(0.5, 1.5, size=(3, spec.n))
+    expected = list_decode(spec, llr, 1)
+    monkeypatch.setattr(list_decoder, "log_expit", no_log_expit)
+    result = list_decode(spec, llr, 1)
+    assert np.array_equal(result.info_bits, expected.info_bits)
+    assert np.array_equal(result.codewords, expected.codewords)
+    for read in (lambda: result.metrics, lambda: result.best):
+        with pytest.raises(AssertionError, match="log_expit was called"):
+            read()
+    monkeypatch.undo()
+    assert same_list_result(result, expected)

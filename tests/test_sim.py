@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmpolar import sim
+from rmpolar import list_decoder, sim
 from rmpolar import (
     CSV_HEADER,
     Channel,
@@ -339,3 +339,17 @@ def test_complexity_probe_validation():
         complexity_probe([6], [1], trials=0)
     with pytest.raises(ValueError, match="m must lie in"):
         complexity_probe([6, 40], [1])
+
+
+def test_list_size_one_simulation_computes_no_metric(monkeypatch):
+    # successive cancellation decides by signs; the sweep reads the rank-1
+    # words only, so the L=1 metric, summed on first read, is never summed
+    def no_log_expit(x):
+        raise AssertionError("log_expit was called")
+
+    spec = freeze_bec(6, 30, 0.5)
+    points = [(Channel.bsc(0.05), 0.05), (Channel.awgn(0.8), 0.8)]
+    expected = run_simulation(spec, points, 1, trials=40, seed=5)
+    monkeypatch.setattr(list_decoder, "log_expit", no_log_expit)
+    assert run_simulation(spec, points, 1, trials=40, seed=5) == expected
+    assert sum(row.frame_errors for row in expected) > 0
