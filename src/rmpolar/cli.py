@@ -111,8 +111,12 @@ def _cmd_decode(args):
     step = block_frames(spec, args.list_size)
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         for first in range(0, len(llr), step):
-            block = list_decode(spec, llr[first : first + step], args.list_size, frozen_metric=args.frozen_metric)
-            fh.writelines("".join(map(str, bits)) + "\n" for bits in block.info_bits[:, 0])
+            # the rank-1 words only, so that the result (at L = 1 with its leaf
+            # beliefs) is freed before the next block
+            words = list_decode(
+                spec, llr[first : first + step], args.list_size, frozen_metric=args.frozen_metric
+            ).info_bits[:, 0]
+            fh.writelines("".join(map(str, bits)) + "\n" for bits in words)
     print(f"decoded {len(frames)} frame(s) -> {args.out}")
     return 0
 

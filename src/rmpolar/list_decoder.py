@@ -122,19 +122,10 @@ def log_expit(x):
     return log_expit(x)
 
 
-# From this many entries up, the symbols of a frozen step are a zero-stride
-# view of _PLUS_ONE rather than an array of ones: numpy's kernels take small
-# contiguous operands faster, and a view spares reading large ones (the two
-# cross at about 2048 entries).
-_ONES_VIEW_ENTRIES = 2048
-
-
 @lru_cache(maxsize=64)
 def _frozen_symbols(width, rows):
     """The decided symbols of a frozen step: read-only (width, rows) ones,
     shared by every step and call of that shape."""
-    if width * rows >= _ONES_VIEW_ENTRIES:
-        return np.broadcast_to(_PLUS_ONE, (width, rows))
     ones = np.ones((width, rows))
     ones.setflags(write=False)
     return ones
@@ -361,8 +352,8 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     rows, their metrics, shape (live, frames), in rank order, and the work
     counts.  At list_size 1 an information leaf takes the sign of its belief,
     the tie going to bit 0, and there is no metric (None): `leaf_llr`, a
-    (frames, n) array, is filled with the belief of every leaf instead (a
-    scratch one if not given).  `truth`, (frames, n) per-leaf +-1 symbols,
+    (frames, n) array that list_size 1 requires, is filled with the belief
+    of every leaf instead.  `truth`, (frames, n) per-leaf +-1 symbols,
     is propagated in place of the decisions of that pass (the genie mode).
     Both are read or written in place through strided views, never copied.
     """
@@ -370,8 +361,6 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     frames = len(llr)
     # a list's metric; at list_size 1 the leaf beliefs stand in for it
     include = frozen_metric == "include" and list_size > 1
-    if list_size == 1 and leaf_llr is None:
-        leaf_llr = np.empty((frames, spec.n))
     kernel = select = moved = 0
     # frame of each column, for flat indices of hypothesis-major rows
     cols = np.arange(frames)

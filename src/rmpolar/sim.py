@@ -130,6 +130,9 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
             total[1] += int(wrong[rows].sum())
             total[2] += result.kernel_ops * frames
             total[3] += result.select_ops * frames
+        # at L = 1 the result holds the block's leaf beliefs: free them
+        # before the next block is decoded
+        del result
 
     results = []
     for (ch, display), (frame_errors, bit_errors, kernel_total, select_total) in zip(points, totals):

@@ -341,6 +341,26 @@ def test_complexity_probe_validation():
         complexity_probe([6, 40], [1])
 
 
+def test_list_size_one_simulation_frees_each_block_before_the_next(monkeypatch):
+    # an L=1 result holds its block's (frames, n) leaf beliefs; freed before
+    # the next block is decoded, a sweep of three blocks peaks as one does
+    spec = freeze_bec(8, 128, 0.5)
+    monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", 64 * spec.n)
+    points = [(Channel.bsc(0.05), 0.05)]
+
+    def peak(trials):
+        run_simulation(spec, points, 1, trials=trials, seed=3)
+        tracemalloc.start()
+        try:
+            run_simulation(spec, points, 1, trials=trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    leaf_beliefs = 64 * spec.n * 8
+    assert peak(3 * 64) - peak(64) < leaf_beliefs // 2
+
+
 def test_list_size_one_simulation_computes_no_metric(monkeypatch):
     # successive cancellation decides by signs; the sweep reads the rank-1
     # words only, so the L=1 metric, summed on first read, is never summed
