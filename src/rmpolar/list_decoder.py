@@ -167,7 +167,7 @@ class ListResult:
 
 class _SCResult(ListResult):
     """The ListResult of a decode that kept one hypothesis (L = 1), whose
-    metrics are summed from the (frames, n) leaf beliefs on first read."""
+    metrics are summed from the (n, frames) leaf beliefs on first read."""
 
     def __init__(self, info_bits, codewords, spec, leaf_llr, frozen_metric, kernel_ops, select_ops):
         self.info_bits = info_bits
@@ -179,6 +179,7 @@ class _SCResult(ListResult):
     @cached_property
     def metrics(self):
         info, leaf_llr, include = self._leaves
+        leaf_llr = leaf_llr.T
         # log_expit(|b|) at an information leaf, the log posterior of the bit
         # its sign decides; under 'include' log_expit(b) at a frozen leaf
         beliefs = np.where(info, np.abs(leaf_llr), leaf_llr) if include else np.abs(leaf_llr[:, info])
@@ -242,19 +243,18 @@ def _frozen_leaf_beliefs(lam, depth):
     root.  Every symbol decided below it is +1, so each level's children
     come from one combine_v_llr and one combine_u_llr call over all nodes of
     that level: the same kernels on the same operands as a depth-first walk.
-    The blocks are (nodes, size, rows); the kernels see (nodes, rows, h)
-    views.  Returns (2**depth, rows) leaf beliefs in processing order.
+    The blocks are (size, nodes, 1, rows), position-major like the decoder's
+    levels, so the kernels see (rows, 1, nodes, h) transposed views.  Returns
+    (2**depth, rows) leaf beliefs in processing order.
     """
     width, rows = lam.shape
-    blocks = lam.reshape(1, width, rows)
+    blocks = lam.reshape(width, 1, 1, rows)
     for _ in range(depth):
-        nodes, size, _ = blocks.shape
-        h = size // 2
-        a, b = blocks[:, :h].swapaxes(1, 2), blocks[:, h:].swapaxes(1, 2)
-        v = combine_v_llr(a, b).swapaxes(1, 2)
-        u = combine_u_llr(a, b, _PLUS_ONE).swapaxes(1, 2)
-        # children in processing order: the i=1 child (from v) first
-        blocks = np.concatenate([v, u], axis=1).reshape(2 * nodes, h, rows)
+        h = len(blocks) // 2
+        a, b = blocks[:h].T, blocks[h:].T
+        # each node's children in processing order: the i=1 child (v) first
+        pair = combine_v_llr(a, b).T, combine_u_llr(a, b, _PLUS_ONE).T
+        blocks = np.concatenate(pair, axis=2).reshape(h, -1, 1, rows)
     return blocks.reshape(width, rows)
 
 
@@ -312,14 +312,17 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     if not len(llr):
         bits, codewords = (np.zeros((0, live, width), dtype=np.uint8) for width in (spec.dimension, spec.n))
         return ListResult(bits, codewords, np.zeros((0, live)), 0, 0)
-    leaf_llr = np.empty_like(llr) if live == 1 else None
+    leaf_llr = np.empty(llr.shape[::-1]) if live == 1 else None
     code_syms, metrics, live, counter = _decode(spec, llr, live, frozen_metric, leaf_llr=leaf_llr)
     codewords = (code_syms < 0.0).astype(np.uint8).reshape(live, len(llr), spec.n)
-    bits = info_bits_of(spec, codewords)
     if leaf_llr is not None:
-        # the one hypothesis needs no ranking: (frames, 1, ...) views, or (1, ...)
-        bits, codewords = (a[0] if single else a[0][:, None] for a in (bits, codewords))
+        # the decided bits are the sign bits of the information leaves'
+        # beliefs; the one hypothesis needs no ranking: (frames, 1, ...)
+        # views, or (1, ...)
+        bits = np.signbit(leaf_llr[spec.info_mask_by_leaf]).T.view(np.uint8)
+        bits, codewords = (a if single else a[:, None] for a in (bits, codewords[0]))
         return _SCResult(bits, codewords, spec, leaf_llr, frozen_metric, counter.kernel, counter.select)
+    bits = info_bits_of(spec, codewords)
     order = _rank(metrics, bits)
     # every frame's hypotheses in rank order: (frames, live) indices, or (live,)
     rows = (order[:, 0], 0) if single else (order.T, np.arange(len(llr))[:, None])
@@ -352,10 +355,11 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     rows, their metrics, shape (live, frames), in rank order, and the work
     counts.  At list_size 1 an information leaf takes the sign of its belief,
     the tie going to bit 0, and there is no metric (None): `leaf_llr`, a
-    (frames, n) array that list_size 1 requires, is filled with the belief
-    of every leaf instead.  `truth`, (frames, n) per-leaf +-1 symbols,
-    is propagated in place of the decisions of that pass (the genie mode).
-    Both are read or written in place through strided views, never copied.
+    position-major (n, frames) array that list_size 1 requires, is filled
+    with the belief of every leaf instead, + 0.0 at an information leaf, so
+    that its sign bit is the decided bit.  `truth`, (n, frames) per-leaf +-1
+    symbols, is propagated in place of the decisions of that pass (the genie
+    mode).  Both are read or written one contiguous row block per step.
     """
     m = spec.m
     frames = len(llr)
@@ -426,9 +430,12 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
 
         parent = None  # parent rank of each survivor, where rows may move
         if info and list_size == 1:
-            leaf_llr[:, j] = lam[0]
+            # recorded as lam + 0.0, so that a -0.0 belief reads +0.0: its
+            # sign bit is the decided bit, the tie going to bit 0
+            leaf = leaf_llr[j : j + 1]
+            np.add(lam, 0.0, out=leaf)
             select += 2
-            cur = np.where(lam < 0.0, -1.0, 1.0) if truth is None else truth[:, j : j + 1].T
+            cur = np.copysign(1.0, leaf) if truth is None else truth[j : j + 1]
         elif info:
             pool = extend_leaf(metrics, lam.reshape(live, frames))
             select += len(pool)
@@ -441,7 +448,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             if width == 1:
                 # one frozen leaf: its belief is the node's
                 if leaf_llr is not None:
-                    leaf_llr[:, j] = lam[0]
+                    leaf_llr[j] = lam[0]
                 if include:
                     metrics = log_expit(lam).reshape(live, frames) + metrics
                     if live > 1:
@@ -449,7 +456,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             else:
                 leaves = _frozen_leaf_beliefs(lam, m - node).reshape(width, live, frames)
                 if leaf_llr is not None:
-                    leaf_llr[:, j : j + width] = leaves[:, 0].T
+                    leaf_llr[j : j + width] = leaves[:, 0]
                 if include:
                     # the metric after each leaf, (metric + l1) + l2 + ... in
                     # leaf order, rounded as one extension per leaf would be

@@ -47,21 +47,24 @@ def combine_v_llr(l0, l1):
     Evaluated in the exact min-sum-with-correction form, which is stable for
     any finite inputs and keeps zeros exact:
     sign(l0*l1) * min(|l0|, |l1|) + log1p(exp(-|l0 + l1|)) - log1p(exp(-|l0 - l1|)).
-    `l0` must broadcast to the shape of `l1`.  Every step is an elementwise
-    ufunc, so any memory order of the operands (C, Fortran, strided views)
-    is traversed as it is laid out, with the same bits.
+    `l0` must broadcast to the shape of `l1`.  Both correction terms are
+    formed in one (..., 2) block, so each of its four steps is one call; each
+    slab of the block is laid out as the transpose of a C-ordered array, like
+    the decoder's operands.  Every step is an elementwise ufunc, so any
+    memory order of the operands (C, Fortran, strided views) gives the same
+    bits.
     """
     out = np.abs(l1)
     np.minimum(np.abs(l0), out, out=out)
     np.copysign(out, l0 * l1, out=out)
-    # the two correction terms, each computed in place
-    plus = l0 + l1
-    minus = l0 - l1
-    for corr in (plus, minus):
-        np.abs(corr, out=corr)
-        np.negative(corr, out=corr)
-        np.exp(corr, out=corr)
-        np.log1p(corr, out=corr)
+    corr = np.empty((2,) + out.shape[::-1]).T
+    plus, minus = corr[..., 0], corr[..., 1]
+    np.add(l0, l1, out=plus)
+    np.subtract(l0, l1, out=minus)
+    np.abs(corr, out=corr)
+    np.negative(corr, out=corr)
+    np.exp(corr, out=corr)
+    np.log1p(corr, out=corr)
     out += plus
     out -= minus
     return out
@@ -107,11 +110,11 @@ def sc_decode(spec, beliefs):
     from .list_decoder import _decode, _one_frame
 
     llr = _one_frame(spec, beliefs)
-    leaf_llr = np.empty_like(llr)
+    leaf_llr = np.empty(llr.shape[::-1])
     code_syms, _, _, counter = _decode(spec, llr, 1, "ignore", leaf_llr=leaf_llr)
-    lam = leaf_llr[0, spec.info_mask_by_leaf]
+    lam = leaf_llr[spec.info_mask_by_leaf, 0]
     return DecodeResult(
-        info_bits=(lam < 0.0).astype(np.uint8),
+        info_bits=np.signbit(lam).view(np.uint8),
         codeword=(code_syms[0] < 0.0).astype(np.uint8),
         leaf_posteriors=expit(lam),
         op_count=counter.kernel,
@@ -139,9 +142,9 @@ def genie_error_counts(spec, llr_matrix, info_bits):
     if len(words) != len(llr):
         raise ValueError(f"truth needs one information word per frame: {len(llr)} frames, {len(words)} words")
     # +-1 symbols, as int8: the pass multiplies them, and the products are exact
-    truth = np.ones((len(words), spec.n), dtype=np.int8)
-    truth[:, spec.info_mask_by_leaf] = np.where(words == 1, -1, 1)
-    leaf_llr = np.empty_like(llr)
+    truth = np.ones((spec.n, len(words)), dtype=np.int8)
+    truth[spec.info_mask_by_leaf] = np.where(words.T == 1, -1, 1)
+    leaf_llr = np.empty(llr.shape[::-1])
     _decode(spec, llr, 1, "ignore", truth=truth, leaf_llr=leaf_llr)
-    wrong = ((leaf_llr < 0.0) != (truth < 0.0)) & spec.info_mask_by_leaf
-    return wrong.sum(axis=0, dtype=np.int64)
+    wrong = (np.signbit(leaf_llr) != (truth < 0)) & spec.info_mask_by_leaf[:, None]
+    return wrong.sum(axis=1, dtype=np.int64)

@@ -441,7 +441,7 @@ def test_forks_move_at_most_twice_the_kernel_work(m, k, L, frames):
         counter = list_decoder._decode(spec, llr, L, mode)[3]
         assert 0 < counter.moved <= 2 * counter.kernel
         assert counter.moved == moved
-        assert list_decoder._decode(spec, llr, 1, mode, leaf_llr=np.empty_like(llr))[3].moved == 0
+        assert list_decoder._decode(spec, llr, 1, mode, leaf_llr=np.empty(llr.shape[::-1]))[3].moved == 0
 
 
 def test_select_ops_bounded_by_pool_cap():
