@@ -206,25 +206,13 @@ class CodeSpec:
         return first, level[first]
 
     @cached_property
-    def decode_steps(self):
-        """The list decoder's steps, as (first leaf, node level) pairs.
-
-        An information leaf is a step of its own at level m.  Frozen leaves
-        are grouped into maximal aligned all-frozen blocks: the 2**(m - level)
-        leaves of one level-`level` subtree, decoded in one step.  The steps
-        cover every leaf once, in processing order.
-        """
-        first, node = self._steps
-        return tuple(zip(first.tolist(), node.tolist()))
-
-    @cached_property
     def decode_plan(self):
-        """decode_steps compiled for the list decoder's step loop.
+        """The steps of _steps compiled for the list decoder's step loop.
 
         One tuple per step, (j, node, start, half, levels, info, width, stop,
         work), all Python ints but `levels` and `info`:
 
-        - j, node: the step's first leaf and node level, as in decode_steps;
+        - j, node: the step's first leaf and node level, as in _steps;
         - start, half: the level whose beliefs the step refreshes first, from
           its parent's through combine_u_llr at half width half = j & -j, the
           lowest set bit of j; the first step (j = 0, half = 0) starts from

@@ -12,21 +12,21 @@ of a node are contiguous blocks.  The row axis, the last, is
 hypothesis-major: with F frames, row r*F + f holds hypothesis r of frame f.
 bel[0] is the channel block, transposed once on entry, with one row per
 frame, shared by every hypothesis of that frame; the codeword symbols are
-transposed back once on exit.  The
-kernels are called on transposed views, combine_v_llr(lam[:h].T,
-lam[h:].T).T, so the half width is always their last axis.  A refresh runs
-each kernel once per level on all rows at once, so the work per frame stays
-L * n * log2(n) kernel evaluations at most.  The decided information bits
-are read off the final codewords by inverting the encoder.
+transposed back once on exit.  The kernels are called on transposed views,
+combine_v_llr(lam[:h].T, lam[h:].T).T, so the half width is always their
+last axis.  A refresh runs each kernel once per level on all rows at once,
+so the work per frame stays L * n * log2(n) kernel evaluations at most.  A
+list's decided information bits are read off its final codewords by
+inverting the encoder.
 
 Steps.  A step is one information leaf, or one maximal aligned block of
-frozen leaves: a whole subtree whose leaves are all frozen
-(CodeSpec.decode_steps).  The loop reads them from CodeSpec.decode_plan,
-built once per spec in one numpy pass: each step's refresh start and half
-width, the levels it forms, its width, the level where its fold stops and
-its kernel work per hypothesis, all as Python ints, so that a step spends
-its Python-level calls on the kernels and the selection, not on deriving
-its shape.  The work counts build up in local ints.
+frozen leaves: a whole subtree whose leaves are all frozen.  The loop reads
+them from CodeSpec.decode_plan, built once per spec in one numpy pass: each
+step's refresh start and half width, the levels it forms, its width, the
+level where its fold stops and its kernel work per hypothesis, all as
+Python ints, so that a step spends its Python-level calls on the kernels
+and the selection, not on deriving its shape.  The work counts build up in
+local ints.
 
 At an information leaf every hypothesis forks on the two bit values, the
 metric of each child growing by the log posterior of its bit.  The pool of
@@ -63,10 +63,14 @@ and the one-key sort is a stable argsort of the negated metrics.
 
 At L = 1 there is no pool, no fork and no metric: an information leaf
 takes the sign of its belief, the tie going to bit 0, and the core records
-every leaf's belief.  The metric, which only ranks a list, is summed from
-those beliefs when ListResult.metrics is first read, leaf by leaf in order
-as the pool entries would have grown it, so a caller that reads only the
-decisions never pays for it, nor for importing scipy.special.
+every leaf's belief in a position-major (n, frames) buffer, one contiguous
+row per leaf.  The decided bits are read back as the sign bits of the
+information leaves' recorded beliefs (each recorded as belief + 0.0, so a
+-0.0 tie reads as bit 0), not by inverting the encoder.  The metric, which
+only ranks a list, is summed from the same beliefs when ListResult.metrics
+is first read, leaf by leaf in order as the pool entries would have grown
+it, so a caller that reads only the decisions never pays for it, nor for
+importing scipy.special.
 
 How many hypotheses live after each step depends only on the frozen set
 and L, never on the beliefs, so the frames of a block always have the same

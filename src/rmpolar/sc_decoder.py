@@ -3,7 +3,8 @@
 Successive cancellation (SC) is the list decoder at list size 1, so the
 decoders here are thin wrappers over its core, rmpolar.list_decoder._decode:
 an information leaf takes the sign of its belief, the tie going to bit 0,
-and the wrappers read each decision as leaf belief < 0 and each posterior as
+and the wrappers read each decision as the sign bit of the recorded leaf
+belief (belief + 0.0, so -0.0 reads as bit 0) and each posterior as
 expit(leaf belief).  sc_decode decodes one frame, list_decode(spec, llr, 1)
 a block; genie_error_counts runs a block of trials as the rows of one pass,
 propagating the true symbols in place of the decisions.
@@ -48,16 +49,16 @@ def combine_v_llr(l0, l1):
     any finite inputs and keeps zeros exact:
     sign(l0*l1) * min(|l0|, |l1|) + log1p(exp(-|l0 + l1|)) - log1p(exp(-|l0 - l1|)).
     `l0` must broadcast to the shape of `l1`.  Both correction terms are
-    formed in one (..., 2) block, so each of its four steps is one call; each
-    slab of the block is laid out as the transpose of a C-ordered array, like
-    the decoder's operands.  Every step is an elementwise ufunc, so any
-    memory order of the operands (C, Fortran, strided views) gives the same
-    bits.
+    formed in one (..., 2) block, so each of its four steps is one call.  The
+    block is Fortran-ordered, so each term is laid out like the decoder's
+    operands, transposed views of C-ordered levels.  Every step is an
+    elementwise ufunc, so any memory order of the operands (C, Fortran,
+    strided views) gives the same bits.
     """
     out = np.abs(l1)
     np.minimum(np.abs(l0), out, out=out)
     np.copysign(out, l0 * l1, out=out)
-    corr = np.empty((2,) + out.shape[::-1]).T
+    corr = np.empty(out.shape + (2,), order="F")
     plus, minus = corr[..., 0], corr[..., 1]
     np.add(l0, l1, out=plus)
     np.subtract(l0, l1, out=minus)

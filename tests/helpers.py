@@ -226,6 +226,19 @@ def random_spec(m, k, rng):
     return CodeSpec(m=m, info_indices=chosen)
 
 
+def decode_steps(spec):
+    """The list decoder's steps under `spec`, as (first leaf, node level) pairs.
+
+    An information leaf is a step of its own at level m.  Frozen leaves are
+    grouped into maximal aligned all-frozen blocks: the 2**(m - level) leaves
+    of one level-`level` subtree, decoded in one step.  The steps cover every
+    leaf once, in processing order.  Read from the library's CodeSpec._steps,
+    which its step plan is built from.
+    """
+    first, node = spec._steps
+    return tuple(zip(first.tolist(), node.tolist()))
+
+
 def leaf_bits_for(spec, info_bits):
     """Per-leaf bits (processing order) of the word named by info_bits."""
     coeff = np.zeros(spec.n, dtype=np.uint8)

@@ -22,7 +22,7 @@ from rmpolar import (
 )
 from rmpolar import code_model
 from rmpolar.code_model import MAX_M
-from helpers import full_spec, gf2_rank, info_paths, random_spec
+from helpers import decode_steps, full_spec, gf2_rank, info_paths, random_spec
 
 
 def test_rm_dimension_examples():
@@ -148,7 +148,7 @@ def _steps_by_recursion(frozen, start, level, m):
 def _check_decode_steps(spec):
     m, n = spec.m, spec.n
     frozen = ~spec.info_mask_by_leaf
-    steps = spec.decode_steps
+    steps = decode_steps(spec)
     leaf = 0
     for j, node in steps:
         # the steps tile the leaves in processing order
@@ -180,25 +180,25 @@ def test_decode_steps_tile_leaves_with_maximal_frozen_subtrees():
 
 def test_decode_steps_edge_cases():
     # full rate: one step per leaf, no frozen block
-    assert full_spec(4).decode_steps == tuple((j, 4) for j in range(16))
+    assert decode_steps(full_spec(4)) == tuple((j, 4) for j in range(16))
     # nothing informational: the whole tree is one frozen step
-    assert CodeSpec(m=3, info_indices=()).decode_steps == ((0, 0),)
+    assert decode_steps(CodeSpec(m=3, info_indices=())) == ((0, 0),)
     # one information leaf: frozen subtrees of halving width around it
     lone = CodeSpec(m=4, info_indices=(9,))  # leaf 15 - 9 = 6
-    assert lone.decode_steps == ((0, 2), (4, 3), (6, 4), (7, 4), (8, 1))
+    assert decode_steps(lone) == ((0, 2), (4, 3), (6, 4), (7, 4), (8, 1))
     for index in range(16):
         _check_decode_steps(CodeSpec(m=4, info_indices=(index,)))
     # the three benchmark codes: 256 -> 160, 1024 -> 608 and 256 -> 163 steps
-    assert len(freeze_bec(8, 128, 0.5).decode_steps) == 160
-    assert len(freeze_bec(10, 512, 0.5).decode_steps) == 608
-    assert len(freeze_rm(3, 8).decode_steps) == 163
+    assert len(decode_steps(freeze_bec(8, 128, 0.5))) == 160
+    assert len(decode_steps(freeze_bec(10, 512, 0.5))) == 608
+    assert len(decode_steps(freeze_rm(3, 8))) == 163
 
 
 def _plan_by_steps(spec):
     """decode_plan recomputed one step at a time from decode_steps."""
     m = spec.m
     plan = []
-    for j, node in spec.decode_steps:
+    for j, node in decode_steps(spec):
         half = j & -j
         start = m - (half.bit_length() - 1) if j else 0
         width = 1 << (m - node)

@@ -20,6 +20,7 @@ from rmpolar import (
     encode,
     freeze_bec,
     freeze_rm,
+    genie_error_counts,
     info_bits_to_int,
     list_decode,
     ml_decode,
@@ -31,6 +32,7 @@ from rmpolar import (
 )
 from rmpolar.list_decoder import extend_leaf, select_top
 from helpers import (
+    decode_steps,
     frame_of,
     full_spec,
     metric_replay,
@@ -191,10 +193,20 @@ def test_list_size_one_and_sc_break_a_tie_toward_bit_zero(llr, lam):
     leaf = combine_u_llr(llr[:1], llr[1:], 1.0)
     assert leaf.tobytes() == np.array([lam]).tobytes()
     bit = int(lam < 0.0)
-    assert list(list_decode(spec, llr, list_size=1).best.info_bits) == [bit]
-    assert list(sc_decode(spec, llr).info_bits) == [bit]
+    best = list_decode(spec, llr, list_size=1).best
+    assert list(best.info_bits) == [bit]
+    result = sc_decode(spec, llr)
+    assert list(result.info_bits) == [bit]
     block = np.stack([llr, llr])
     assert list_decode(spec, block, list_size=1).best.info_bits.tolist() == [[bit], [bit]]
+    # a -0.0 belief reaches only the last leaf, whose symbol goes only into
+    # the codeword: both of its positions carry the decided bit
+    assert list(best.codeword) == list(result.codeword) == [bit, bit]
+    # the genie pass counts the raw decision against either true bit, and
+    # never at the frozen leaf 0
+    truth = np.array([[0], [1]], dtype=np.uint8)
+    assert genie_error_counts(spec, block, truth).tolist() == [0, 1]
+    assert genie_error_counts(spec, block[:1], truth[:1]).tolist() == [0, bit]
 
 
 def test_list_decode_matches_reference_decoder():
@@ -486,7 +498,7 @@ def test_larger_lists_do_not_hurt_frame_error_rate():
 def test_frozen_subtree_of_width_128_matches_reference_decoder():
     spec = freeze_bec(10, 512, 0.5)
     # leaves 0..127 form one frozen step, decoded breadth first
-    assert spec.decode_steps[0] == (0, 3)
+    assert decode_steps(spec)[0] == (0, 3)
     rng = np.random.default_rng(63)
     frames = [_received_llr(spec, Channel.awgn(sigma), rng)[1].llr for sigma in (0.8, 1.1)]
     frames.append(np.round(frames[1]))  # rounded beliefs: exact metric ties
@@ -596,7 +608,7 @@ def test_frozen_step_ranks_ties_as_leaf_by_leaf_sorts():
     # metrics but reach them in a different order, and which of them is
     # ranked first decides a tie at the cut to L=4 two leaves later
     spec = CodeSpec(m=3, info_indices=(1, 4, 5, 6))
-    assert (4, 2) in spec.decode_steps
+    assert (4, 2) in decode_steps(spec)
     llr = np.array([2.0, 0.0, 0.0, -2.0, -2.0, -2.0, -2.0, -2.0])
     result = list_decode(spec, llr, list_size=4)
     assert same_list_result(result, reference_list_decode(spec, llr, 4))
