@@ -6,13 +6,17 @@ advances step by step in leaf processing order, and the live hypotheses of
 every frame in a block move together.
 
 Layout.  Arrays are position-major: bel[lvl] holds the level-lvl beliefs,
-shape (2**(m-lvl), rows), and vsym[lvl] the decided symbols of the pending
-i=1 child at that level, same shape, so the two halves lam[:h] and lam[h:]
-of a node are contiguous blocks.  The row axis, the last, is
-hypothesis-major: with F frames, row r*F + f holds hypothesis r of frame f.
+shape (2**(m-lvl), rows), so the two halves lam[:h] and lam[h:] of a node
+are contiguous blocks.  The decided symbols live in one (n, L*F) buffer of
+ones that ends as the codewords: leaf j writes position n-1-j, a node's
+i=0 child is its lower half and its pending i=1 child its upper half, so
+folding a completed node multiplies its upper half by its lower half in
+place, and the symbols of a frozen subtree are never written.  The row
+axis, the last, is hypothesis-major: with F frames, row r*F + f holds
+hypothesis r of frame f.
 bel[0] is the channel block, transposed once on entry, with one row per
-frame, shared by every hypothesis of that frame; the codeword symbols are
-transposed back once on exit.  The kernels are called on transposed views,
+frame, shared by every hypothesis of that frame; the symbol buffer is
+transposed once on exit.  The kernels are called on transposed views,
 combine_v_llr(lam[:h].T, lam[h:].T).T, so the half width is always their
 last axis.  A refresh runs each kernel once per level on all rows at once,
 so the work per frame stays L * n * log2(n) kernel evaluations at most.  A
@@ -43,15 +47,16 @@ parent rows in one take, after resetting to identity the maps of the
 arrays written since the previous fork (a fixed list of per-slot flags and
 the list of slots flagged).  A fork that keeps the live rows in their order,
 told by comparing the parent ranks' bytes with those of the identity,
-composes nothing.  An array is gathered through its map only
-where it is read: the operands of combine_u_llr at a refresh (the parent's
-beliefs and the pending i=1 symbols) and the pending symbols in the fold.
+composes nothing.  An array is gathered through its map only where it is
+read: the operands of combine_u_llr at a refresh (the parent's beliefs, and
+the pending i=1 symbols, gathered in place in the symbol buffer) and the
+pending symbols in the fold, gathered into their product.
 OpCounter.moved counts the entries gathered: about 1-1.5 times the kernel
 work, where copying every pending level at each fork moves about n entries
 per row and information leaf.
 
 Frozen subtrees.  A frozen subtree's symbols are all known (+1), so its
-leaf beliefs are formed breadth first over (nodes, size, rows) blocks, one
+leaf beliefs are formed breadth first over (size, nodes, rows) blocks, one
 combine_v_llr and one combine_u_llr call per level over all of its nodes,
 and every kernel of the leaf-by-leaf order is still evaluated.  Each frozen
 leaf either adds its bit-0 log posterior to the metric
@@ -82,7 +87,7 @@ ranks the survivors of every frame at once, in arrays, for one ListResult.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -124,15 +129,6 @@ def log_expit(x):
     from scipy.special import log_expit
 
     return log_expit(x)
-
-
-@lru_cache(maxsize=64)
-def _frozen_symbols(width, rows):
-    """The decided symbols of a frozen step: read-only (width, rows) ones,
-    shared by every step and call of that shape."""
-    ones = np.ones((width, rows))
-    ones.setflags(write=False)
-    return ones
 
 
 @dataclass
@@ -365,7 +361,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     symbols, is propagated in place of the decisions of that pass (the genie
     mode).  Both are read or written one contiguous row block per step.
     """
-    m = spec.m
+    m, n = spec.m, spec.n
     frames = len(llr)
     # a list's metric; at list_size 1 the leaf beliefs stand in for it
     include = frozen_metric == "include" and list_size > 1
@@ -375,12 +371,20 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     # the parent ranks of a fork that keeps every row in place, as bytes
     unmoved = np.arange(list_size).repeat(frames).tobytes()
     bel = [np.ascontiguousarray(llr.T)] + [None] * m
-    vsym = [None] * (m + 1)
-    # Row maps of the stored arrays, bel[lvl] in slot lvl and vsym[lvl] in
-    # slot m + lvl: physical row maps[s, r] of stored array s holds current
-    # row r.  The slots listed in `written` (fresh[s] True) were written
-    # since the last fork, so their physical rows are the current rows and
-    # their maps are stale.
+    # The decided symbols, position-major, ending as the codewords: leaf j
+    # decides position n - 1 - j, so the step at leaves j .. j + width - 1
+    # spans positions n - j - width .. n - j - 1, and a node's i=0 child
+    # is its lower half, the pending i=1 child its upper half.  Frozen
+    # symbols are the initial ones, never written.
+    syms = np.ones((n, list_size * frames))
+    # the columns of the current rows; the physical rows that the row maps
+    # name are among them, since the list never shrinks
+    sym = syms[:, :frames]
+    # Row maps of the stored arrays, bel[lvl] in slot lvl and the pending
+    # symbols at level lvl in slot m + lvl: physical row maps[s, r] of stored
+    # array s holds current row r.  The slots listed in `written` (fresh[s]
+    # True) were written since the last fork, so their physical rows are the
+    # current rows and their maps are stale.
     maps = np.zeros((2 * m + 1, frames), dtype=np.intp)
     fresh = [False] * (2 * m + 1)
     written = []
@@ -389,18 +393,18 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     entry_symbols = np.tile(_BIT_SIGNS, list_size)
     metrics = np.zeros((1, frames)) if list_size > 1 else None
     live = 1
-    code_syms = None
 
     for j, node, start, half, levels, info, width, stop, work in spec.decode_plan:
         kernel += work * live
         # refresh the level-node beliefs from the deepest level still valid
         if half:
-            # the pending i=1 symbols are read again by the fold
+            # the pending i=1 symbols are read again by the fold: gather them
+            # in place
             s = m + start
-            v = vsym[start]
+            v = sym[n - j : n - j + half]
             if not fresh[s]:
-                v = vsym[start] = v.take(maps[s], axis=1)
-                moved += v.size // frames
+                v[...] = v.take(maps[s], axis=1)
+                moved += half * live
                 fresh[s] = True
                 written.append(s)
             # the level start-1 node gets its last child: free its beliefs
@@ -439,14 +443,17 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             leaf = leaf_llr[j : j + 1]
             np.add(lam, 0.0, out=leaf)
             select += 2
-            cur = np.copysign(1.0, leaf) if truth is None else truth[j : j + 1]
+            if truth is None:
+                np.copysign(1.0, leaf, out=sym[n - 1 - j : n - j])
+            else:
+                sym[n - 1 - j] = truth[j]
         elif info:
             pool = extend_leaf(metrics, lam.reshape(live, frames))
             select += len(pool)
             keep = select_top(pool, list_size)
             metrics = pool.take(keep if frames == 1 else keep * frames + cols)
             parent = keep >> 1
-            cur = entry_symbols.take(keep.reshape(1, -1))
+            syms[n - 1 - j, : keep.size] = entry_symbols.take(keep.ravel())
         else:
             select += live * width
             if width == 1:
@@ -475,7 +482,6 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             if parent is not None:
                 metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
             # with 'ignore' the metrics, ranked already, do not change
-            cur = _frozen_symbols(width, live * frames)
 
         if parent is not None:
             survivors = len(parent)
@@ -490,22 +496,23 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
                     for s in written:
                         fresh[s] = False
                     written.clear()
-            live = survivors
+            if survivors != live:
+                live = survivors
+                sym = syms[:, : live * frames]
 
-        # fold the decided symbols back up the completed subtrees
+        # fold the decided symbols back up the completed subtrees: each
+        # node's upper half becomes the product of its halves
+        low = n - j - width
         for d in range(node, stop, -1):
-            v = vsym[d]
-            if not fresh[m + d]:
-                v = v.take(maps[m + d], axis=1)
-                moved += v.size // frames
-            cur = np.concatenate([cur, cur * v])
-            vsym[d] = None
-        if stop:
-            vsym[stop] = cur
-            if not fresh[m + stop]:
-                fresh[m + stop] = True
-                written.append(m + stop)
-        else:
-            code_syms = cur
+            size = 1 << (m - d)
+            upper = sym[low + size : low + 2 * size]
+            if fresh[m + d]:
+                upper *= sym[low : low + size]
+            else:
+                moved += size * live
+                np.multiply(upper.take(maps[m + d], axis=1), sym[low : low + size], out=upper)
+        if stop and not fresh[m + stop]:
+            fresh[m + stop] = True
+            written.append(m + stop)
 
-    return np.ascontiguousarray(code_syms.T), metrics, live, OpCounter(kernel, select, moved)
+    return np.ascontiguousarray(syms.T), metrics, live, OpCounter(kernel, select, moved)
