@@ -15,8 +15,8 @@ place, and the symbols of a frozen subtree are never written.  The row
 axis, the last, is hypothesis-major: with F frames, row r*F + f holds
 hypothesis r of frame f.
 bel[0] is the channel block, transposed once on entry, with one row per
-frame, shared by every hypothesis of that frame; the symbol buffer is
-transposed once on exit.  The kernels are called on transposed views,
+frame, shared by every hypothesis of that frame; the signs of the symbol
+buffer are transposed once on exit.  The kernels are called on transposed views,
 combine_v_llr(lam[:h].T, lam[h:].T).T, so the half width is always their
 last axis.  A refresh runs each kernel once per level on all rows at once,
 so the work per frame stays L * n * log2(n) kernel evaluations at most.  A
@@ -314,7 +314,8 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
         return ListResult(bits, codewords, np.zeros((0, live)), 0, 0)
     leaf_llr = np.empty(llr.shape[::-1]) if live == 1 else None
     code_syms, metrics, live, counter = _decode(spec, llr, live, frozen_metric, leaf_llr=leaf_llr)
-    codewords = (code_syms < 0.0).astype(np.uint8).reshape(live, len(llr), spec.n)
+    # the signs transposed as bytes, not the float symbols
+    codewords = np.ascontiguousarray((code_syms < 0.0).T).view(np.uint8).reshape(live, len(llr), spec.n)
     if leaf_llr is not None:
         # the decided bits are the sign bits of the information leaves'
         # beliefs; the one hypothesis needs no ranking: (frames, 1, ...)
@@ -351,8 +352,8 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     """The decoder core: decode a checked (frames, n) LLR block, list_size <= 2**N.
 
     Returns (code_syms, metrics, live, counter): the +-1 codeword symbols of
-    every surviving hypothesis, shape (live*frames, n) in hypothesis-major
-    rows, their metrics, shape (live, frames), in rank order, and the work
+    every surviving hypothesis, position-major, shape (n, live*frames) with
+    hypothesis-major rows, their metrics, shape (live, frames), in rank order, and the work
     counts.  At list_size 1 an information leaf takes the sign of its belief,
     the tie going to bit 0, and there is no metric (None): `leaf_llr`, a
     position-major (n, frames) array that list_size 1 requires, is filled
@@ -515,4 +516,4 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             fresh[m + stop] = True
             written.append(m + stop)
 
-    return np.ascontiguousarray(syms.T), metrics, live, OpCounter(kernel, select, moved)
+    return syms, metrics, live, OpCounter(kernel, select, moved)

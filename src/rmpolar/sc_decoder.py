@@ -116,7 +116,7 @@ def sc_decode(spec, beliefs):
     lam = leaf_llr[spec.info_mask_by_leaf, 0]
     return DecodeResult(
         info_bits=np.signbit(lam).view(np.uint8),
-        codeword=(code_syms[0] < 0.0).astype(np.uint8),
+        codeword=(code_syms[:, 0] < 0.0).view(np.uint8),
         leaf_posteriors=expit(lam),
         op_count=counter.kernel,
     )
