@@ -7,11 +7,11 @@ every frame in a block move together.
 
 Layout.  Arrays are position-major: bel[lvl] holds the level-lvl beliefs,
 shape (2**(m-lvl), rows), so the two halves lam[:h] and lam[h:] of a node
-are contiguous blocks.  The decided symbols live in one (n, L*F) buffer of
-ones that ends as the codewords: leaf j writes position n-1-j, a node's
-i=0 child is its lower half and its pending i=1 child its upper half, so
-folding a completed node multiplies its upper half by its lower half in
-place, and the symbols of a frozen subtree are never written.  The row
+are contiguous blocks.  The decided symbols live in one (n, L*F) buffer
+that ends as the codewords: leaf j writes position n-1-j (a frozen subtree
+fills its positions with +1), a node's i=0 child is its lower half and its
+pending i=1 child its upper half, so folding a completed node multiplies
+its upper half by its lower half in place.  The row
 axis, the last, is hypothesis-major: with F frames, row r*F + f holds
 hypothesis r of frame f.
 bel[0] is the channel block, transposed once on entry, with one row per
@@ -375,9 +375,9 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     # The decided symbols, position-major, ending as the codewords: leaf j
     # decides position n - 1 - j, so the step at leaves j .. j + width - 1
     # spans positions n - j - width .. n - j - 1, and a node's i=0 child
-    # is its lower half, the pending i=1 child its upper half.  Frozen
-    # symbols are the initial ones, never written.
-    syms = np.ones((n, list_size * frames))
+    # is its lower half, the pending i=1 child its upper half.  Its pages
+    # are touched as the steps write them, not up front.
+    syms = np.empty((n, list_size * frames))
     # the columns of the current rows; the physical rows that the row maps
     # name are among them, since the list never shrinks
     sym = syms[:, :frames]
@@ -483,6 +483,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             if parent is not None:
                 metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
             # with 'ignore' the metrics, ranked already, do not change
+            sym[n - j - width : n - j] = 1.0
 
         if parent is not None:
             survivors = len(parent)
