@@ -11,17 +11,16 @@ are contiguous blocks.  The decided symbols live in one (n, L*F) buffer
 that ends as the codewords: leaf j writes position n-1-j (a frozen subtree
 fills its positions with +1), a node's i=0 child is its lower half and its
 pending i=1 child its upper half, so folding a completed node multiplies
-its upper half by its lower half in place.  The row
-axis, the last, is hypothesis-major: with F frames, row r*F + f holds
-hypothesis r of frame f.
+its upper half by its lower half in place.  The row axis, the last, is
+hypothesis-major: with F frames, row r*F + f holds hypothesis r of frame f.
 bel[0] is the channel block, transposed once on entry, with one row per
 frame, shared by every hypothesis of that frame; the signs of the symbol
-buffer are transposed once on exit.  The kernels are called on transposed views,
-combine_v_llr(lam[:h].T, lam[h:].T).T, so the half width is always their
-last axis.  A refresh runs each kernel once per level on all rows at once,
-so the work per frame stays L * n * log2(n) kernel evaluations at most.  A
-list's decided information bits are read off its final codewords by
-inverting the encoder.
+buffer are transposed once on exit.  The kernels are called on transposed
+views, combine_v_llr(lam[:h].T, lam[h:].T).T, so the half width is always
+their last axis.  A refresh runs each kernel once per level on all rows at
+once, so the work per frame stays L * n * log2(n) kernel evaluations at
+most.  A list's decided information bits are read off its final codewords
+by inverting the encoder.
 
 Steps.  A step is one information leaf, or one maximal aligned block of
 frozen leaves: a whole subtree whose leaves are all frozen.  The loop reads
@@ -353,14 +352,15 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
 
     Returns (code_syms, metrics, live, counter): the +-1 codeword symbols of
     every surviving hypothesis, position-major, shape (n, live*frames) with
-    hypothesis-major rows, their metrics, shape (live, frames), in rank order, and the work
-    counts.  At list_size 1 an information leaf takes the sign of its belief,
-    the tie going to bit 0, and there is no metric (None): `leaf_llr`, a
-    position-major (n, frames) array that list_size 1 requires, is filled
-    with the belief of every leaf instead, + 0.0 at an information leaf, so
-    that its sign bit is the decided bit.  `truth`, (n, frames) per-leaf +-1
-    symbols, is propagated in place of the decisions of that pass (the genie
-    mode).  Both are read or written one contiguous row block per step.
+    hypothesis-major rows, their metrics, shape (live, frames), in rank
+    order, and the work counts.  At list_size 1 an information leaf takes
+    the sign of its belief, the tie going to bit 0, and there is no metric
+    (None): `leaf_llr`, a position-major (n, frames) array that list_size 1
+    requires, is filled with the belief of every leaf instead, + 0.0 at an
+    information leaf, so that its sign bit is the decided bit.  `truth`,
+    (n, frames) per-leaf +-1 symbols, is propagated in place of the
+    decisions of that pass (the genie mode).  Both are read or written one
+    contiguous row block per step.
     """
     m, n = spec.m, spec.n
     frames = len(llr)
@@ -372,11 +372,9 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     # the parent ranks of a fork that keeps every row in place, as bytes
     unmoved = np.arange(list_size).repeat(frames).tobytes()
     bel = [np.ascontiguousarray(llr.T)] + [None] * m
-    # The decided symbols, position-major, ending as the codewords: leaf j
-    # decides position n - 1 - j, so the step at leaves j .. j + width - 1
-    # spans positions n - j - width .. n - j - 1, and a node's i=0 child
-    # is its lower half, the pending i=1 child its upper half.  Its pages
-    # are touched as the steps write them, not up front.
+    # the decided symbols, ending as the codewords (see Layout): the step
+    # at leaves j .. j + width - 1 spans positions n - j - width .. n - j - 1.
+    # Its pages are touched as the steps write them, not up front
     syms = np.empty((n, list_size * frames))
     # the columns of the current rows; the physical rows that the row maps
     # name are among them, since the list never shrinks
@@ -483,6 +481,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             if parent is not None:
                 metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
             # with 'ignore' the metrics, ranked already, do not change
+            # every frozen leaf decides +1
             sym[n - j - width : n - j] = 1.0
 
         if parent is not None:

@@ -142,7 +142,7 @@ def genie_error_counts(spec, llr_matrix, info_bits):
         )
     if len(words) != len(llr):
         raise ValueError(f"truth needs one information word per frame: {len(llr)} frames, {len(words)} words")
-    # +-1 symbols, as int8: the pass multiplies them, and the products are exact
+    # the true +-1 symbol of every leaf, position-major like the leaf beliefs
     truth = np.ones((spec.n, len(words)), dtype=np.int8)
     truth[spec.info_mask_by_leaf] = np.where(words.T == 1, -1, 1)
     leaf_llr = np.empty(llr.shape[::-1])
