@@ -115,6 +115,9 @@ _FROZEN_METRIC_MODES = ("include", "ignore")
 _BIT_SIGNS = np.array([1.0, -1.0])
 _BIT_SIGN_COLUMN = _BIT_SIGNS[:, None]
 
+# Channel beliefs may be at most this over 2 * n in magnitude (_check_beliefs).
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+
 # The decided symbol of every frozen leaf.  A numpy scalar rather than 1.0,
 # because perfbench's kernel tracer sizes every kernel argument by nbytes.
 _PLUS_ONE = np.float64(1.0)
@@ -259,15 +262,23 @@ def _frozen_leaf_beliefs(lam, depth):
 
 def _check_beliefs(spec, beliefs):
     """Beliefs as a (frames, spec.n) float64 LLR block, and whether they were
-    one frame: a SoftVector, a 1-d array or a 2-d array of finite LLRs."""
+    one frame: a SoftVector, a 1-d array or a 2-d array of finite LLRs.
+
+    Every belief the decoder forms is at most about n times the largest
+    channel belief, so beliefs above _MAX_FLOAT / (2 n) in magnitude are
+    refused too: an infinite sum inside the tree would give NaN leaves, whose
+    decisions would follow the sign bit of a NaN.
+    """
     llr = beliefs.llr if isinstance(beliefs, SoftVector) else np.asarray(beliefs, dtype=np.float64)
     single = llr.ndim == 1
     if single:
         llr = llr[None, :]
     if llr.ndim != 2 or llr.shape[1] != spec.n:
         raise ValueError(f"beliefs must have {spec.n} positions, got shape {llr.shape}")
-    if not np.isfinite(llr).all():
-        raise ValueError("beliefs must be finite (no NaN or infinity)")
+    limit = _MAX_FLOAT / (2 * spec.n)
+    # NaN fails the comparison too
+    if not np.abs(llr).max(initial=0.0) <= limit:
+        raise ValueError(f"beliefs must be finite (no NaN or infinity) and at most {limit:.4g} in magnitude")
     return llr, single
 
 

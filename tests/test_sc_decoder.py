@@ -357,6 +357,28 @@ def test_sc_rejects_non_finite_beliefs():
             ml_decode(spec, llr)
 
 
+def test_beliefs_whose_sums_could_overflow_are_rejected():
+    # up to max / (2n) in magnitude, every belief the decoder forms stays
+    # finite; above it a sum inside the tree could reach infinity and a leaf
+    # belief NaN, whose decision would follow the NaN's sign bit
+    spec = freeze_rm(1, 3)
+    limit = np.finfo(np.float64).max / 16
+    at = np.full(8, limit)
+    # combine_v_llr's product l0 * l1 may overflow there; only its sign is used
+    with np.errstate(over="ignore"):
+        assert np.isfinite(sc_decode(spec, at).leaf_posteriors).all()
+        assert not list_decode(spec, at, 1).info_bits.any()
+    for bad in (np.nextafter(limit, np.inf), -4 * limit):
+        llr = np.ones(8)
+        llr[3] = bad
+        with pytest.raises(ValueError, match="magnitude"):
+            sc_decode(spec, llr)
+        with pytest.raises(ValueError, match="magnitude"):
+            list_decode(spec, np.vstack([np.ones(8), llr]), 2)
+        with pytest.raises(ValueError, match="magnitude"):
+            genie_error_counts(spec, llr[None, :], np.zeros((1, spec.dimension), np.uint8))
+
+
 _PROPERTY_CHANNELS = {"bsc": Channel.bsc(0.1), "bec": Channel.bec(0.5), "awgn": Channel.awgn(0.9)}
 
 
