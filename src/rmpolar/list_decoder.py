@@ -298,7 +298,8 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     spec : CodeSpec
     beliefs : SoftVector of length spec.n, an array of spec.n finite LLRs, or
         a (frames, spec.n) array of finite LLRs, one frame per row.  Raw
-        arrays are decoded as given; only SoftVector clips to +-LLR_CLAMP.
+        arrays are decoded as given, up to float64 max / (2 n) in magnitude;
+        only SoftVector clips to +-LLR_CLAMP.
     list_size : maximum number of live hypotheses L >= 1, bounded by
         check_list_size.  L = 1 is successive cancellation: each information
         bit is the sign of its leaf belief, the tie going to bit 0.
