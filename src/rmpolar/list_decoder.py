@@ -252,11 +252,11 @@ def _frozen_leaf_beliefs(lam, depth):
     width, rows = lam.shape
     blocks = lam.reshape(width, 1, 1, rows)
     for _ in range(depth):
-        h = len(blocks) // 2
+        h, nodes = len(blocks) // 2, blocks.shape[1]
         a, b = blocks[:h].T, blocks[h:].T
         # each node's children in processing order: the i=1 child (v) first
         pair = combine_v_llr(a, b).T, combine_u_llr(a, b, _PLUS_ONE).T
-        blocks = np.concatenate(pair, axis=2).reshape(h, -1, 1, rows)
+        blocks = np.concatenate(pair, axis=2).reshape(h, 2 * nodes, 1, rows)
     return blocks.reshape(width, rows)
 
 

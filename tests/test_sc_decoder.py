@@ -430,6 +430,8 @@ def test_genie_rejects_a_word_count_that_differs_from_the_frames():
     with pytest.raises(ValueError, match="one information word per frame"):
         genie_error_counts(spec, llr[0], words[:2])
     assert genie_error_counts(spec, llr, words).sum() == 0
+    # no frames, no errors: a frozen subtree of an empty block is empty
+    assert genie_error_counts(spec, llr[:0], words[:0]).tolist() == [0] * spec.n
 
 
 def test_single_frame_decoders_reject_a_block():
