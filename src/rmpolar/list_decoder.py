@@ -73,8 +73,7 @@ information leaves' recorded beliefs (each recorded as belief + 0.0, so a
 -0.0 tie reads as bit 0), not by inverting the encoder.  The metric, which
 only ranks a list, is summed from the same beliefs when ListResult.metrics
 is first read, leaf by leaf in order as the pool entries would have grown
-it, so a caller that reads only the decisions never pays for it, nor for
-importing scipy.special.
+it, so a caller that reads only the decisions never pays for it.
 
 How many hypotheses live after each step depends only on the frozen set
 and L, never on the beliefs, so the frames of a block always have the same
@@ -111,9 +110,10 @@ MAX_LIST_ENTRIES = 1 << 27
 
 _FROZEN_METRIC_MODES = ("include", "ignore")
 
-# The leaf belief is multiplied by these to score bit 0 and bit 1.
+# The symbols of bit 0 and bit 1; the leaf belief is multiplied by their
+# negations to score the two bits (log_expit(x) is -logaddexp(0, -x)).
 _BIT_SIGNS = np.array([1.0, -1.0])
-_BIT_SIGN_COLUMN = _BIT_SIGNS[:, None]
+_NEG_BIT_SIGN_COLUMN = -_BIT_SIGNS[:, None]
 
 # Channel beliefs may be at most this over 2 * n in magnitude (_check_beliefs).
 _MAX_FLOAT = float(np.finfo(np.float64).max)
@@ -124,13 +124,12 @@ _PLUS_ONE = np.float64(1.0)
 
 
 def log_expit(x):
-    """scipy.special.log_expit, which replaces this function on its first
-    call: importing scipy.special costs more than numpy itself, and
-    successive cancellation never needs it."""
-    global log_expit
-    from scipy.special import log_expit
-
-    return log_expit(x)
+    """ln(1 / (1 + e^-x)), the log posterior of bit 0 at LLR x, as
+    -np.logaddexp(0, -x) = -(max(0, -x) + log1p(exp(-|x|))): the usual
+    two-branch form, stable for any finite x, bit for bit.  The decoder
+    core folds the negation into its own arithmetic; this function sums
+    the metric of a list of one (_SCResult)."""
+    return -np.logaddexp(0.0, -x)
 
 
 @dataclass
@@ -169,7 +168,9 @@ class ListResult:
 
 class _SCResult(ListResult):
     """The ListResult of a decode that kept one hypothesis (L = 1), whose
-    metrics are summed from the (n, frames) leaf beliefs on first read."""
+    metrics are summed from the (n, frames) leaf beliefs by log_expit on
+    first read, so that a caller of the decisions alone never computes a
+    log posterior."""
 
     def __init__(self, info_bits, codewords, spec, leaf_llr, frozen_metric, kernel_ops, select_ops):
         self.info_bits = info_bits
@@ -202,24 +203,21 @@ def extend_leaf(metrics, leaf_llrs):
     column ordered by parent rank, then bit: entry i extends parent i // 2
     with bit i % 2.
     """
-    pool = metrics[:, None] + log_expit(leaf_llrs[:, None] * _BIT_SIGN_COLUMN)
+    pool = metrics[:, None] - np.logaddexp(0.0, leaf_llrs[:, None] * _NEG_BIT_SIGN_COLUMN)
     return pool.reshape(-1, metrics.shape[1])
 
 
-def select_top(pool, limit, counter=None):
+def select_top(pool, limit):
     """Indices of the `limit` best pool entries, by metric descending.
 
     A 2-d pool is ranked down axis 0, one column per frame, and gives indices
     of shape (kept, frames).  Ties go to the earlier entry, which in an
     :func:`extend_leaf` pool is the earlier parent rank, then bit 0.  A pool
-    no larger than `limit` passes through (re-ranked).  `counter.select`
-    grows by the entries of one column.
+    no larger than `limit` passes through (re-ranked).
     """
     if limit < 1:
         raise ValueError(f"list size must be >= 1, got {limit}")
     pool = np.asarray(pool, dtype=np.float64)
-    if counter is not None:
-        counter.select += len(pool)
     return (-pool).argsort(axis=0, kind="stable")[:limit]
 
 
@@ -323,8 +321,7 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     if not len(llr):
         bits, codewords = (np.zeros((0, live, width), dtype=np.uint8) for width in (spec.dimension, spec.n))
         return ListResult(bits, codewords, np.zeros((0, live)), 0, 0)
-    leaf_llr = np.empty(llr.shape[::-1]) if live == 1 else None
-    code_syms, metrics, live, counter = _decode(spec, llr, live, frozen_metric, leaf_llr=leaf_llr)
+    code_syms, metrics, live, counter, leaf_llr = _decode(spec, llr, live, frozen_metric)
     # the signs transposed as bytes, not the float symbols
     codewords = np.ascontiguousarray((code_syms < 0.0).T).view(np.uint8).reshape(live, len(llr), spec.n)
     if leaf_llr is not None:
@@ -359,16 +356,16 @@ def _rank(metrics, bits):
     return order[np.where(rank == 0, pick, rank - (rank <= pick)), cols]
 
 
-def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
+def _decode(spec, llr, list_size, frozen_metric, truth=None):
     """The decoder core: decode a checked (frames, n) LLR block, list_size <= 2**N.
 
-    Returns (code_syms, metrics, live, counter): the +-1 codeword symbols of
-    every surviving hypothesis, position-major, shape (n, live*frames) with
-    hypothesis-major rows, their metrics, shape (live, frames), in rank
-    order, and the work counts.  At list_size 1 an information leaf takes
-    the sign of its belief, the tie going to bit 0, and there is no metric
-    (None): `leaf_llr`, a position-major (n, frames) array that list_size 1
-    requires, is filled with the belief of every leaf instead, + 0.0 at an
+    Returns (code_syms, metrics, live, counter, leaf_llr): the +-1 codeword
+    symbols of every surviving hypothesis, position-major, shape
+    (n, live*frames) with hypothesis-major rows, their metrics, shape
+    (live, frames), in rank order, the work counts and None.  At list_size
+    1 an information leaf takes the sign of its belief, the tie going to
+    bit 0, and there is no metric (None): leaf_llr is instead the
+    position-major (n, frames) belief of every leaf, + 0.0 at an
     information leaf, so that its sign bit is the decided bit.  `truth`,
     (n, frames) per-leaf +-1 symbols, is propagated in place of the
     decisions of that pass (the genie mode).  Both are read or written one
@@ -388,6 +385,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
     # at leaves j .. j + width - 1 spans positions n - j - width .. n - j - 1.
     # Its pages are touched as the steps write them, not up front
     syms = np.empty((n, list_size * frames))
+    leaf_llr = np.empty((n, frames)) if list_size == 1 else None
     # the columns of the current rows; the physical rows that the row maps
     # name are among them, since the list never shrinks
     sym = syms[:, :frames]
@@ -472,7 +470,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
                 if leaf_llr is not None:
                     leaf_llr[j] = lam[0]
                 if include:
-                    metrics = log_expit(lam).reshape(live, frames) + metrics
+                    metrics = metrics - np.logaddexp(0.0, -lam).reshape(live, frames)
                     if live > 1:
                         parent = (-metrics).argsort(axis=0, kind="stable")
             else:
@@ -480,16 +478,18 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
                 if leaf_llr is not None:
                     leaf_llr[j : j + width] = leaves[:, 0]
                 if include:
-                    # the metric after each leaf, (metric + l1) + l2 + ... in
-                    # leaf order, rounded as one extension per leaf would be
-                    running = log_expit(leaves)
-                    running[0] += metrics
-                    running = np.add.accumulate(running, axis=0)
-                    metrics = running[-1]
+                    # the negated metric after each leaf, (c1 - metric) + c2
+                    # + ... in leaf order for costs c = -log_expit(leaf),
+                    # rounded as one extension per leaf rounds the metric
+                    cost = np.logaddexp(0.0, -leaves)
+                    cost[0] -= metrics
+                    cost = np.add.accumulate(cost, axis=0)
+                    # not -cost: a metric summed from +0.0 is never -0.0
+                    metrics = 0.0 - cost[-1]
                     if live > 1:
                         # one stable sort per leaf, composed: the last leaf's
-                        # metric ranks first, earlier leaves break its ties
-                        parent = np.lexsort(-running, axis=0)
+                        # cost ranks first, earlier leaves break its ties
+                        parent = np.lexsort(cost, axis=0)
             if parent is not None:
                 metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
             # with 'ignore' the metrics, ranked already, do not change
@@ -528,4 +528,4 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None, leaf_llr=None):
             fresh[m + stop] = True
             written.append(m + stop)
 
-    return syms, metrics, live, OpCounter(kernel, select, moved)
+    return syms, metrics, live, OpCounter(kernel, select, moved), leaf_llr

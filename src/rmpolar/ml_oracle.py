@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import encode
-from .list_decoder import METRIC_TIE_EPS, _one_frame
+from .list_decoder import METRIC_TIE_EPS, _one_frame, log_expit
 
 __all__ = ["MAX_ENUM_BITS", "MLResult", "ml_decode"]
 
@@ -66,8 +66,6 @@ def likelihood_table(spec, beliefs):
     """Log-likelihood of every codeword, indexed by information-word integer:
     the sum over positions of ln q where the codeword bit is 0, else
     ln(1 - q), for one frame of beliefs."""
-    from scipy.special import log_expit
-
     llr = _one_frame(spec, beliefs)[0]
     _, codewords = _codebook(spec)
     logq = log_expit(llr)

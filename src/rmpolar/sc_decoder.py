@@ -110,9 +110,7 @@ def sc_decode(spec, beliefs):
 
     from .list_decoder import _decode, _one_frame
 
-    llr = _one_frame(spec, beliefs)
-    leaf_llr = np.empty(llr.shape[::-1])
-    code_syms, _, _, counter = _decode(spec, llr, 1, "ignore", leaf_llr=leaf_llr)
+    code_syms, _, _, counter, leaf_llr = _decode(spec, _one_frame(spec, beliefs), 1, "ignore")
     lam = leaf_llr[spec.info_mask_by_leaf, 0]
     return DecodeResult(
         info_bits=np.signbit(lam).view(np.uint8),
@@ -145,7 +143,6 @@ def genie_error_counts(spec, llr_matrix, info_bits):
     # the true +-1 symbol of every leaf, position-major like the leaf beliefs
     truth = np.ones((spec.n, len(words)), dtype=np.int8)
     truth[spec.info_mask_by_leaf] = np.where(words.T == 1, -1, 1)
-    leaf_llr = np.empty(llr.shape[::-1])
-    _decode(spec, llr, 1, "ignore", truth=truth, leaf_llr=leaf_llr)
+    leaf_llr = _decode(spec, llr, 1, "ignore", truth=truth)[-1]
     wrong = (np.signbit(leaf_llr) != (truth < 0)) & spec.info_mask_by_leaf[:, None]
     return wrong.sum(axis=1, dtype=np.int64)

@@ -135,16 +135,25 @@ with open("llr.txt", "w") as fh:
     for row in np.random.default_rng(3).normal(1.0, 1.0, size=(3, 32)):
         fh.write(" ".join(map(repr, row.tolist())) + "\\n")
 stage("decode", ["decode", "--frozen-set", "bec.txt", "--in", "llr.txt", "--out", "dec.txt", "--list-size", "1"])
-rmpolar.list_decode(rmpolar.load_frozen_set("bec.txt"), np.ones(32), 2)
+spec = rmpolar.load_frozen_set("bec.txt")
+beliefs = np.random.default_rng(4).normal(1.0, 1.0, size=(2, 32))
+rmpolar.list_decode(spec, beliefs, 2).candidates
 stages.append(("list_decode L=2", "scipy.special" in sys.modules))
+rmpolar.list_decode(spec, beliefs, 1).metrics
+stages.append(("list_decode L=1 metrics", "scipy.special" in sys.modules))
+rmpolar.ml_decode(spec, beliefs[0])
+stages.append(("ml_decode", "scipy.special" in sys.modules))
+rmpolar.sc_decode(spec, beliefs[0])
+stages.append(("sc_decode", "scipy.special" in sys.modules))
 print(json.dumps(stages))
 """
 
 
 def test_import_construct_and_list_size_one_never_load_scipy_special(tmp_path):
-    # importing scipy.special costs more than numpy itself; successive
-    # cancellation, encoding and every construction never need it, while a
-    # list of two ranks by log posteriors, so the probe can tell
+    # importing scipy.special costs more than numpy itself; list decoding at
+    # every list size, its metrics, the ML oracle, encoding and every
+    # construction never need it, while sc_decode's posteriors do, so the
+    # probe can tell
     path = [str(Path(rmpolar.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_SPECIAL_PROBE], cwd=tmp_path, env=env,
@@ -153,6 +162,6 @@ def test_import_construct_and_list_size_one_never_load_scipy_special(tmp_path):
     stages = json.loads(proc.stdout.splitlines()[-1])
     assert [name for name, _ in stages] == [
         "import rmpolar", "construct rm", "construct bec", "construct mc", "encode", "simulate", "decode",
-        "list_decode L=2",
+        "list_decode L=2", "list_decode L=1 metrics", "ml_decode", "sc_decode",
     ]
-    assert [name for name, loaded in stages if loaded] == ["list_decode L=2"]
+    assert [name for name, loaded in stages if loaded] == ["sc_decode"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_expit
 
 from rmpolar import (
     MAX_ENUM_BITS,
@@ -80,6 +81,21 @@ def test_likelihood_table_layout():
         assert table[word_int] == pytest.approx(
             codeword_loglik(encode(spec, bits), sv), rel=1e-12, abs=1e-12
         )
+
+
+def test_likelihood_table_bytes_match_a_sum_of_scipy_log_posteriors():
+    # scipy.special.log_expit is the independent oracle for the numpy log
+    # posteriors; the sum is built here in the table's own order
+    rng = np.random.default_rng(66)
+    for spec in (freeze_rm(1, 4), freeze_bec(5, 10, 0.5), CodeSpec(m=3, info_indices=np.arange(8))):
+        shifts = np.arange(spec.dimension - 1, -1, -1)
+        words = ((np.arange(1 << spec.dimension)[:, None] >> shifts) & 1).astype(np.uint8)
+        codewords = encode(spec, words).astype(np.float64)
+        edges = [0.0, -0.0, 5e-324, 1.5, -1.5, 40.0, -40.0, 709.78, -745.2, 800.0, -800.0]
+        for llr in (rng.normal(0.5, 2.0, spec.n), rng.normal(0.0, 60.0, spec.n), rng.choice(edges, spec.n)):
+            logq, log1mq = log_expit(llr), log_expit(-llr)
+            expected = logq.sum() + codewords @ (log1mq - logq)
+            assert likelihood_table(spec, llr).tobytes() == expected.tobytes()
 
 
 def test_ml_decode_noiseless_returns_sent():
