@@ -70,8 +70,7 @@ class Channel:
 
 def modulate(codeword):
     """Map bits to antipodal symbols, bit b -> (-1)**b, as float64."""
-    bits = np.asarray(codeword)
-    return 1.0 - 2.0 * bits.astype(np.float64)
+    return np.subtract(1.0, np.multiply(2.0, codeword, dtype=np.float64))
 
 
 def transmit(channel, symbols, rng):
@@ -109,10 +108,19 @@ def posteriors(channel, observed):
         llr = np.sign(y) * LLR_CLAMP
     else:
         llr = 2.0 * y / (channel.param ** 2)
-    llr = np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
+    llr = _clamped(llr)
     if llr.ndim == 1:
         return SoftVector(llr)
     return llr
+
+
+def _clamped(llr):
+    """`llr` clamped to +-LLR_CLAMP as np.clip clamps it (NaN stays NaN, -0.0
+    stays -0.0), without np.clip's Python-level wrapper.  An array `llr` is
+    clamped in place, so callers pass one they own; a numpy scalar (from 0-d
+    input) gives a new scalar."""
+    out = llr if isinstance(llr, np.ndarray) else None
+    return np.minimum(np.maximum(llr, -LLR_CLAMP, out=out), LLR_CLAMP, out=out)
 
 
 class SoftVector:
@@ -127,7 +135,7 @@ class SoftVector:
             raise ValueError(f"beliefs must be a non-empty 1-d array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("beliefs must be finite (no NaN or infinity)")
-        np.clip(arr, -LLR_CLAMP, LLR_CLAMP, out=arr)
+        _clamped(arr)
         arr.setflags(write=False)
         self.llr = arr
 
@@ -139,7 +147,7 @@ class SoftVector:
             raise ValueError("q values must lie in [0, 1]")
         with np.errstate(divide="ignore"):
             llr = np.log(q) - np.log1p(-q)
-        return cls(np.clip(llr, -LLR_CLAMP, LLR_CLAMP))
+        return cls(_clamped(llr))
 
     @classmethod
     def from_llr(cls, llr):

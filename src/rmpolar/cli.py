@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .channel import LLR_CLAMP, parse_channel
+from .channel import _clamped, parse_channel
 from .code_model import check_m, freeze_bec, freeze_montecarlo, freeze_rm, load_frozen_set, save_frozen_set
 from .encoder import encode
 from .list_decoder import check_list_size, list_decode
@@ -70,19 +70,25 @@ def _read_bit_lines(path, width, what):
                 continue
             if len(line) != width or set(line) - {"0", "1"}:
                 raise SystemExit(f"{path}:{ln}: expected {width} bits of 0/1 for {what}")
-            words.append([int(c) for c in line])
+            words.append(line)
     if not words:
         raise SystemExit(f"{path}: no {what} lines found")
-    return np.array(words, dtype=np.uint8)
+    return np.frombuffer("".join(words).encode("ascii"), np.uint8).reshape(len(words), width) - ord("0")
+
+
+def _bit_lines(bits):
+    """The rows of a (rows, width) 0/1 array as ASCII lines of 0 and 1."""
+    lines = np.full((len(bits), bits.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :-1] = bits + ord("0")
+    return lines.tobytes()
 
 
 def _cmd_encode(args):
     spec = load_frozen_set(args.frozen_set)
     words = _read_bit_lines(args.infile, spec.dimension, "information bits")
     codewords = encode(spec, words)
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        for row in codewords:
-            fh.write("".join(str(b) for b in row) + "\n")
+    with open(args.out, "wb") as fh:
+        fh.write(_bit_lines(codewords))
     print(f"encoded {len(words)} frame(s) -> {args.out}")
     return 0
 
@@ -106,17 +112,17 @@ def _cmd_decode(args):
             frames.append(values)
     if not frames:
         raise SystemExit(f"{args.infile}: no LLR lines found")
-    # clipped like SoftVector beliefs, which raw blocks are not
-    llr = np.clip(np.array(frames, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
+    # clamped like SoftVector beliefs, which raw blocks are not
+    llr = _clamped(np.array(frames, dtype=np.float64))
     step = block_frames(spec, args.list_size)
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+    with open(args.out, "wb") as fh:
         for first in range(0, len(llr), step):
             # the rank-1 words only, so that the result (at L = 1 with its leaf
             # beliefs) is freed before the next block
             words = list_decode(
                 spec, llr[first : first + step], args.list_size, frozen_metric=args.frozen_metric
             ).info_bits[:, 0]
-            fh.writelines("".join(map(str, bits)) + "\n" for bits in words)
+            fh.write(_bit_lines(words))
     print(f"decoded {len(frames)} frame(s) -> {args.out}")
     return 0
 

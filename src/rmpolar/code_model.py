@@ -365,9 +365,8 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
     while done < trials:
         b = min(batch, trials - done)
         words = rng.integers(0, 2, size=(b, n), dtype=np.uint8)
-        sent = modulate(encode(full, words))
-        received = transmit(channel, sent, rng)
-        llr = posteriors(channel, received)
+        # the symbols and channel outputs are not kept through the decode
+        llr = posteriors(channel, transmit(channel, modulate(encode(full, words)), rng))
         errors += genie_error_counts(full, llr, words)
         done += b
 

@@ -64,6 +64,22 @@ def encode_reference(spec, info_bits):
     return out[0] if squeeze else out
 
 
+def reference_plotkin_transform(coeff):
+    """Reference butterfly: the m stages (c0, c0 + c1) along the last axis,
+    one uint8 per bit, with the c1 half of every block of `step` XORed in
+    place from its c0 half, widest blocks first."""
+    n = coeff.shape[-1]
+    m = n.bit_length() - 1
+    out = np.array(coeff, dtype=np.uint8)
+    lead = out.shape[:-1]
+    for level in range(1, m + 1):
+        step = 1 << (m - level + 1)
+        half = step >> 1
+        view = out.reshape(lead + (n // step, step))
+        view[..., half:] ^= view[..., :half]
+    return out
+
+
 def codeword_loglik(codeword, beliefs):
     """Log-likelihood of one codeword: sum over positions of ln q if the bit
     is 0, else ln(1 - q)."""

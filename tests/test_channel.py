@@ -20,6 +20,52 @@ def test_modulate_maps_bits_to_symbols():
     assert modulate(np.array([0, 1])).dtype == np.float64
 
 
+# edge values of the clamp and of modulate, then ordinary draws
+_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, LLR_CLAMP, -LLR_CLAMP, 1e308, -1e308])
+_VALUES = np.concatenate([_EDGES, np.random.default_rng(31).normal(0.0, 30.0, size=55)])
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+# +-1e308 overflows to +-inf on the way, in both forms
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_modulate_matches_the_astype_expression_byte_for_byte():
+    bits = np.random.default_rng(32).integers(0, 2, size=64, dtype=np.uint8)
+    for value in (bits, bits.astype(bool), bits.astype(np.int64), _VALUES, _VALUES.astype(np.float32)):
+        _same_bytes(modulate(value), 1.0 - 2.0 * np.asarray(value).astype(np.float64))
+    _same_bytes(modulate([0, 1, 1]), [1.0, -1.0, -1.0])
+
+
+# +-1e308 overflows to +-inf on the way, in both forms
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_the_clamp_matches_np_clip_byte_for_byte():
+    y = _VALUES.reshape(4, 16)
+    raws = {
+        Channel.bsc(0.1): np.sign(y) * np.log(0.9 / 0.1),
+        Channel.bsc(0.0): np.sign(y) * LLR_CLAMP,
+        Channel.bec(0.3): np.sign(y) * LLR_CLAMP,
+        Channel.awgn(0.7): 2.0 * y / 0.7**2,
+    }
+    for channel, raw in raws.items():
+        _same_bytes(posteriors(channel, y), np.clip(raw, -LLR_CLAMP, LLR_CLAMP))
+        # 0-d input (-inf) gives a numpy scalar, as np.clip gave it
+        assert type(posteriors(channel, y[0, 3])) is np.float64
+        _same_bytes(posteriors(channel, y[0, 3]), np.clip(raw[0, 3], -LLR_CLAMP, LLR_CLAMP))
+        # a 1-d frame without NaN: a SoftVector, whose own clamp is a no-op
+        finite = y[0][~np.isnan(y[0])]
+        _same_bytes(posteriors(channel, finite).llr, posteriors(channel, finite[None])[0])
+    finite = _VALUES[np.isfinite(_VALUES)]
+    _same_bytes(SoftVector(finite).llr, np.clip(finite, -LLR_CLAMP, LLR_CLAMP))
+    assert np.signbit(SoftVector([-0.0]).llr[0]) and np.isnan(posteriors(Channel.awgn(1.0), [[np.nan]])[0, 0])
+    q = np.concatenate([[0.0, -0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16], np.random.default_rng(33).random(20)])
+    with np.errstate(divide="ignore"):
+        _same_bytes(SoftVector.from_q(q).llr, np.clip(np.log(q) - np.log1p(-q), -LLR_CLAMP, LLR_CLAMP))
+
+
 def test_channel_validation():
     with pytest.raises(ValueError):
         Channel.bsc(0.5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 import tracemalloc
@@ -88,6 +89,35 @@ def test_encode_decode_round_trip(tmp_path):
     assert main(["decode", "--frozen-set", str(fs), "--in", str(llr_file),
                  "--out", str(decoded), "--list-size", "2"]) == 0
     assert decoded.read_text().splitlines() == ["".join(map(str, w)) for w in words]
+
+
+def test_thousand_line_round_trip_files_are_pinned(tmp_path):
+    # 1000 words of freeze_bec(6, 32, 0.5) through encode, then their AWGN
+    # LLRs through decode at L = 1 and 4: the output files, byte for byte
+    spec = freeze_bec(6, 32, 0.5)
+    fs = _frozen_set_file(tmp_path, spec)
+    rng = np.random.default_rng(72)
+    words = rng.integers(0, 2, size=(1000, spec.dimension), dtype=np.uint8)
+    infile = tmp_path / "words.txt"
+    infile.write_text("".join("".join(map(str, w)) + "\n" for w in words))
+    encoded = tmp_path / "codewords.txt"
+    assert main(["encode", "--frozen-set", str(fs), "--in", str(infile), "--out", str(encoded)]) == 0
+    assert encoded.read_bytes() == "".join("".join(map(str, c)) + "\n" for c in encode(spec, words)).encode()
+    assert hashlib.sha256(encoded.read_bytes()).hexdigest() == (
+        "05fa28200581e255370c236fa618943ff181dea93a8067c6f5999e96be83b397"
+    )
+    received = modulate(encode(spec, words)) + rng.normal(0.0, 0.8, size=(1000, spec.n))
+    llr_file = tmp_path / "received.txt"
+    llr_file.write_text("".join(" ".join(repr(float(2.0 * y / 0.64)) for y in row) + "\n" for row in received))
+    digests = {
+        1: "d911b137e160fe5939084afe730e1509adce72b62323c64872fdcf6e95494629",
+        4: "0a1b3da233d42885c0e14f11446d68bfe9dd3ac7cda375568361a93e5d9da6c8",
+    }
+    for list_size, digest in digests.items():
+        decoded = tmp_path / f"decoded{list_size}.txt"
+        assert main(["decode", "--frozen-set", str(fs), "--in", str(llr_file), "--out", str(decoded),
+                     "--list-size", str(list_size)]) == 0
+        assert hashlib.sha256(decoded.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("block", [None, 2])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rmpolar import encoder
 from rmpolar import (
     CodeSpec,
     OpCounter,
@@ -11,6 +12,7 @@ from rmpolar import (
     monomial_codeword,
     random_info_bits,
 )
+from rmpolar.encoder import info_bits_of
 from helpers import (
     encode_reference,
     eval_polynomial_oracle,
@@ -18,7 +20,15 @@ from helpers import (
     info_bits_to_int_loop,
     info_paths,
     random_spec,
+    reference_plotkin_transform,
 )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_masks(monkeypatch):
+    """Each test starts from an empty cache of butterfly masks, so that its
+    own blocks grow them."""
+    monkeypatch.setattr(encoder, "_MASKS", {})
 
 
 def test_encode_m1_example():
@@ -109,6 +119,79 @@ def test_minimum_weight_matches_two_power():
             ).astype(np.uint8)
             weights = encode(spec, words).sum(axis=1)
             assert weights.min() == 1 << (m - r)
+
+
+def _coefficients(spec, words):
+    """The coefficient vectors of `words`: bit j on path info_indices[-1 - j]."""
+    words = np.asarray(words, dtype=np.uint8)
+    coeff = np.zeros(words.shape[:-1] + (spec.n,), dtype=np.uint8)
+    coeff[..., spec.info_indices[::-1]] = words
+    return coeff
+
+
+def _check_against_reference(spec, words, codewords):
+    """encode(words) and info_bits_of(codewords) against the byte-wide butterfly."""
+    np.testing.assert_array_equal(
+        encode(spec, words), reference_plotkin_transform(_coefficients(spec, words))
+    )
+    np.testing.assert_array_equal(
+        info_bits_of(spec, codewords),
+        reference_plotkin_transform(codewords)[..., spec.info_indices[::-1]],
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_encode_and_info_bits_of_match_the_byte_wide_butterfly(m):
+    rng = np.random.default_rng(200 + m)
+    spec = random_spec(m, int(rng.integers(1, (1 << m) + 1)), rng)
+    for batch in (0, 1, 3, 7):
+        words = random_info_bits(spec, rng, size=batch)
+        codewords = rng.integers(0, 2, size=(batch, spec.n), dtype=np.uint8)
+        _check_against_reference(spec, words, codewords)
+    _check_against_reference(spec, words[0], codewords[0])
+    # leading axes beyond one batch axis, which info_bits_of takes
+    codewords = rng.integers(0, 2, size=(3, 2, spec.n), dtype=np.uint8)
+    np.testing.assert_array_equal(
+        info_bits_of(spec, codewords),
+        reference_plotkin_transform(codewords)[..., spec.info_indices[::-1]],
+    )
+
+
+def test_encode_and_info_bits_of_take_bool_and_strided_input():
+    rng = np.random.default_rng(213)
+    spec = random_spec(6, 40, rng)
+    words = random_info_bits(spec, rng, size=10)
+    codewords = rng.integers(0, 2, size=(10, spec.n), dtype=np.uint8)
+    _check_against_reference(spec, words.astype(bool), codewords.astype(bool))
+    _check_against_reference(spec, words[::2], codewords[::2])
+    transposed = np.ascontiguousarray(codewords.T).T
+    assert not transposed.flags.c_contiguous
+    _check_against_reference(spec, np.ascontiguousarray(words.T).T, transposed)
+    # every other position of a 128-wide block: a 64-wide view with stride 2
+    wide = rng.integers(0, 2, size=(5, 2 * spec.n), dtype=np.uint8)
+    _check_against_reference(spec, words[:5], wide[:, ::2])
+
+
+def test_small_blocks_after_the_cached_masks_have_grown():
+    # every block up to (4096, 1024) is the largest seen so far when it
+    # comes, and every one after it reuses longer masks
+    rng = np.random.default_rng(214)
+    shapes = [(1, 2), (3, 4), (2, 16), (1, 256), (7, 64), (4096, 1024), (1, 2), (3, 8), (2, 3, 64), (1, 4096)]
+    for shape in shapes:
+        coeff = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        np.testing.assert_array_equal(
+            encoder._plotkin_transform(coeff), reference_plotkin_transform(coeff), err_msg=str(shape)
+        )
+    assert set(encoder._MASKS) == {1 << j for j in range(12)}
+
+
+def test_info_bits_of_inverts_encode():
+    rng = np.random.default_rng(215)
+    for _ in range(30):
+        m = int(rng.integers(1, 11))
+        spec = random_spec(m, int(rng.integers(0, (1 << m) + 1)), rng)
+        words = random_info_bits(spec, rng, size=int(rng.integers(0, 6)))
+        np.testing.assert_array_equal(info_bits_of(spec, encode(spec, words)), words)
 
 
 def test_encode_op_count():
