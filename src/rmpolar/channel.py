@@ -110,7 +110,8 @@ def posteriors(channel, observed):
         llr = 2.0 * y / (channel.param ** 2)
     llr = _clamped(llr)
     if llr.ndim == 1:
-        return SoftVector(llr)
+        # fresh and clamped already: adopted, not copied and clamped again
+        return SoftVector._adopt(llr)
     return llr
 
 
@@ -123,6 +124,14 @@ def _clamped(llr):
     return np.minimum(np.maximum(llr, -LLR_CLAMP, out=out), LLR_CLAMP, out=out)
 
 
+def _check_frame(llr):
+    """Raise ValueError unless `llr` is a non-empty 1-d array of finite values."""
+    if llr.ndim != 1 or llr.size == 0:
+        raise ValueError(f"beliefs must be a non-empty 1-d array, got shape {llr.shape}")
+    if not np.isfinite(llr).all():
+        raise ValueError("beliefs must be finite (no NaN or infinity)")
+
+
 class SoftVector:
     """One frame of per-position beliefs, stored as read-only LLRs clipped
     to +-LLR_CLAMP; the q, g and h views are computed on demand."""
@@ -131,13 +140,22 @@ class SoftVector:
 
     def __init__(self, llr):
         arr = np.array(llr, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"beliefs must be a non-empty 1-d array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("beliefs must be finite (no NaN or infinity)")
+        _check_frame(arr)
         _clamped(arr)
         arr.setflags(write=False)
         self.llr = arr
+
+    @classmethod
+    def _adopt(cls, llr):
+        """A SoftVector holding `llr` itself: a float64 array that the caller
+        made, clamped to +-LLR_CLAMP, and hands over.  It is checked as the
+        constructor checks it and made read-only, but neither copied nor
+        clamped again."""
+        _check_frame(llr)
+        llr.setflags(write=False)
+        vec = object.__new__(cls)
+        vec.llr = llr
+        return vec
 
     @classmethod
     def from_q(cls, q):
@@ -147,7 +165,7 @@ class SoftVector:
             raise ValueError("q values must lie in [0, 1]")
         with np.errstate(divide="ignore"):
             llr = np.log(q) - np.log1p(-q)
-        return cls(_clamped(llr))
+        return cls._adopt(_clamped(llr))
 
     @classmethod
     def from_llr(cls, llr):

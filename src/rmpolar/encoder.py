@@ -7,11 +7,12 @@ n/2 XORs per stage.
 The stages run on one Python integer holding the whole block, packed
 little-endian (element i of the flattened array is bit i), where the stage of
 half-width h is one masked shift and XOR: the bit-sliced binary Moebius
-transform (Joux, *Algorithmic Cryptanalysis*, 2009).  The masks are kept
-between calls: at most m of them, one per h, each the packed size of the
-largest block seen so far (n * batch / 8 bytes each: about 10 KB in all for
-eight m=10 frames, 1.3 MB for a 1024-frame m=10 block, 5.2 MB for the
-4096-word m=10 batches of the Monte-Carlo construction).
+transform (Joux, *Algorithmic Cryptanalysis*, 2009).  A block whose packed
+size is above _MASK_BYTES (128 KiB) is transformed in row chunks of at most
+that size, so the masks kept between calls, at most m of them, one per h,
+are each at most _MASK_BYTES long: 1.25 MB in all at m=10, whatever the
+block.  Only a single word above that size (m > 20) needs longer masks,
+which are built for the call and not kept.
 """
 
 from __future__ import annotations
@@ -71,12 +72,16 @@ def info_bits_of(spec, codewords):
 # h -> (bytes, mask): bit i of mask is set where i & h == 0, for i < 8 * bytes
 _MASKS = {}
 
+# The most bytes that one kept mask, and so one packed row chunk, may take.
+_MASK_BYTES = 1 << 17
+
 
 def _low_mask(h, nbytes):
     """A mask of period 2h, bit i set where i & h == 0, at least `nbytes` long.
 
-    The one kept for h grows only when a larger block arrives; a longer mask
-    serves a shorter block, since `x & mask` costs only the shorter operand.
+    The one kept for h grows only when a larger block arrives, up to
+    _MASK_BYTES; a longer mask serves a shorter block, since `x & mask`
+    costs only the shorter operand.  A longer one is built but not kept.
     """
     entry = _MASKS.get(h)
     if entry is None or entry[0] < nbytes:
@@ -85,7 +90,8 @@ def _low_mask(h, nbytes):
         else:
             unit = b"\xff" * (h >> 3) + b"\x00" * (h >> 3)
         entry = (nbytes, int.from_bytes((unit * -(-nbytes // len(unit)))[:nbytes], "little"))
-        _MASKS[h] = entry
+        if nbytes <= _MASK_BYTES:
+            _MASKS[h] = entry
     return entry[1]
 
 
@@ -93,13 +99,30 @@ def _plotkin_transform(coeff, counter=None):
     """Apply the m-stage (c0, c0 + c1) butterfly along the last axis.
 
     `coeff` is a 0/1 array of any shape (..., n); the result is a new uint8
-    array of that shape.  The array is packed little-endian into one integer
-    x, and the stage of half-width h = 1, 2, ..., n/2 is
-    ``x ^= (x & low_h) << h`` with low_h from :func:`_low_mask`: the shift
-    moves each c0 bit onto its c1 partner h places up, inside the same block
-    of 2h bits, so no bit crosses into the next word of the batch.
+    array of that shape.  Words are transformed in chunks of rows whose
+    packed size is at most _MASK_BYTES, by :func:`_butterfly`; below 8
+    positions a chunk is 8 * _MASK_BYTES positions, a whole number of bytes.
     """
     n = coeff.shape[-1]
+    if counter is not None:
+        counter.kernel += (n >> 1) * (n.bit_length() - 1)
+    rows = max(1, (_MASK_BYTES << 3) // n)
+    if coeff.size <= rows * n:
+        return _butterfly(coeff, n)
+    flat = coeff.reshape(-1, n)
+    out = np.empty(flat.shape, dtype=np.uint8)
+    for start in range(0, len(flat), rows):
+        out[start : start + rows] = _butterfly(flat[start : start + rows], n)
+    return out.reshape(coeff.shape)
+
+
+def _butterfly(coeff, n):
+    """The butterfly of a block of n-bit words, as one integer.  The block
+    is packed little-endian into one integer x, and the stage of half-width
+    h = 1, 2, ..., n/2 is ``x ^= (x & low_h) << h`` with low_h from
+    :func:`_low_mask`: the shift moves each c0 bit onto its c1 partner h
+    places up, inside the same block of 2h bits, so no bit crosses into the
+    next word of the block."""
     packed = np.packbits(coeff, axis=None, bitorder="little")
     nbytes = packed.size
     x = int.from_bytes(packed.tobytes(), "little")
@@ -107,8 +130,6 @@ def _plotkin_transform(coeff, counter=None):
     while h < n:
         x ^= (x & _low_mask(h, nbytes)) << h
         h <<= 1
-    if counter is not None:
-        counter.kernel += (n >> 1) * (n.bit_length() - 1)
     packed = np.frombuffer(x.to_bytes(nbytes, "little"), np.uint8)
     return np.unpackbits(packed, count=coeff.size, bitorder="little").reshape(coeff.shape)
 

@@ -31,12 +31,20 @@ Python ints, so that a step spends its Python-level calls on the kernels
 and the selection, not on deriving its shape.  The work counts build up in
 local ints.
 
-At an information leaf every hypothesis forks on the two bit values, the
-metric of each child growing by the log posterior of its bit.  The pool of
-extensions is shaped (entries, F), each column laid out by parent rank,
-then bit, so one stable sort of the negated metrics down axis 0 keeps the L
-best of every frame and breaks exact ties toward the earlier parent, then
-bit 0.
+At L > 1 the core carries each hypothesis's cost, its negated metric: a
+non-negative penalty (Balatsoukas-Stimming, Bastani Parizi and Burg) that
+starts at +0.0 and grows by -log_expit(+-b) = logaddexp(0, -+b) per leaf;
+the metrics are 0.0 - cost, formed once on exit.  Round-to-nearest is
+symmetric, so each cost is exactly its metric negated, up to the sign of an
+exact zero, which no sort tells apart; a metric summed from +0.0 is never
+-0.0, so 0.0 - cost gives back its bytes.  At an information leaf every
+hypothesis forks on the two bit values, the cost of each child growing by
+that of its bit.  The pool of extensions is shaped (entries, F), each
+column laid out by parent rank, then bit, so one ascending stable sort of
+the costs down axis 0 keeps the L cheapest of every frame and breaks exact
+ties toward the earlier parent, then bit 0.  Two flat tables, built once
+per call, give the parent row and the symbol of every flat pool entry, so
+the survivors' rows and symbols are two takes.
 
 Lazy forks (Tal and Vardy's lazy copying, in array form).  Survivors
 become the new rows in rank order, but no stored array moves at a fork.
@@ -45,7 +53,7 @@ row that each current row reads; a fork composes every map with the survivors'
 parent rows in one take, after resetting to identity the maps of the
 arrays written since the previous fork (a fixed list of per-slot flags and
 the list of slots flagged).  A fork that keeps the live rows in their order,
-told by comparing the parent ranks' bytes with those of the identity,
+told by comparing the parent rows' bytes with those of the identity,
 composes nothing.  An array is gathered through its map only where it is
 read: the operands of combine_u_llr at a refresh (the parent's beliefs, and
 the pending i=1 symbols, gathered in place in the symbol buffer) and the
@@ -58,12 +66,12 @@ Frozen subtrees.  A frozen subtree's symbols are all known (+1), so its
 leaf beliefs are formed breadth first over (size, nodes, rows) blocks, one
 combine_v_llr and one combine_u_llr call per level over all of its nodes,
 and every kernel of the leaf-by-leaf order is still evaluated.  Each frozen
-leaf either adds its bit-0 log posterior to the metric
-(frozen_metric='include', the default), leaf by leaf in order, or nothing
-('ignore').  The hypotheses are then re-ranked once, as the stable sort
-after every frozen leaf would have left them: one fork.  A lone frozen leaf
-(width 1) is its node: its log posterior is added to the metric directly,
-and the one-key sort is a stable argsort of the negated metrics.
+leaf either adds the cost of bit 0 to the cost (frozen_metric='include',
+the default), leaf by leaf in order, or nothing ('ignore').  The hypotheses
+are then re-ranked once, as the stable sort after every frozen leaf would
+have left them: one fork.  A lone frozen leaf (width 1) is its node: its
+cost is added in place, and the one-key sort is a stable argsort of the
+costs.
 
 At L = 1 there is no pool, no fork and no metric: an information leaf
 takes the sign of its belief, the tie going to bit 0, and the core records
@@ -111,7 +119,7 @@ MAX_LIST_ENTRIES = 1 << 27
 _FROZEN_METRIC_MODES = ("include", "ignore")
 
 # The symbols of bit 0 and bit 1; the leaf belief is multiplied by their
-# negations to score the two bits (log_expit(x) is -logaddexp(0, -x)).
+# negations to cost the two bits (-log_expit(x) is logaddexp(0, -x)).
 _BIT_SIGNS = np.array([1.0, -1.0])
 _NEG_BIT_SIGN_COLUMN = -_BIT_SIGNS[:, None]
 
@@ -194,21 +202,24 @@ class _SCResult(ListResult):
         return total.reshape(self.info_bits.shape[:-1])
 
 
-def extend_leaf(metrics, leaf_llrs):
+def extend_leaf(cost, leaf_llrs):
     """Extend every hypothesis through one information leaf.
 
-    `metrics` and `leaf_llrs` are (live, frames) float64 arrays in rank
-    order: the log metric of each hypothesis and its leaf belief (positive
-    favors bit 0).  Returns the (2 * live, frames) extension pool, each
-    column ordered by parent rank, then bit: entry i extends parent i // 2
-    with bit i % 2.
+    `cost` and `leaf_llrs` are (live, frames) float64 arrays in rank order:
+    the cost of each hypothesis (its negated log metric, >= 0) and its leaf
+    belief (positive favors bit 0).  Returns the (2 * live, frames) cost
+    pool, each column ordered by parent rank, then bit: entry i extends
+    parent i // 2 with bit i % 2, its cost grown by logaddexp(0, -+b), the
+    negated log posterior of that bit.
     """
-    pool = metrics[:, None] - np.logaddexp(0.0, leaf_llrs[:, None] * _NEG_BIT_SIGN_COLUMN)
-    return pool.reshape(-1, metrics.shape[1])
+    pool = leaf_llrs[:, None] * _NEG_BIT_SIGN_COLUMN
+    np.logaddexp(0.0, pool, out=pool)
+    pool += cost[:, None]
+    return pool.reshape(-1, cost.shape[1])
 
 
 def select_top(pool, limit):
-    """Indices of the `limit` best pool entries, by metric descending.
+    """Indices of the `limit` cheapest pool entries, by cost ascending.
 
     A 2-d pool is ranked down axis 0, one column per frame, and gives indices
     of shape (kept, frames).  Ties go to the earlier entry, which in an
@@ -218,7 +229,7 @@ def select_top(pool, limit):
     if limit < 1:
         raise ValueError(f"list size must be >= 1, got {limit}")
     pool = np.asarray(pool, dtype=np.float64)
-    return (-pool).argsort(axis=0, kind="stable")[:limit]
+    return pool.argsort(axis=0, kind="stable")[:limit]
 
 
 def check_list_size(m, dimension, list_size):
@@ -369,7 +380,8 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
     information leaf, so that its sign bit is the decided bit.  `truth`,
     (n, frames) per-leaf +-1 symbols, is propagated in place of the
     decisions of that pass (the genie mode).  Both are read or written one
-    contiguous row block per step.
+    contiguous row block per step.  The list's metrics are carried as their
+    negations, the costs, and formed once on exit.
     """
     m, n = spec.m, spec.n
     frames = len(llr)
@@ -378,8 +390,6 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
     kernel = select = moved = 0
     # frame of each column, for flat indices of hypothesis-major rows
     cols = np.arange(frames)
-    # the parent ranks of a fork that keeps every row in place, as bytes
-    unmoved = np.arange(list_size).repeat(frames).tobytes()
     bel = [np.ascontiguousarray(llr.T)] + [None] * m
     # the decided symbols, ending as the codewords (see Layout): the step
     # at leaves j .. j + width - 1 spans positions n - j - width .. n - j - 1.
@@ -398,9 +408,17 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
     fresh = [False] * (2 * m + 1)
     written = []
 
-    # symbol of information-leaf pool entry e, whose bit is e % 2
-    entry_symbols = np.tile(_BIT_SIGNS, list_size)
-    metrics = np.zeros((1, frames)) if list_size > 1 else None
+    cost = None
+    if list_size > 1:
+        # the negated metrics, (live, frames) in rank order
+        cost = np.zeros((1, frames))
+        # flat entry e = i * frames + f of an information leaf's pool extends
+        # parent i >> 1, physical row (i >> 1) * frames + f, with bit i & 1
+        entry = np.arange(2 * list_size * frames)
+        row_of = (entry // frames >> 1) * frames + entry % frames
+        sym_of = _BIT_SIGNS.take(entry // frames & 1)
+        # the parent rows of a fork that keeps every row in place, as bytes
+        unmoved = entry[: list_size * frames].tobytes()
     live = 1
 
     for j, node, start, half, levels, info, width, stop, work in spec.decode_plan:
@@ -445,7 +463,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
                 fresh[lvl] = True
                 written.append(lvl)
 
-        parent = None  # parent rank of each survivor, where rows may move
+        rows = None  # parent row of each survivor, where rows may move
         if info and list_size == 1:
             # recorded as lam + 0.0, so that a -0.0 belief reads +0.0: its
             # sign bit is the decided bit, the tie going to bit 0
@@ -457,58 +475,65 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
             else:
                 sym[n - 1 - j] = truth[j]
         elif info:
-            pool = extend_leaf(metrics, lam.reshape(live, frames))
+            pool = extend_leaf(cost, lam.reshape(live, frames))
             select += len(pool)
-            keep = select_top(pool, list_size)
-            metrics = pool.take(keep if frames == 1 else keep * frames + cols)
-            parent = keep >> 1
-            syms[n - 1 - j, : keep.size] = entry_symbols.take(keep.ravel())
+            # the survivors' flat pool entries
+            flat = select_top(pool, list_size)
+            if frames > 1:
+                flat *= frames
+                flat += cols
+            cost = pool.take(flat)
+            flat = flat.ravel()
+            rows = row_of.take(flat)
+            syms[n - 1 - j, : flat.size] = sym_of.take(flat)
         else:
             select += live * width
+            parent = None  # parent rank of each survivor, if re-ranked
             if width == 1:
                 # one frozen leaf: its belief is the node's
                 if leaf_llr is not None:
                     leaf_llr[j] = lam[0]
                 if include:
-                    metrics = metrics - np.logaddexp(0.0, -lam).reshape(live, frames)
+                    cost += np.logaddexp(0.0, -lam).reshape(live, frames)
                     if live > 1:
-                        parent = (-metrics).argsort(axis=0, kind="stable")
+                        parent = cost.argsort(axis=0, kind="stable")
             else:
                 leaves = _frozen_leaf_beliefs(lam, m - node).reshape(width, live, frames)
                 if leaf_llr is not None:
                     leaf_llr[j : j + width] = leaves[:, 0]
                 if include:
-                    # the negated metric after each leaf, (c1 - metric) + c2
-                    # + ... in leaf order for costs c = -log_expit(leaf),
-                    # rounded as one extension per leaf rounds the metric
-                    cost = np.logaddexp(0.0, -leaves)
-                    cost[0] -= metrics
-                    cost = np.add.accumulate(cost, axis=0)
-                    # not -cost: a metric summed from +0.0 is never -0.0
-                    metrics = 0.0 - cost[-1]
+                    # the cost after each leaf, (c1 + cost) + c2 + ... in
+                    # leaf order for leaf costs c = -log_expit(leaf),
+                    # rounded as one extension per leaf rounds it
+                    run = np.logaddexp(0.0, -leaves)
+                    run[0] += cost
+                    run = np.add.accumulate(run, axis=0)
+                    cost = run[-1]
                     if live > 1:
                         # one stable sort per leaf, composed: the last leaf's
                         # cost ranks first, earlier leaves break its ties
-                        parent = np.lexsort(cost, axis=0)
+                        parent = np.lexsort(run, axis=0)
             if parent is not None:
-                metrics = metrics.take(parent if frames == 1 else parent * frames + cols)
-            # with 'ignore' the metrics, ranked already, do not change
+                if frames > 1:
+                    parent *= frames
+                    parent += cols
+                cost = cost.take(parent)
+                rows = parent.ravel()
+            # with 'ignore' the costs, ranked already, do not change
             # every frozen leaf decides +1
             sym[n - j - width : n - j] = 1.0
 
-        if parent is not None:
-            survivors = len(parent)
-            if survivors != live or not unmoved.startswith(parent.tobytes()):
+        if rows is not None:
+            survivors = len(cost)
+            if survivors != live or not unmoved.startswith(rows.tobytes()):
                 # a lazy fork: survivor r reads what its parent row read.  The
                 # fresh maps are identity, and identity composed with the
                 # parent rows is the parent rows themselves
-                rows = (parent if frames == 1 else parent * frames + cols).ravel()
                 maps = maps.take(rows, axis=1)
-                if written:
-                    maps[written] = rows
-                    for s in written:
-                        fresh[s] = False
-                    written.clear()
+                for s in written:
+                    maps[s] = rows
+                    fresh[s] = False
+                written.clear()
             if survivors != live:
                 live = survivors
                 sym = syms[:, : live * frames]
@@ -528,4 +553,6 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
             fresh[m + stop] = True
             written.append(m + stop)
 
+    # not -cost: a metric summed from +0.0 is never -0.0
+    metrics = None if cost is None else 0.0 - cost
     return syms, metrics, live, OpCounter(kernel, select, moved), leaf_llr

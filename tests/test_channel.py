@@ -211,6 +211,27 @@ def test_softvector_validation():
         SoftVector.from_q(np.array([]))
 
 
+# awgn's 2 y / sigma**2 overflows to +-inf at +-1e308, and is clamped
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_one_frame_posteriors_adopt_the_batch_row():
+    # a 1-d frame's beliefs are the row its batch would give, read-only
+    rng = np.random.default_rng(34)
+    y = rng.normal(0.0, 3.0, size=40)
+    y[:4] = (0.0, -0.0, 1e308, -1e308)
+    for channel in (Channel.bsc(0.1), Channel.bsc(0.0), Channel.bec(0.3), Channel.awgn(0.7)):
+        llr = posteriors(channel, y).llr
+        _same_bytes(llr, posteriors(channel, y[None])[0])
+        assert not llr.flags.writeable
+        with pytest.raises(ValueError):
+            llr[0] = 1.0
+    with pytest.raises(ValueError, match="finite"):
+        posteriors(Channel.awgn(0.7), np.array([1.0, np.nan, -1.0]))
+    q = SoftVector.from_q(np.array([0.0, 0.3, 1.0])).llr
+    assert not q.flags.writeable
+    with pytest.raises(ValueError, match="finite"):
+        SoftVector.from_q(np.array([0.5, np.nan]))
+
+
 def test_posterior_calibration_bsc():
     # Among symbols with q = 0.9 the source bit should be 0 about 90% of
     # the time.  Bits uniform, 100k symbols, three-sigma band.

@@ -185,6 +185,20 @@ def test_small_blocks_after_the_cached_masks_have_grown():
     assert set(encoder._MASKS) == {1 << j for j in range(12)}
 
 
+def test_large_blocks_keep_masks_within_the_cap():
+    # a (4096, 8192) block packs to 4 MiB: it is transformed in row chunks,
+    # and no kept mask grows past the cap; words below 8 bits chunk too
+    rng = np.random.default_rng(216)
+    for shape in ((4096, 8192), (3, 70001, 4), (1 << 19, 2)):
+        coeff = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        np.testing.assert_array_equal(
+            encoder._plotkin_transform(coeff), reference_plotkin_transform(coeff), err_msg=str(shape)
+        )
+    assert encoder._MASKS
+    assert all(nbytes <= encoder._MASK_BYTES for nbytes, _ in encoder._MASKS.values())
+    assert all(mask.bit_length() <= 8 * encoder._MASK_BYTES for _, mask in encoder._MASKS.values())
+
+
 def test_info_bits_of_inverts_encode():
     rng = np.random.default_rng(215)
     for _ in range(30):

@@ -52,44 +52,50 @@ def _received_llr(spec, ch, rng, sent=None):
 
 def test_extend_leaf_info_example():
     pool = extend_leaf(np.array([[0.0]]), np.array([[math.log(9.0)]]))
-    # entry i extends parent i // 2 with bit i % 2
+    # entry i extends parent i // 2 with bit i % 2; a cost is a negated metric
     assert pool.shape == (2, 1)
-    assert pool[0, 0] == pytest.approx(math.log(0.9), abs=1e-12)
-    assert pool[1, 0] == pytest.approx(math.log(0.1), abs=1e-12)
+    assert pool[0, 0] == pytest.approx(-math.log(0.9), abs=1e-12)
+    assert pool[1, 0] == pytest.approx(-math.log(0.1), abs=1e-12)
 
 
 def test_extend_leaf_orders_pool_by_parent():
-    pool = extend_leaf(np.array([[-0.1], [-0.7]]), np.array([[2.0], [-2.0]]))
+    pool = extend_leaf(np.array([[0.1], [0.7]]), np.array([[2.0], [-2.0]]))
     # (parent, bit) = (0, 0), (0, 1), (1, 0), (1, 1)
     expected = [
-        -0.1 + log_expit(2.0),
-        -0.1 + log_expit(-2.0),
-        -0.7 + log_expit(-2.0),
-        -0.7 + log_expit(2.0),
+        0.1 - log_expit(2.0),
+        0.1 - log_expit(-2.0),
+        0.7 - log_expit(-2.0),
+        0.7 - log_expit(2.0),
     ]
     np.testing.assert_array_equal(pool[:, 0], expected)
 
 
 def test_select_top_keeps_best_and_breaks_ties():
     # (parent, bit) = (0, 0), (0, 1), (1, 0), (1, 1)
-    pool = np.array([-1.0, -0.5, -0.5, -2.0])
+    pool = np.array([1.0, 0.5, 0.5, 2.0])
     kept = select_top(pool, 2)
-    # Equal metrics resolve toward the earlier parent, then bit 0.
+    # Equal costs resolve toward the earlier parent, then bit 0.
     assert list(kept) == [1, 2]
     assert list(select_top(pool, 1)) == [1]
 
 
 def test_select_top_passes_small_pools_through():
-    pool = np.array([-3.0, -1.0])
+    pool = np.array([3.0, 1.0])
     assert list(select_top(pool, 8)) == [1, 0]
     assert list(select_top(pool[:1], 8)) == [0]
 
 
 def test_select_top_two_entries_keep_one():
     # a cut to one survivor follows the same tie rule
-    assert list(select_top(np.array([-0.5, -0.5]), 1)) == [0]
-    assert list(select_top(np.array([-0.6, -0.5]), 1)) == [1]
-    assert list(select_top(np.array([-0.5, -0.6]), 1)) == [0]
+    assert list(select_top(np.array([0.5, 0.5]), 1)) == [0]
+    assert list(select_top(np.array([0.6, 0.5]), 1)) == [1]
+    assert list(select_top(np.array([0.5, 0.6]), 1)) == [0]
+
+
+def test_select_top_treats_signed_zeros_as_equal():
+    # a cost is its metric negated up to the sign of an exact zero
+    assert list(select_top(np.array([0.0, -0.0, 0.0]), 3)) == [0, 1, 2]
+    assert list(select_top(np.array([-0.0, 0.0]), 1)) == [0]
 
 
 def test_select_top_validates_limit():
@@ -101,18 +107,36 @@ def test_two_dimensional_extend_and_select_match_each_column():
     rng = np.random.default_rng(61)
     live, frames = 3, 4
     # values on a coarse grid, so that pool entries tie within a column
-    metrics = rng.integers(-3, 1, size=(live, frames)) / 2.0
+    cost = -rng.integers(-3, 1, size=(live, frames)) / 2.0
     lam = rng.choice([-2.0, 0.0, 2.0], size=(live, frames))
-    pool = extend_leaf(metrics, lam)
+    pool = extend_leaf(cost, lam)
     assert pool.shape == (2 * live, frames)
     for f in range(frames):
-        column = extend_leaf(metrics[:, f : f + 1], lam[:, f : f + 1])
+        column = extend_leaf(cost[:, f : f + 1], lam[:, f : f + 1])
         np.testing.assert_array_equal(pool[:, f : f + 1], column)
     for limit in (1, 2, 4, 8):
         kept = select_top(pool, limit)
         assert kept.shape == (min(limit, len(pool)), frames)
         for f in range(frames):
             np.testing.assert_array_equal(kept[:, f], select_top(pool[:, f], limit))
+
+
+def test_one_selection_per_information_leaf(monkeypatch):
+    # the core ranks each information leaf's pool through select_top, once
+    calls = []
+
+    def counting_select_top(pool, limit):
+        calls.append((pool.shape, limit))
+        return select_top(pool, limit)
+
+    spec = freeze_bec(5, 12, 0.5)
+    llr = np.random.default_rng(63).normal(1.0, 1.5, size=(3, spec.n))
+    expected = list_decode(spec, llr, list_size=4)
+    monkeypatch.setattr(list_decoder, "select_top", counting_select_top)
+    result = list_decode(spec, llr, list_size=4)
+    assert len(calls) == spec.dimension
+    assert all(limit == 4 and shape[1] == 3 for shape, limit in calls)
+    assert same_list_result(result, expected)
 
 
 def test_block_decode_returns_one_result_per_row():
@@ -776,7 +800,7 @@ _LOG_EXPIT_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250
 def test_log_posteriors_match_scipy_bit_for_bit():
     # scipy.special.log_expit is the independent oracle for the numpy form
     # the decoder computes, alone and with its negation folded into a metric
-    # update (extend_leaf, a lone frozen leaf)
+    # update (extend_leaf, a lone frozen leaf), as a cost: its negation
     rng = np.random.default_rng(99)
     scales = (1e-6, 1e-3, 1.0, 10.0, 40.0, 800.0)
     x = np.concatenate([_LOG_EXPIT_EDGES, _SC_METRIC_BELIEFS] + [rng.normal(0.0, s, 20000) for s in scales])
@@ -785,5 +809,10 @@ def test_log_posteriors_match_scipy_bit_for_bit():
     assert (-np.logaddexp(0.0, -x)).tobytes() == expected.tobytes()
     metrics = rng.choice([0.0, -1e-17, -0.7, -300.0], size=x.shape)
     assert (metrics - np.logaddexp(0.0, -x)).tobytes() == (metrics + expected).tobytes()
-    pool = extend_leaf(metrics[None, :], x[None, :])
-    assert pool.tobytes() == np.stack([metrics + expected, metrics + log_expit(-x)]).tobytes()
+    # costs from +0.0 are the negated metrics up to the sign of an exact
+    # zero, and 0.0 - cost gives back every metric's bytes
+    cost = 0.0 - metrics
+    assert (0.0 - (cost + np.logaddexp(0.0, -x))).tobytes() == (metrics + expected).tobytes()
+    pool = extend_leaf(cost[None, :], x[None, :])
+    assert (0.0 - pool).tobytes() == np.stack([metrics + expected, metrics + log_expit(-x)]).tobytes()
+    assert np.array_equal(pool, -np.stack([metrics + expected, metrics + log_expit(-x)]))
