@@ -55,9 +55,11 @@ arrays written since the previous fork (a fixed list of per-slot flags and
 the list of slots flagged).  A fork that keeps the live rows in their order,
 told by comparing the parent rows' bytes with those of the identity,
 composes nothing.  An array is gathered through its map only where it is
-read: the operands of combine_u_llr at a refresh (the parent's beliefs, and
-the pending i=1 symbols, gathered in place in the symbol buffer) and the
-pending symbols in the fold, gathered into their product.
+read: the parent's beliefs at a refresh, and the pending symbols in the
+fold, gathered into their product.  The pending i=1 symbols that a refresh
+reads are current by construction: a step's fold stops at the level where
+the next step's refresh starts, and it writes them in the current row
+order after the step's fork.
 OpCounter.moved counts the entries gathered: about 1-1.5 times the kernel
 work, where copying every pending level at each fork moves about n entries
 per row and information leaf.
@@ -354,15 +356,15 @@ def _rank(metrics, bits):
     and (live, frames, N) words `bits`: metric descending, exact ties to the
     smaller word, then the smallest word within METRIC_TIE_EPS of the top."""
     live, frames = metrics.shape
-    # 64-bit keys of each word, least significant first: its reversed bits read little-endian
-    padded = np.zeros((live, frames, -(-bits.shape[-1] // 64) * 64), dtype=np.uint8)
-    padded[..., : bits.shape[-1]] = bits[..., ::-1]
-    words = np.packbits(padded, axis=-1, bitorder="little").view("<u8").transpose(2, 0, 1)
+    # one key per word: its bits packed big-endian into one byte string,
+    # which orders as the integer info_bits_to_int reads
+    packed = np.ascontiguousarray(np.packbits(bits, axis=-1))
+    words = packed.view(f"S{packed.shape[-1]}")[..., 0]
     cols = np.arange(frames)
-    order = np.lexsort((*words, -metrics), axis=0)
+    order = np.lexsort((words, -metrics), axis=0)
     ranked = metrics[order, cols]
     # the rank of the smallest word within METRIC_TIE_EPS of the top
-    pick = np.lexsort((*words[:, order, cols], ranked < ranked[0] - METRIC_TIE_EPS), axis=0)[0]
+    pick = np.lexsort((words[order, cols], ranked < ranked[0] - METRIC_TIE_EPS), axis=0)[0]
     rank = np.arange(live)[:, None]
     return order[np.where(rank == 0, pick, rank - (rank <= pick)), cols]
 
@@ -425,29 +427,20 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
         kernel += work * live
         # refresh the level-node beliefs from the deepest level still valid
         if half:
-            # the pending i=1 symbols are read again by the fold: gather them
-            # in place
-            s = m + start
+            # the pending i=1 symbols, which the previous step's fold left
+            # fresh in the current row order
             v = sym[n - j : n - j + half]
-            if not fresh[s]:
-                v[...] = v.take(maps[s], axis=1)
-                moved += half * live
-                fresh[s] = True
-                written.append(s)
+            base = bel[start - 1]
             # the level start-1 node gets its last child: free its beliefs
-            if start == 1:
-                base = bel[0]
-            else:
-                base = bel[start - 1]
-                if not fresh[start - 1]:
-                    base = base.take(maps[start - 1], axis=1)
-                    moved += base.size // frames
             bel[start - 1] = None
-            if start == 1 and live > 1 and frames > 1:
+            if start == 1:
                 # bel[0] has one row per frame, shared by its hypotheses
                 u = combine_u_llr(base[:half, None].T, base[half:, None].T, v.reshape(half, live, frames).T)
                 lam = u.T.reshape(half, -1)
             else:
+                if not fresh[start - 1]:
+                    base = base.take(maps[start - 1], axis=1)
+                    moved += base.size // frames
                 lam = combine_u_llr(base[:half].T, base[half:].T, v.T).T
             bel[start] = lam
             if not fresh[start]:
@@ -488,15 +481,13 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
             syms[n - 1 - j, : flat.size] = sym_of.take(flat)
         else:
             select += live * width
-            parent = None  # parent rank of each survivor, if re-ranked
             if width == 1:
                 # one frozen leaf: its belief is the node's
                 if leaf_llr is not None:
                     leaf_llr[j] = lam[0]
                 if include:
                     cost += np.logaddexp(0.0, -lam).reshape(live, frames)
-                    if live > 1:
-                        parent = cost.argsort(axis=0, kind="stable")
+                    parent = cost.argsort(axis=0, kind="stable")
             else:
                 leaves = _frozen_leaf_beliefs(lam, m - node).reshape(width, live, frames)
                 if leaf_llr is not None:
@@ -509,11 +500,12 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
                     run[0] += cost
                     run = np.add.accumulate(run, axis=0)
                     cost = run[-1]
-                    if live > 1:
-                        # one stable sort per leaf, composed: the last leaf's
-                        # cost ranks first, earlier leaves break its ties
-                        parent = np.lexsort(run, axis=0)
-            if parent is not None:
+                    # one stable sort per leaf, composed: the last leaf's
+                    # cost ranks first, earlier leaves break its ties
+                    parent = np.lexsort(run, axis=0)
+            if include:
+                # re-rank by parent rank: a lone row keeps its place, and the
+                # fork below skips it
                 if frames > 1:
                     parent *= frames
                     parent += cols

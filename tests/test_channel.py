@@ -281,6 +281,9 @@ def test_parse_channel_rejects_bad_tokens():
         parse_channel("awgn:2.0", rate=0.5)  # missing dB suffix
     with pytest.raises(ValueError):
         parse_channel("awgn:2.0dB")  # rate required
+    for rate in (0.0, -0.5):
+        with pytest.raises(ValueError, match=rf"^code rate must be positive, got {rate}$"):
+            parse_channel("awgn:2.0dB", rate=rate)
     # non-finite Eb/N0, and Eb/N0 whose sigma overflows or underflows
     for token in ("awgn:nandB", "awgn:infdB", "awgn:-infdB", "awgn:-4000dB", "awgn:4000dB", "awgn:-3100dB"):
         with pytest.raises(ValueError, match=token):

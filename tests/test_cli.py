@@ -63,6 +63,33 @@ def test_construct_missing_pieces_exit(tmp_path):
         main(["construct", "--m", "3", "--construction", "bec", "--out", str(out)])
     with pytest.raises(SystemExit):
         main(["construct", "--m", "3", "--k", "4", "--construction", "mc", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--m", "3", "--construction", "rm", "--out", str(out)])
+    assert exc.value.code == "construct rm: --design-param gives the order r"
+    assert not out.exists()
+
+
+def test_blank_lines_in_encode_input_change_nothing(tmp_path):
+    fs = _frozen_set_file(tmp_path, freeze_bec(4, 6, 0.5))
+    outputs = []
+    for name, text in (("plain", "011010\n101100\n"), ("blank", "\n011010\n  \n101100\n\n")):
+        infile, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.out"
+        infile.write_text(text)
+        assert main(["encode", "--frozen-set", str(fs), "--in", str(infile), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 2
+
+
+@pytest.mark.parametrize("command, what", [("encode", "information bits"), ("decode", "LLR")])
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_inputs_without_lines_are_refused(tmp_path, command, what, text):
+    fs = _frozen_set_file(tmp_path, freeze_bec(4, 6, 0.5))
+    infile, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    infile.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--frozen-set", str(fs), "--in", str(infile), "--out", str(out)])
+    assert exc.value.code == f"{infile}: no {what} lines found"
+    assert not out.exists()
 
 
 def test_encode_decode_round_trip(tmp_path):

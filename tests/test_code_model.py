@@ -82,6 +82,9 @@ def test_path_from_index_range_checked():
         Path.from_index(4, 2)
     with pytest.raises(ValueError):
         Path.from_index(-1, 2)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=rf"^m must be >= 1, got {m}$"):
+            Path.from_index(0, m)
 
 
 def test_monomial_codeword_examples():
@@ -228,6 +231,23 @@ def test_decode_plan_matches_a_step_by_step_recomputation():
             assert sum(step[-1] for step in plan) == list_decode(spec, np.ones(n), 1).kernel_ops
 
 
+def test_each_fold_stops_where_the_next_refresh_starts():
+    # the list decoder reads the pending symbols of a refresh without
+    # gathering them: the previous step's fold leaves exactly them current
+    rng = np.random.default_rng(75)
+    specs = [freeze_rm(3, 8), freeze_bec(8, 128, 0.5), freeze_bec(10, 512, 0.5)]
+    for m in range(1, 11):
+        n = 1 << m
+        specs += [random_spec(m, int(k), rng) for k in rng.integers(0, n + 1, 4)]
+    for spec in specs:
+        plan = spec.decode_plan
+        starts = [step[2] for step in plan]
+        stops = [step[7] for step in plan]
+        assert stops == starts[1:] + [0]
+        # every refresh after the first starts below the root
+        assert all(start >= 1 for start in starts[1:])
+
+
 def test_decode_plan_is_built_once_per_spec(monkeypatch):
     builds = []
     build = CodeSpec.decode_plan.func
@@ -370,6 +390,23 @@ def test_freeze_montecarlo_is_deterministic():
     a = freeze_montecarlo(3, 4, Channel.bsc(0.2), trials=3000, seed=5)
     b = freeze_montecarlo(3, 4, Channel.bsc(0.2), trials=3000, seed=5)
     assert a == b
+
+
+def test_freeze_montecarlo_rejects_bad_k_and_trials():
+    channel = Channel.bsc(0.1)
+    for k in (-1, 9):
+        with pytest.raises(ValueError, match=rf"^k must lie in \[0, 8\], got {k}$"):
+            freeze_montecarlo(3, k, channel, trials=10)
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match=rf"^trials must be >= 1, got {trials}$"):
+            freeze_montecarlo(3, 4, channel, trials=trials)
+
+
+def test_frozen_set_load_rejects_an_empty_file(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    with pytest.raises(ValueError, match=r"empty\.txt: empty frozen-set file$"):
+        load_frozen_set(empty)
 
 
 def test_frozen_set_file_exact_bytes(tmp_path):

@@ -719,6 +719,25 @@ def test_rank_rule_matches_reference_on_tie_heavy_blocks(beliefs, mode):
             assert same_list_result(frame_of(block, f), reference_list_decode(spec, row, L, frozen_metric=mode))
 
 
+@pytest.mark.parametrize("N", [1, 7, 8, 9, 64, 65, 130])
+def test_rank_orders_words_that_differ_in_their_last_bit(N):
+    # one byte-string key per word: the last bit, in the last (padded) byte,
+    # must still order the words as info_bits_to_int reads them
+    rng = np.random.default_rng(92 + N)
+    word = rng.integers(0, 2, N, dtype=np.uint8)
+    larger, smaller = word.copy(), word.copy()
+    larger[-1], smaller[-1] = 1, 0
+    assert info_bits_to_int(smaller) < info_bits_to_int(larger)
+    # frames: an exact tie, the larger word better within METRIC_TIE_EPS, and
+    # the larger word better beyond it; the larger word comes first
+    metrics = np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0 - 0.5e-9, -1.0 - 2e-9]])
+    bits = np.stack([np.stack([larger] * 3), np.stack([smaller] * 3)])
+    # the same words with the bit axis not contiguous
+    strided = np.ascontiguousarray(bits.transpose(2, 0, 1)).transpose(1, 2, 0)
+    for words in (bits, strided):
+        assert list_decoder._rank(metrics, words).T.tolist() == [[1, 0], [1, 0], [0, 1]]
+
+
 # raw beliefs whose log posteriors reach both signs of zero: log_expit(800)
 # is -0.0, so a metric summed without its +0.0 start would read -0.0
 _SC_METRIC_BELIEFS = np.array([0.0, -0.0, 1.5, -1.5, 40.0, -40.0, 800.0, -800.0])

@@ -157,6 +157,17 @@ def test_ml_agrees_with_full_list_decoder():
             np.testing.assert_array_equal(full.best.codeword, ml.codeword)
 
 
+def test_ml_decode_of_a_code_without_information_bits():
+    # k = 0: the one codeword is all-zero, with the empty word
+    spec = CodeSpec(m=3, info_indices=())
+    llr = np.array([1.5, -2.0, 0.0, 4.0, -0.5, 3.0, -1.0, 2.5])
+    result = ml_decode(spec, llr)
+    assert result.info_bits.shape == (0,) and result.info_bits.dtype == np.uint8
+    np.testing.assert_array_equal(result.codeword, np.zeros(8, dtype=np.uint8))
+    assert result.loglik == likelihood_table(spec, llr)[0]
+    assert result.loglik == pytest.approx(codeword_loglik(np.zeros(8), llr), rel=1e-12)
+
+
 def test_enumeration_guard():
     spec = freeze_bec(5, MAX_ENUM_BITS + 1, 0.5)
     with pytest.raises(ValueError):

@@ -434,6 +434,15 @@ def test_genie_rejects_a_word_count_that_differs_from_the_frames():
     assert genie_error_counts(spec, llr[:0], words[:0]).tolist() == [0] * spec.n
 
 
+def test_genie_rejects_words_of_the_wrong_width():
+    spec = freeze_bec(3, 4, 0.5)
+    llr = np.ones((2, 8))
+    for words in (np.zeros((2, 5), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8), np.zeros(4, dtype=np.uint8)):
+        with pytest.raises(ValueError) as exc:
+            genie_error_counts(spec, llr, words)
+        assert str(exc.value) == f"truth needs 4 information bits per word, got shape {words.shape}"
+
+
 def test_single_frame_decoders_reject_a_block():
     spec = freeze_bec(3, 4, 0.5)
     block = np.ones((2, 8))

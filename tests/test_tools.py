@@ -1,4 +1,5 @@
-"""The paired-timing tool runs on two trees and refuses trees that decode differently."""
+"""The paired-timing tool runs on two trees and refuses trees that decode or count
+work differently."""
 
 import shutil
 import subprocess
@@ -24,17 +25,40 @@ def test_paired_timing_of_a_tree_against_itself():
     assert all(line.split()[3] == "2" for line in lines[1:])
 
 
-def test_paired_timing_refuses_results_that_differ(tmp_path):
-    # a tree whose list_decode reports one more kernel op than it did
+def _tree_with(tmp_path, tail):
+    """A copy of this tree whose list_decoder module ends with `tail`."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "src" / "rmpolar" / "list_decoder.py", "a", encoding="utf-8") as fh:
-        fh.write(
-            "\n\n_list_decode = list_decode\n\n\n"
-            "def list_decode(*args, **kwargs):\n"
-            "    result = _list_decode(*args, **kwargs)\n"
-            "    result.kernel_ops += 1\n"
-            "    return result\n"
-        )
-    proc = _run(ROOT, tmp_path)
+        fh.write(tail)
+    return tmp_path
+
+
+def test_paired_timing_refuses_results_that_differ(tmp_path):
+    # a tree whose list_decode reports one more kernel op than it did
+    tree = _tree_with(
+        tmp_path,
+        "\n\n_list_decode = list_decode\n\n\n"
+        "def list_decode(*args, **kwargs):\n"
+        "    result = _list_decode(*args, **kwargs)\n"
+        "    result.kernel_ops += 1\n"
+        "    return result\n",
+    )
+    proc = _run(ROOT, tree)
     assert proc.returncode != 0
     assert "decode-latency: the two trees decode round 0" in proc.stderr
+
+
+def test_paired_timing_refuses_cores_that_move_differently(tmp_path):
+    # a tree whose decoder core reports one more moved entry: its list_decode
+    # results, which carry no moved count, stay the same
+    tree = _tree_with(
+        tmp_path,
+        "\n\n_core = _decode\n\n\n"
+        "def _decode(*args, **kwargs):\n"
+        "    syms, metrics, live, counter, leaf_llr = _core(*args, **kwargs)\n"
+        "    counter = OpCounter(counter.kernel, counter.select, counter.moved + 1)\n"
+        "    return syms, metrics, live, counter, leaf_llr\n",
+    )
+    proc = _run(ROOT, tree)
+    assert proc.returncode != 0
+    assert "decode-latency: the two trees count work differently in round 0" in proc.stderr

@@ -9,7 +9,10 @@ share its numpy, its heap and its CPU state.  For each shape below, every
 round draws one fresh block of channel beliefs and times one `list_decode`
 call of each side on it with `time.perf_counter`, the side that goes first
 alternating from round to round.  The two results must be byte-identical:
-information bits, codewords, metric bytes and work counts.  The script prints
+information bits, codewords, metric bytes and work counts.  After the timed
+calls, each side's decoder core (`list_decoder._decode`) runs once more,
+untimed, on the same block, and the two must count the same work, the
+entries that forks move (`OpCounter.moved`) included.  The script prints
 the median and the quartiles of the change/base time ratio per shape; below 1
 the change is faster.
 
@@ -66,6 +69,15 @@ def result_bytes(result):
     return tuple(np.ascontiguousarray(a).tobytes() for a in arrays) + (result.kernel_ops, result.select_ops)
 
 
+def core_counts(pkg, spec, block, list_size):
+    """The work counts of `pkg`'s decoder core on `block`: kernel, select, moved."""
+    decoder = pkg.list_decoder
+    llr, _ = decoder._check_beliefs(spec, block)
+    live = decoder.check_list_size(spec.m, spec.dimension, list_size)
+    counter = decoder._decode(spec, llr, live, "include")[3]
+    return counter.kernel, counter.select, counter.moved
+
+
 def time_shape(base, change, shape, rounds, seed):
     """Per-round change/base time ratios of one shape."""
     name, (construction, args), list_size, tokens, per_token = shape
@@ -82,6 +94,9 @@ def time_shape(base, change, shape, rounds, seed):
             times[side] = time.perf_counter() - t0
         if result_bytes(results[0]) != result_bytes(results[1]):
             raise SystemExit(f"{name}: the two trees decode round {r} (seed {seed + r}) differently")
+        counts = [core_counts(pkg, spec, block, list_size) for pkg, spec in zip((base, change), specs)]
+        if counts[0] != counts[1]:
+            raise SystemExit(f"{name}: the two trees count work differently in round {r} (seed {seed + r}): {counts}")
         if r:
             ratios.append(times[1] / times[0])
     return np.array(ratios)
