@@ -8,7 +8,7 @@ fits the constant.
 
 from rmpolar import complexity_probe
 
-report = complexity_probe(m_values=range(4, 10), list_sizes=[1, 2, 4, 8], trials=2)
+report = complexity_probe(m_values=range(4, 10), list_sizes=[1, 2, 4, 8])
 
 print("decoder points (m, n, L, kernel ops, metric updates):")
 for m, n, L, kops, sops in report.decoder_points:

@@ -124,6 +124,18 @@ def _clamped(llr):
     return np.minimum(np.maximum(llr, -LLR_CLAMP, out=out), LLR_CLAMP, out=out)
 
 
+def _expit(llr):
+    """1 / (1 + exp(-v)) for each v of `llr`, by the C library's exp, overflow
+    giving 0.0: the bytes of scipy.special.expit (numpy's exp differs)."""
+    def one(v):
+        try:
+            return 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            return 0.0
+
+    return np.array([one(v) for v in llr.ravel().tolist()], dtype=np.float64).reshape(llr.shape)
+
+
 def _check_frame(llr):
     """Raise ValueError unless `llr` is a non-empty 1-d array of finite values."""
     if llr.ndim != 1 or llr.size == 0:
@@ -173,10 +185,8 @@ class SoftVector:
 
     @property
     def q(self):
-        """Posterior probability of the +1 symbol (bit 0)."""
-        from scipy.special import expit
-
-        return expit(self.llr)
+        """Posterior probability of the +1 symbol (bit 0), expit(llr) without scipy."""
+        return _expit(self.llr)
 
     @property
     def g(self):

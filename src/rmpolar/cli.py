@@ -153,12 +153,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_complexity(args):
-    report = complexity_probe(
-        _parse_range(args.m_range),
-        _parse_int_list(args.l_range),
-        trials=args.trials,
-        seed=args.seed,
-    )
+    report = complexity_probe(_parse_range(args.m_range), _parse_int_list(args.l_range))
     payload = report.to_dict()
     if args.report:
         with open(args.report, "w", encoding="ascii", newline="\n") as fh:
@@ -225,8 +220,6 @@ def build_parser():
     p = sub.add_parser("complexity", help="kernel-count scaling probe")
     p.add_argument("--m-range", default="6:10", help="e.g. 6:10 or 6,8,10")
     p.add_argument("--l-range", default="1,2,4,8,16", help="comma-separated list sizes")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_complexity)
 

@@ -108,6 +108,7 @@ def monomial_codeword(path):
     block is the x1 = 0 half.  The result has weight 2**(m - weight(path)).
     """
     m = path.m
+    check_m(m)
     n = 1 << m
     positions = np.arange(n)
     word = np.ones(n, dtype=np.uint8)
@@ -300,8 +301,7 @@ def bec_erasure_parameters(m, z):
     """
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"erasure parameter must lie in [0, 1], got {z}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_m(m)
     params = np.array([z], dtype=np.float64)
     for _ in range(m):
         nxt = np.empty(2 * params.size, dtype=np.float64)

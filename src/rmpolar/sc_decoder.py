@@ -5,9 +5,9 @@ decoders here are thin wrappers over its core, rmpolar.list_decoder._decode:
 an information leaf takes the sign of its belief, the tie going to bit 0,
 and the wrappers read each decision as the sign bit of the recorded leaf
 belief (belief + 0.0, so -0.0 reads as bit 0) and each posterior as
-expit(leaf belief).  sc_decode decodes one frame, list_decode(spec, llr, 1)
-a block; genie_error_counts runs a block of trials as the rows of one pass,
-propagating the true symbols in place of the decisions.
+1 / (1 + exp(-belief)).  sc_decode decodes one frame, list_decode(spec,
+llr, 1) a block; genie_error_counts runs a block of trials as the rows of
+one pass, propagating the true symbols in place of the decisions.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import _expit
 
 __all__ = [
     "OpCounter",
@@ -104,10 +106,8 @@ def sc_decode(spec, beliefs):
     Returns
     -------
     DecodeResult; the codeword field always equals the re-encoding of the
-    decided information bits.
+    decided information bits; leaf_posteriors are computed as SoftVector.q.
     """
-    from scipy.special import expit
-
     from .list_decoder import _decode, _one_frame
 
     code_syms, _, _, counter, leaf_llr = _decode(spec, _one_frame(spec, beliefs), 1, "ignore")
@@ -115,7 +115,7 @@ def sc_decode(spec, beliefs):
     return DecodeResult(
         info_bits=np.signbit(lam).view(np.uint8),
         codeword=(code_syms[:, 0] < 0.0).view(np.uint8),
-        leaf_posteriors=expit(lam),
+        leaf_posteriors=_expit(lam),
         op_count=counter.kernel,
     )
 

@@ -229,23 +229,20 @@ class ComplexityReport:
         }
 
 
-def complexity_probe(m_values, list_sizes, trials=1, seed=7):
+def complexity_probe(m_values, list_sizes):
     """Measure encoder/decoder kernel counts over a grid of (m, L).
 
     Uses full-rate specs (every path informational) so the list reaches its
     full width immediately; kernel counts per hypothesis do not depend on the
     frozen set.  The counts depend on the frozen set and L only, never on the
-    frames, so small `trials` suffice.  Each (m, L) point is one
-    :func:`run_simulation` on awgn with sigma 1 and base seed seed + m, its
-    frames made and decoded in blocks as in any sweep; the encoder point is
-    the count of one :func:`encode` call, the same for every word.
+    frames, so each (m, L) point is one :func:`run_simulation` trial on awgn
+    with sigma 1, as in any sweep; the encoder point is the count of one
+    :func:`encode` call, the same for every word.
     """
     m_values = list(m_values)
     list_sizes = list(list_sizes)
     if not m_values or not list_sizes:
         raise ValueError("need at least one m and one list size")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     for m in m_values:
         check_m(m)
         for L in list_sizes:
@@ -257,7 +254,7 @@ def complexity_probe(m_values, list_sizes, trials=1, seed=7):
         n = 1 << m
         spec = CodeSpec(m=m, info_indices=np.arange(n))
         for L in list_sizes:
-            (row,) = run_simulation(spec, [(Channel.awgn(1.0), 1.0)], L, trials, seed + m)
+            (row,) = run_simulation(spec, [(Channel.awgn(1.0), 1.0)], L, trials=1, seed=0)
             decoder_points.append((m, n, L, row.avg_kernel_ops, row.avg_select_ops))
         counter = OpCounter()
         encode(spec, np.zeros(n, dtype=np.uint8), counter=counter)

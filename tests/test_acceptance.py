@@ -131,7 +131,7 @@ def test_criterion_2_list_of_one_matches_sc():
 
 def test_criterion_3_complexity_scaling():
     with criterion(3, "kernel counts fit the scaling models within 20%") as out:
-        report = complexity_probe(range(6, 11), [1, 2, 4, 8, 16], trials=2, seed=7)
+        report = complexity_probe(range(6, 11), [1, 2, 4, 8, 16])
         dec_worst = max(abs(r) for r in report.decoder_residuals)
         enc_worst = max(abs(r) for r in report.encoder_residuals)
         out["ok"] = dec_worst < 0.2 and enc_worst < 0.2

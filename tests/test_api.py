@@ -1,11 +1,17 @@
 """The public API: rmpolar exports what the CLI, the demos and users call."""
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10, where pytest itself needs tomli
+    import tomli as tomllib
 
 import pytest
 
@@ -145,15 +151,20 @@ rmpolar.ml_decode(spec, beliefs[0])
 stages.append(("ml_decode", "scipy.special" in sys.modules))
 rmpolar.sc_decode(spec, beliefs[0])
 stages.append(("sc_decode", "scipy.special" in sys.modules))
+rmpolar.SoftVector.from_llr(beliefs[0]).q
+stages.append(("SoftVector.q", "scipy.special" in sys.modules))
+import scipy.special
+stages.append(("import scipy.special", "scipy.special" in sys.modules))
 print(json.dumps(stages))
 """
 
 
 def test_import_construct_and_list_size_one_never_load_scipy_special(tmp_path):
-    # importing scipy.special costs more than numpy itself; list decoding at
-    # every list size, its metrics, the ML oracle, encoding and every
-    # construction never need it, while sc_decode's posteriors do, so the
-    # probe can tell
+    # importing scipy.special costs more than numpy itself, and no rmpolar
+    # call needs it: not the constructions, encoding, simulation, list
+    # decoding at every list size with its metrics, the ML oracle, nor the
+    # posteriors of sc_decode and SoftVector.q; the last stage imports it
+    # directly, so the probe shows that it can see a load
     path = [str(Path(rmpolar.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_SPECIAL_PROBE], cwd=tmp_path, env=env,
@@ -162,6 +173,26 @@ def test_import_construct_and_list_size_one_never_load_scipy_special(tmp_path):
     stages = json.loads(proc.stdout.splitlines()[-1])
     assert [name for name, _ in stages] == [
         "import rmpolar", "construct rm", "construct bec", "construct mc", "encode", "simulate", "decode",
-        "list_decode L=2", "list_decode L=1 metrics", "ml_decode", "sc_decode",
+        "list_decode L=2", "list_decode L=1 metrics", "ml_decode", "sc_decode", "SoftVector.q",
+        "import scipy.special",
     ]
-    assert [name for name, loaded in stages if loaded] == ["sc_decode"]
+    assert [name for name, loaded in stages if loaded] == ["import scipy.special"]
+
+
+def test_runtime_needs_numpy_only():
+    # scipy is a test-only oracle: no module of the package imports it, and
+    # numpy is the one declared runtime dependency
+    root = Path(__file__).resolve().parents[1]
+    for source in sorted((root / "src" / "rmpolar").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [name for name in names if name.split(".")[0] == "scipy"], f"{source.name}:{node.lineno}"
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert any(req.startswith("scipy") for req in project["optional-dependencies"]["test"])

@@ -7,10 +7,12 @@ from scipy.special import expit
 from rmpolar import (
     LLR_CLAMP,
     Channel,
+    CodeSpec,
     SoftVector,
     modulate,
     parse_channel,
     posteriors,
+    sc_decode,
     transmit,
 )
 
@@ -188,6 +190,33 @@ def test_softvector_round_trips():
     np.testing.assert_allclose((sv.g + 1.0) / 2.0, q, atol=1e-12)
     np.testing.assert_allclose(sv.h / (1.0 + sv.h), q, atol=1e-12)
     np.testing.assert_allclose(expit(sv.llr), q, atol=1e-12)
+
+
+# where exp(-x) of a float64 overflows, and its float neighbours
+_EXP_EDGE = math.log(np.finfo(np.float64).max)
+# zeros, tiny, clamp, overflow and beyond-overflow values, then seeded draws
+_POSTERIOR_SAMPLE = np.concatenate([
+    [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 40.0, -40.0, 709.78, -709.78, 710.0, -710.0,
+     745.2, -745.2, 800.0, -800.0, _EXP_EDGE, -_EXP_EDGE, np.nextafter(-_EXP_EDGE, 0.0),
+     np.nextafter(-_EXP_EDGE, -np.inf), 1.0, -1.0, 0.5, -0.5],
+    np.random.default_rng(41).normal(0.0, 1.0, size=300),
+    np.random.default_rng(42).normal(0.0, 30.0, size=300),
+    np.random.default_rng(43).uniform(-800.0, 800.0, size=300),
+])
+
+
+def test_posteriors_match_scipy_expit_bytes():
+    # scipy.special.expit is the independent oracle for the bit-0 posterior
+    # of SoftVector.q and of sc_decode's leaf_posteriors
+    sv = SoftVector.from_llr(_POSTERIOR_SAMPLE)
+    assert sv.q.tobytes() == expit(np.clip(_POSTERIOR_SAMPLE, -LLR_CLAMP, LLR_CLAMP)).tobytes()
+    # at m=1 with a second belief of 1e6 the first leaf's belief is x itself
+    # and the second's is x + v * 1e6, v the first leaf's decided symbol
+    spec = CodeSpec(m=1, info_indices=[0, 1])
+    for x in _POSTERIOR_SAMPLE:
+        result = sc_decode(spec, np.array([x, 1e6]))
+        v = 1.0 - 2.0 * result.info_bits[0]
+        assert result.leaf_posteriors.tobytes() == expit(np.array([x, x + v * 1e6])).tobytes(), x
 
 
 def test_softvector_extremes_clamp():

@@ -316,8 +316,7 @@ def test_list_memory_bound_refused_before_allocating(tmp_path):
 
 def test_complexity_report_file(tmp_path):
     report = tmp_path / "scaling.json"
-    assert main(["complexity", "--m-range", "6:8", "--l-range", "1,2,4",
-                 "--trials", "1", "--seed", "7", "--report", str(report)]) == 0
+    assert main(["complexity", "--m-range", "6:8", "--l-range", "1,2,4", "--report", str(report)]) == 0
     payload = json.loads(report.read_text())
     assert set(payload) == {"decoder", "encoder"}
     assert payload["decoder"]["max_abs_residual"] < 0.2

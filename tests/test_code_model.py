@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,7 +327,7 @@ def test_bec_erasure_parameters_bounds():
         assert np.all(params >= 0.0) and np.all(params <= 1.0)
     with pytest.raises(ValueError):
         bec_erasure_parameters(2, 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^m must lie in \[1, {MAX_M}\] .*got m=0$"):
         bec_erasure_parameters(0, 0.5)
 
 
@@ -511,3 +512,17 @@ def test_m_is_bounded_before_anything_is_allocated(tmp_path):
     path.write_text("m=40 k=1\n0\n")
     with pytest.raises(ValueError, match=rf"deep\.txt: m must lie in \[1, {MAX_M}\]"):
         load_frozen_set(path)
+    # either would build arrays of 2**(MAX_M + 1) entries, at m=30 of 8 GB
+    for call in (
+        lambda: bec_erasure_parameters(too_deep, 0.5),
+        lambda: monomial_codeword(Path((0,) * too_deep)),
+        lambda: monomial_codeword(Path((1,) * too_deep)),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^m must lie in \[1, {MAX_M}\] .*got m={too_deep}$"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

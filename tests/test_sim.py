@@ -239,7 +239,7 @@ def test_run_simulation_validation():
 
 
 def test_complexity_probe_points_and_fits():
-    report = complexity_probe([6, 7, 8], [1, 2, 4, 8], trials=1, seed=7)
+    report = complexity_probe([6, 7, 8], [1, 2, 4, 8])
     assert isinstance(report, ComplexityReport)
     assert len(report.decoder_points) == 3 * 4
     assert len(report.encoder_points) == 3
@@ -256,7 +256,7 @@ def test_complexity_probe_points_and_fits():
 
 
 def test_complexity_report_to_dict():
-    report = complexity_probe([5, 6], [1, 2], trials=1, seed=1)
+    report = complexity_probe([5, 6], [1, 2])
     payload = report.to_dict()
     assert set(payload) == {"decoder", "encoder"}
     dec = payload["decoder"]
@@ -268,43 +268,26 @@ def test_complexity_report_to_dict():
     assert {"m", "n", "kernel_ops"} == set(enc["points"][0])
 
 
-@pytest.mark.parametrize("entries", [1, 200])
-def test_complexity_probe_decodes_in_blocks(monkeypatch, entries):
-    # blocks bound memory only: the per-frame counts, and so the report, hold
-    m_values, list_sizes, trials = [4, 5], [1, 4], 7
-    whole = complexity_probe(m_values, list_sizes, trials=trials, seed=3).to_dict()
-    monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", entries)
+def test_complexity_probe_decodes_one_frame_per_point(monkeypatch):
+    # the counts depend on the frozen set and L only, so each (m, L) point
+    # is one frame, formed and decoded through the sweep's pipeline
     calls = []
-    formed = []
-    beliefs_of, decode = sim.posteriors, sim.list_decode
-
-    def counted_posteriors(channel, observed):
-        formed.append(len(observed))
-        return beliefs_of(channel, observed)
+    decode = sim.list_decode
 
     def counted(spec, beliefs, list_size, *args, **kwargs):
-        # the input stage is bounded too: each block's beliefs are formed
-        # just before it is decoded, never more than one block's at a time
-        assert formed == [len(beliefs)]
-        formed.clear()
         calls.append((spec.m, list_size, len(beliefs)))
         return decode(spec, beliefs, list_size, *args, **kwargs)
 
-    monkeypatch.setattr(sim, "posteriors", counted_posteriors)
     monkeypatch.setattr(sim, "list_decode", counted)
-    assert complexity_probe(m_values, list_sizes, trials=trials, seed=3).to_dict() == whole
-    for m in m_values:
-        for L in list_sizes:
-            per_block = sim.block_frames(CodeSpec(m=m, info_indices=range(1 << m)), L)
-            sizes = [size for (cm, cl, size) in calls if (cm, cl) == (m, L)]
-            assert len(sizes) == math.ceil(trials / per_block)
-            assert sum(sizes) == trials and max(sizes) <= per_block
+    complexity_probe([4, 5], [1, 4])
+    assert calls == [(4, 1, 1), (4, 4, 1), (5, 1, 1), (5, 4, 1)]
 
 
 def test_complexity_report_bytes_are_pinned():
-    # recorded when the probe drew its frames from one generator of its own:
-    # the counts never depend on the frames, so the bytes must not move
-    payload = json.dumps(complexity_probe([4, 5, 6], [1, 2, 4, 8], trials=3, seed=7).to_dict(), sort_keys=True)
+    # recorded when the probe drew three frames per point from one generator
+    # of its own: the counts never depend on the frames, so the bytes must
+    # not move
+    payload = json.dumps(complexity_probe([4, 5, 6], [1, 2, 4, 8]).to_dict(), sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     assert digest == "f2a5f6796cfa960e83180de887d5b4cea1dcded814080d6529ff8a2f8ae9b132"
 
@@ -317,7 +300,7 @@ def test_list_memory_bound_refused_before_the_first_draw(monkeypatch):
     for call in (
         lambda: run_simulation(spec, [(Channel.bsc(0.1), 0.1)], list_size=1 << 17, trials=10**9, seed=0),
         # every (m, L) is checked before the first point runs
-        lambda: complexity_probe([4, 10], [1, 1 << 17], trials=10**9),
+        lambda: complexity_probe([4, 10], [1, 1 << 17]),
     ):
         tracemalloc.start()
         try:
@@ -335,8 +318,6 @@ def test_complexity_probe_validation():
         complexity_probe([], [1])
     with pytest.raises(ValueError):
         complexity_probe([6], [])
-    with pytest.raises(ValueError):
-        complexity_probe([6], [1], trials=0)
     with pytest.raises(ValueError, match="m must lie in"):
         complexity_probe([6, 40], [1])
 
