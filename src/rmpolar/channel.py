@@ -205,6 +205,14 @@ class SoftVector:
         return f"SoftVector(len={self.llr.size})"
 
 
+def _number(convert, token, what, expected):
+    """convert(token), or a ValueError naming `what` and what it expects."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise ValueError(f"{what} expects {expected}, got {token!r}") from None
+
+
 def parse_channel(text, rate=None):
     """Parse a CLI channel token: 'bsc:0.1', 'bec:0.3', or 'awgn:2.0dB'.
 
@@ -219,27 +227,25 @@ def parse_channel(text, rate=None):
         raise ValueError(f"channel token {text!r} must look like kind:param")
     kind, _, value = text.partition(":")
     kind = kind.lower()
-    if kind == "bsc":
-        p = float(value)
-        return Channel.bsc(p), p
-    if kind == "bec":
-        eps = float(value)
-        return Channel.bec(eps), eps
+    if kind not in _KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
     if kind == "awgn":
         if not value.lower().endswith("db"):
             raise ValueError(f"awgn parameter must end in 'dB', got {value!r}")
-        ebn0_db = float(value[:-2])
-        if rate is None:
-            raise ValueError("awgn channels need the code rate to fix sigma")
-        if rate <= 0.0:
-            raise ValueError(f"code rate must be positive, got {rate}")
-        try:
-            sigma = (2.0 * rate * 10.0 ** (ebn0_db / 10.0)) ** -0.5
-        except (OverflowError, ZeroDivisionError):
-            sigma = math.nan
-        # a non-finite Eb/N0 gives sigma nan or 0; the beliefs divide by
-        # sigma**2, which must be positive and finite
-        if not 0.0 < sigma * sigma < math.inf:
-            raise ValueError(f"awgn Eb/N0 in {text!r} must be finite and keep sigma**2 in floating-point range")
-        return Channel.awgn(sigma), ebn0_db
-    raise ValueError(f"unknown channel kind {kind!r}")
+        value = value[:-2]
+    number = _number(float, value, f"channel token {text!r}", f"a number after '{kind}:'")
+    if kind != "awgn":
+        return Channel(kind, number), number
+    if rate is None:
+        raise ValueError("awgn channels need the code rate to fix sigma")
+    if rate <= 0.0:
+        raise ValueError(f"code rate must be positive, got {rate}")
+    try:
+        sigma = (2.0 * rate * 10.0 ** (number / 10.0)) ** -0.5
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    # a non-finite Eb/N0 gives sigma nan or 0; the beliefs divide by
+    # sigma**2, which must be positive and finite
+    if not 0.0 < sigma * sigma < math.inf:
+        raise ValueError(f"awgn Eb/N0 in {text!r} must be finite and keep sigma**2 in floating-point range")
+    return Channel.awgn(sigma), number

@@ -16,23 +16,23 @@ from functools import cache
 
 import numpy as np
 
-from .channel import _clamped, parse_channel
+from .channel import _clamped, _number, parse_channel
 from .code_model import check_m, freeze_bec, freeze_montecarlo, freeze_rm, load_frozen_set, save_frozen_set
 from .encoder import encode
 from .list_decoder import check_list_size, list_decode
 from .sim import block_frames, complexity_probe, run_simulation, write_csv
 
 
-def _parse_int_list(text):
-    return [int(tok) for tok in text.split(",") if tok]
+def _parse_int_list(text, flag):
+    return [_number(int, tok, flag, "comma-separated integers") for tok in text.split(",") if tok]
 
 
-def _parse_range(text):
+def _parse_range(text, flag):
     """'6:10' -> [6..10]; '6,8,10' -> [6, 8, 10]; '7' -> [7]."""
     if ":" in text:
-        lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+        lo, hi = (_number(int, tok, flag, "integers, lo:hi or a,b,c") for tok in text.split(":", 1))
+        return list(range(lo, hi + 1))
+    return _parse_int_list(text, flag)
 
 
 def _cmd_construct(args):
@@ -41,15 +41,15 @@ def _cmd_construct(args):
     if kind == "rm":
         if args.design_param is None:
             raise SystemExit("construct rm: --design-param gives the order r")
-        spec = freeze_rm(int(args.design_param), args.m)
+        r = _number(int, args.design_param, "--design-param", "an integer order r for rm")
+        spec = freeze_rm(r, args.m)
         if args.k is not None and args.k != spec.dimension:
-            raise SystemExit(
-                f"construct rm: order {int(args.design_param)} gives k={spec.dimension}, not {args.k}"
-            )
+            raise SystemExit(f"construct rm: order {r} gives k={spec.dimension}, not {args.k}")
     elif kind == "bec":
         if args.k is None or args.design_param is None:
             raise SystemExit("construct bec: needs --k and --design-param (erasure z)")
-        spec = freeze_bec(args.m, args.k, float(args.design_param))
+        z = _number(float, args.design_param, "--design-param", "a number, the erasure probability z for bec")
+        spec = freeze_bec(args.m, args.k, z)
     else:
         if args.k is None or args.channel is None:
             raise SystemExit("construct mc: needs --k and --channel")
@@ -61,16 +61,25 @@ def _cmd_construct(args):
     return 0
 
 
+def _text_lines(path, malformed):
+    """(number, line) of each non-blank line of `path`, read as latin-1 so
+    that a byte above 0x7F (a UTF-8 BOM, say) is refused as `malformed`."""
+    with open(path, "r", encoding="latin-1") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise SystemExit(f"{path}:{number}: {malformed}")
+            if line.strip():
+                yield number, line
+
+
 def _read_bit_lines(path, width, what):
+    malformed = f"expected {width} bits of 0/1 for {what}"
     words = []
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if len(line) != width or set(line) - {"0", "1"}:
-                raise SystemExit(f"{path}:{ln}: expected {width} bits of 0/1 for {what}")
-            words.append(line)
+    for ln, line in _text_lines(path, malformed):
+        line = line.strip()
+        if len(line) != width or set(line) - {"0", "1"}:
+            raise SystemExit(f"{path}:{ln}: {malformed}")
+        words.append(line)
     if not words:
         raise SystemExit(f"{path}: no {what} lines found")
     return np.frombuffer("".join(words).encode("ascii"), np.uint8).reshape(len(words), width) - ord("0")
@@ -97,19 +106,16 @@ def _cmd_decode(args):
     spec = load_frozen_set(args.frozen_set)
     check_list_size(spec.m, spec.dimension, args.list_size)
     frames = []
-    with open(args.infile, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                values = [float(tok) for tok in line.split()]
-            except ValueError:
-                raise SystemExit(f"{args.infile}:{ln}: LLR values must be numbers") from None
-            if not all(math.isfinite(v) for v in values):
-                raise SystemExit(f"{args.infile}:{ln}: LLR values must be finite, not nan or inf")
-            if len(values) != spec.n:
-                raise SystemExit(f"{args.infile}:{ln}: expected {spec.n} LLR values")
-            frames.append(values)
+    for ln, line in _text_lines(args.infile, "LLR values must be numbers"):
+        try:
+            values = [float(tok) for tok in line.split()]
+        except ValueError:
+            raise SystemExit(f"{args.infile}:{ln}: LLR values must be numbers") from None
+        if not all(math.isfinite(v) for v in values):
+            raise SystemExit(f"{args.infile}:{ln}: LLR values must be finite, not nan or inf")
+        if len(values) != spec.n:
+            raise SystemExit(f"{args.infile}:{ln}: expected {spec.n} LLR values")
+        frames.append(values)
     if not frames:
         raise SystemExit(f"{args.infile}: no LLR lines found")
     # clamped like SoftVector beliefs, which raw blocks are not
@@ -153,7 +159,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_complexity(args):
-    report = complexity_probe(_parse_range(args.m_range), _parse_int_list(args.l_range))
+    report = complexity_probe(_parse_range(args.m_range, "--m-range"), _parse_int_list(args.l_range, "--l-range"))
     payload = report.to_dict()
     if args.report:
         with open(args.report, "w", encoding="ascii", newline="\n") as fh:

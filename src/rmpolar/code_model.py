@@ -168,52 +168,36 @@ class CodeSpec:
     def dimension(self):
         return self.info_indices.size
 
-    @cached_property
+    @property
     def info_mask(self):
-        """Boolean mask over path indices 0..n-1, True where informational."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.info_indices] = True
-        mask.setflags(write=False)
-        return mask
+        """True at each informational path index 0..n-1: a read-only view."""
+        return self.info_mask_by_leaf[::-1]
 
     @cached_property
     def info_mask_by_leaf(self):
-        """info_mask re-ordered by leaf processing step (decreasing index)."""
-        mask = self.info_mask[::-1].copy()
+        """info_mask in leaf processing order: leaf s is path index n - 1 - s."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.n - 1 - self.info_indices] = True
         mask.setflags(write=False)
         return mask
 
     @cached_property
-    def _steps(self):
-        """First leaf and node level of every decode step, as int64 arrays.
-
-        A frozen leaf j lies in the aligned block of 2**t leaves from
-        (j >> t) << t, which holds no information leaf exactly when bit t is
-        at or below the highest bit where j differs from the information
-        leaf before it, and from the one after it.  The leaves are offset by
-        n, so that the stand-ins n - 1 (none before) and 2n (none after)
-        allow every t up to m.
-        """
-        m, n = self.m, self.n
-        info = self.info_mask_by_leaf
-        leaf = np.arange(n, 2 * n)
-        before = np.maximum.accumulate(np.where(info, leaf, n - 1))
-        after = np.minimum.accumulate(np.where(info, leaf, 2 * n)[::-1])[::-1]
-        # frexp(x)[1] is the bit length of an integer x; an information leaf
-        # differs from neither, and gets t = -1
-        t = np.minimum(np.frexp(leaf ^ before)[1], np.frexp(leaf ^ after)[1]) - 1
-        level = m - np.maximum(t, 0)
-        first = np.flatnonzero((leaf & ((1 << (m - level)) - 1)) == 0)
-        return first, level[first]
-
-    @cached_property
     def decode_plan(self):
-        """The steps of _steps compiled for the list decoder's step loop.
+        """The decode steps, compiled for the list decoder's step loop.
 
-        One tuple per step, (j, node, start, half, levels, info, width, stop,
-        work), all Python ints but `levels` and `info`:
+        Each information leaf is a step at level m.  A frozen leaf j lies in
+        the aligned block of 2**t leaves from (j >> t) << t, which holds no
+        information leaf exactly when bit t is at or below the highest bit
+        where j differs from the information leaf before it, and from the
+        one after it; the largest such block is one step.  The leaves are
+        offset by n, so that the stand-ins n - 1 (none before) and 2n (none
+        after) allow every t up to m.
 
-        - j, node: the step's first leaf and node level, as in _steps;
+        One tuple per step in processing order, (j, node, start, half,
+        levels, info, width, stop, work), all Python ints but `levels` and
+        `info`:
+
+        - j, node: the step's first leaf and node level;
         - start, half: the level whose beliefs the step refreshes first, from
           its parent's through combine_u_llr at half width half = j & -j, the
           lowest set bit of j; the first step (j = 0, half = 0) starts from
@@ -230,7 +214,16 @@ class CodeSpec:
           width * (m - node) in a frozen subtree.
         """
         m, n = self.m, self.n
-        first, node = self._steps
+        info = self.info_mask_by_leaf
+        leaf = np.arange(n, 2 * n)
+        before = np.maximum.accumulate(np.where(info, leaf, n - 1))
+        after = np.minimum.accumulate(np.where(info, leaf, 2 * n)[::-1])[::-1]
+        # frexp(x)[1] is the bit length of an integer x; an information leaf
+        # differs from neither, and gets t = -1
+        t = np.minimum(np.frexp(leaf ^ before)[1], np.frexp(leaf ^ after)[1]) - 1
+        level = m - np.maximum(t, 0)
+        first = np.flatnonzero((leaf & ((1 << (m - level)) - 1)) == 0)
+        node = level[first]
         half = first & -first
         # half = 2**t is refreshed at level m - t: frexp(2**t) has exponent t + 1
         start = m + 1 - np.frexp(half)[1]
@@ -248,7 +241,7 @@ class CodeSpec:
                 start.tolist(),
                 half.tolist(),
                 _level_ranges(m)[start, node].tolist(),
-                self.info_mask_by_leaf[first].tolist(),
+                info[first].tolist(),
                 width.tolist(),
                 stop.tolist(),
                 work.tolist(),
@@ -397,7 +390,8 @@ def save_frozen_set(spec, path):
 def _header(path, line):
     """(m, k) from a frozen-set header, which holds exactly m=<m> and k=<k>."""
     fields = {}
-    for part in line.split():
+    # ASCII only: str.split would also cut at a latin-1 no-break space
+    for part in line.split() if line.isascii() else ():
         key, _, value = part.partition("=")
         if key not in ("m", "k") or key in fields:
             break
@@ -407,7 +401,7 @@ def _header(path, line):
             return int(fields["m"]), int(fields["k"])
         except (ValueError, KeyError):
             pass
-    raise ValueError(f"{path}:1: malformed header {line!r}, expected 'm=<m> k=<k>'")
+    raise ValueError(f"{path}:1: malformed header {line!a}, expected 'm=<m> k=<k>'")
 
 
 # Characters of a frozen-set file parsed at a time by load_frozen_set, and
@@ -420,10 +414,12 @@ def load_frozen_set(path):
     """Read a frozen-set file written by :func:`save_frozen_set`.
 
     Every error names the file, and the line when one line is at fault.
-    Index lines must be decimal integers (digits only) in [0, 2**m),
-    strictly ascending; blank lines are skipped.
+    Index lines must be decimal integers (ASCII digits only) in [0, 2**m),
+    strictly ascending; blank lines are skipped.  The file is read as
+    latin-1, so that a byte above 0x7F (a UTF-8 byte order mark, say) makes
+    its line malformed like any other.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="latin-1") as fh:
         head = fh.readline()
         if not head:
             raise ValueError(f"{path}: empty frozen-set file")
@@ -471,7 +467,7 @@ def _decimal_lines(block, most_digits):
     """The int64 values of a block of newline-terminated lines, skipping
     blank ones, or None unless every other line is 1 to `most_digits`
     decimal digits."""
-    buf = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    buf = np.frombuffer(block.encode("latin-1"), dtype=np.uint8)
     digits = buf - np.uint8(ord("0"))  # below '0' wraps past 9
     newline = buf == ord("\n")
     if not (newline | (digits < 10)).all():
@@ -502,8 +498,8 @@ def _index_lines(path, number, block, m, previous):
     for number, line in enumerate(block.split("\n"), start=number):
         if not line:
             continue
-        if not line.isdigit():
-            raise ValueError(f"{path}:{number}: index line {line!r} is not a decimal integer")
+        if not (line.isascii() and line.isdigit()):
+            raise ValueError(f"{path}:{number}: index line {line!a} is not a decimal integer")
         index = int(line)
         if index >= 1 << m:
             raise ValueError(f"{path}:{number}: index {index} out of range for m={m}")

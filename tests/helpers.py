@@ -248,11 +248,10 @@ def decode_steps(spec):
     An information leaf is a step of its own at level m.  Frozen leaves are
     grouped into maximal aligned all-frozen blocks: the 2**(m - level) leaves
     of one level-`level` subtree, decoded in one step.  The steps cover every
-    leaf once, in processing order.  Read from the library's CodeSpec._steps,
-    which its step plan is built from.
+    leaf once, in processing order.  Read from the library's
+    CodeSpec.decode_plan, whose steps start with (j, node).
     """
-    first, node = spec._steps
-    return tuple(zip(first.tolist(), node.tolist()))
+    return tuple(step[:2] for step in spec.decode_plan)
 
 
 def leaf_bits_for(spec, info_bits):

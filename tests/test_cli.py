@@ -198,6 +198,64 @@ def test_every_subcommand_refuses_m_beyond_limit(tmp_path):
         assert "m must lie in" in str(exc.value.code), argv
 
 
+# a code with n = 16 and k = 6, and one good input line for each command
+_CODE = b"m=4 k=6\n0\n1\n2\n4\n8\n15\n"
+_GOOD_INPUT = {"encode": b"010101\n", "decode": b"1 " * 15 + b"1\n"}
+
+
+@pytest.mark.parametrize(
+    "command, fault, data, line, message",
+    [
+        ("encode", "frozen-set", b"\xef\xbb\xbf" + _CODE, 1,
+         "malformed header '\\xef\\xbb\\xbfm=4 k=6', expected 'm=<m> k=<k>'"),
+        ("decode", "frozen-set", b"m=4 k=6\n\xb9\n", 2, "index line '\\xb9' is not a decimal integer"),
+        ("encode", "in", b"\xef\xbb\xbf010101\n", 1, "expected 6 bits of 0/1 for information bits"),
+        ("encode", "in", b"010101\n0101\xc3\xa9\n", 2, "expected 6 bits of 0/1 for information bits"),
+        # str.strip takes 0xA0 for a space, yet the line is not blank
+        ("encode", "in", b"010101\n\xa0\n", 2, "expected 6 bits of 0/1 for information bits"),
+        ("decode", "in", b"\xef\xbb\xbf" + _GOOD_INPUT["decode"], 1, "LLR values must be numbers"),
+        # str.split and float take 0xA0 for a space
+        ("decode", "in", _GOOD_INPUT["decode"] + b"1\xa0" * 15 + b"1\n", 2, "LLR values must be numbers"),
+    ],
+    ids=["frozen-set-bom", "frozen-set-index", "bits-bom", "bits-utf8", "bits-nbsp-line", "llr-bom", "llr-nbsp"],
+)
+def test_non_ascii_bytes_are_malformed_lines_that_name_file_and_line(tmp_path, command, fault, data, line, message):
+    # a UTF-8 byte order mark or any byte above 0x7F makes its line malformed
+    fs, infile = tmp_path / "code.txt", tmp_path / "in.txt"
+    fs.write_bytes(data if fault == "frozen-set" else _CODE)
+    infile.write_bytes(data if fault == "in" else _GOOD_INPUT[command])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--frozen-set", str(fs), "--in", str(infile), "--out", str(tmp_path / "o.txt")])
+    # the library's ValueError gains the CLI's error: prefix
+    prefix, target = ("error: ", fs) if fault == "frozen-set" else ("", infile)
+    assert exc.value.code == f"{prefix}{target}:{line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--m", "4", "--construction", "rm", "--design-param", "1.5"],
+         "--design-param expects an integer order r for rm, got '1.5'"),
+        (["construct", "--m", "4", "--k", "6", "--construction", "bec", "--design-param", "abc"],
+         "--design-param expects a number, the erasure probability z for bec, got 'abc'"),
+        (["simulate", "--channel", "bsc:"], "channel token 'bsc:' expects a number after 'bsc:', got ''"),
+        (["simulate", "--channel", "awgn:twodB"], "channel token 'awgn:twodB' expects a number after 'awgn:', got 'two'"),
+        (["complexity", "--m-range", "6:x"], "--m-range expects integers, lo:hi or a,b,c, got 'x'"),
+        (["complexity", "--l-range", "1,2.5"], "--l-range expects comma-separated integers, got '2.5'"),
+    ],
+    ids=["rm-order", "bec-z", "bsc-empty", "awgn-word", "m-range", "l-range"],
+)
+def test_number_errors_name_the_flag_or_token(tmp_path, argv, message):
+    if argv[0] == "construct":
+        argv = argv + ["--out", str(tmp_path / "x.txt")]
+    if argv[0] == "simulate":
+        argv = argv + ["--frozen-set", str(_frozen_set_file(tmp_path, freeze_bec(4, 6, 0.5)))]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == f"error: {message}"
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_encode_rejects_bad_width(tmp_path):
     spec = freeze_rm(1, 3)
     fs = _frozen_set_file(tmp_path, spec)

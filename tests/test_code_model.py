@@ -273,6 +273,20 @@ def test_decode_plan_is_built_once_per_spec(monkeypatch):
     assert len(builds) == 2 and builds[1] is twin
 
 
+def test_a_decoded_spec_caches_one_mask_and_one_plan():
+    rng = np.random.default_rng(76)
+    spec = freeze_bec(6, 20, 0.5)
+    llr = rng.normal(1.0, 1.0, (2, spec.n))
+    list_decode(spec, llr, 4)
+    sc_decode(spec, llr[0])
+    genie_error_counts(spec, llr, np.zeros((2, spec.dimension), dtype=np.uint8))
+    mask = spec.info_mask
+    assert set(vars(spec)) == {"m", "info_indices", "info_mask_by_leaf", "decode_plan"}
+    # info_mask is the leaf mask read backwards, a view nobody can write to
+    assert mask.base is spec.info_mask_by_leaf and not mask.flags.writeable
+    np.testing.assert_array_equal(mask, np.isin(np.arange(spec.n), spec.info_indices))
+
+
 def test_codespec_validation():
     with pytest.raises(ValueError):
         CodeSpec(m=2, info_indices=(6,))
@@ -454,10 +468,17 @@ def test_frozen_set_load_rejects_malformed(tmp_path):
         ("m=4 k=3\n1_0\n11\n12\n", 2),  # int() would read 10
         ("m=4 k=3\n10\n +11\n12\n", 3),  # int() would read 11
         ("m=4 k=2\n3\n4 \n", 3),  # trailing whitespace
+        # bytes above 0x7F: each character here is written as one latin-1 byte
+        ("\xef\xbb\xbfm=2 k=1\n0\n", 1),  # UTF-8 byte order mark
+        ("m=2\xa0k=1\n0\n", 1),  # str.split would cut at a no-break space
+        ("m=2 k=2\n0\n\xc3\xa9\n", 3),  # UTF-8 e-acute
+        ("m=2 k=2\n0\n\xb2\n", 3),  # str.isdigit takes superscript two for a digit
+        ("m=2 k=2\n0\n1\xa0\n", 3),
+        ("m=2 k=2\n0\n\xa0\n1\n", 3),  # not a blank line
     ]
     for i, (text, line) in enumerate(bad):
         target = tmp_path / f"bad{i}.txt"
-        target.write_text(text)
+        target.write_bytes(text.encode("latin-1"))
         with pytest.raises(ValueError, match=rf"bad{i}\.txt:{line}: "):
             load_frozen_set(target)
 

@@ -21,7 +21,9 @@ def test_paired_timing_of_a_tree_against_itself():
     proc = _run(ROOT, ROOT)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    assert [line.split()[0] for line in lines[1:]] == ["decode-latency", "sim-list16", "sim-sc"]
+    shapes = ["decode-latency", "sim-list16", "sim-sc"]
+    # each shape, then its row that builds a fresh spec in every timed call
+    assert [line.split()[0] for line in lines[1:]] == [name + tail for name in shapes for tail in ("", ":fresh")]
     assert all(line.split()[3] == "2" for line in lines[1:])
 
 

@@ -16,6 +16,11 @@ entries that forks move (`OpCounter.moved`) included.  The script prints
 the median and the quartiles of the change/base time ratio per shape; below 1
 the change is faster.
 
+Each shape has a second row, `<shape>:fresh`, whose timed call also builds
+a new `CodeSpec` from the shape's indices before decoding, so that it pays
+for the spec's cached masks and step plan.  Every `rmpolar simulate` or
+`decode` call pays that once, for the spec that `load_frozen_set` returns.
+
 The shapes are those of the benchmark's list-decoding workloads:
 decode-latency (RM(3,8), L=4, one awgn:2.0dB frame), sim-list16
 (freeze_bec(8, 128, 0.5), L=16, two awgn:1.5dB frames) and sim-sc
@@ -78,11 +83,13 @@ def core_counts(pkg, spec, block, list_size):
     return counter.kernel, counter.select, counter.moved
 
 
-def time_shape(base, change, shape, rounds, seed):
-    """Per-round change/base time ratios of one shape."""
+def time_shape(base, change, shape, rounds, seed, fresh):
+    """Per-round change/base time ratios of one shape; with `fresh`, the timed
+    call also builds the spec."""
     name, (construction, args), list_size, tokens, per_token = shape
-    specs = [getattr(pkg, construction)(*args) for pkg in (base, change)]
-    decoders = [pkg.list_decoder.list_decode for pkg in (base, change)]
+    pkgs = (base, change)
+    specs = [getattr(pkg, construction)(*args) for pkg in pkgs]
+    decoders = [pkg.list_decoder.list_decode for pkg in pkgs]
     ratios = []
     # round 0 warms both sides up and is not counted
     for r in range(rounds + 1):
@@ -90,11 +97,14 @@ def time_shape(base, change, shape, rounds, seed):
         times, results = [0.0, 0.0], [None, None]
         for side in ((0, 1) if r % 2 else (1, 0)):
             t0 = time.perf_counter()
-            results[side] = decoders[side](specs[side], block, list_size)
+            spec = specs[side]
+            if fresh:
+                spec = pkgs[side].CodeSpec(m=spec.m, info_indices=spec.info_indices)
+            results[side] = decoders[side](spec, block, list_size)
             times[side] = time.perf_counter() - t0
         if result_bytes(results[0]) != result_bytes(results[1]):
             raise SystemExit(f"{name}: the two trees decode round {r} (seed {seed + r}) differently")
-        counts = [core_counts(pkg, spec, block, list_size) for pkg, spec in zip((base, change), specs)]
+        counts = [core_counts(pkg, spec, block, list_size) for pkg, spec in zip(pkgs, specs)]
         if counts[0] != counts[1]:
             raise SystemExit(f"{name}: the two trees count work differently in round {r} (seed {seed + r}): {counts}")
         if r:
@@ -116,12 +126,14 @@ def main(argv=None):
         try:
             base = import_tree(args.base, "rmpolar_base", tmp)
             change = import_tree(args.change, "rmpolar_change", tmp)
-            print(f"{'shape':<16}{'L':>3}{'frames':>8}{'rounds':>8}  change/base median [q1, q3]")
+            print(f"{'shape':<22}{'L':>3}{'frames':>8}{'rounds':>8}  change/base median [q1, q3]")
             for shape in SHAPES:
-                ratios = time_shape(base, change, shape, args.rounds, args.seed)
-                q1, med, q3 = np.percentile(ratios, (25, 50, 75))
-                frames = shape[4] * len(shape[3])
-                print(f"{shape[0]:<16}{shape[2]:>3}{frames:>8}{len(ratios):>8}  {med:.3f} [{q1:.3f}, {q3:.3f}]")
+                for fresh in (False, True):
+                    ratios = time_shape(base, change, shape, args.rounds, args.seed, fresh)
+                    q1, med, q3 = np.percentile(ratios, (25, 50, 75))
+                    name = shape[0] + (":fresh" if fresh else "")
+                    frames = shape[4] * len(shape[3])
+                    print(f"{name:<22}{shape[2]:>3}{frames:>8}{len(ratios):>8}  {med:.3f} [{q1:.3f}, {q3:.3f}]")
         finally:
             sys.path.remove(tmp)
 
