@@ -3,7 +3,9 @@
 Subcommands: construct, encode, decode, simulate, complexity.  Frozen sets
 travel as small text files (see code_model.save_frozen_set); frames travel as
 one word per line, 0/1 strings for bits and whitespace-separated floats for
-received LLRs (positive favors bit 0).
+received LLRs (positive favors bit 0).  Every failure, the library's or a
+check of this module, raises ValueError (or OSError for a file), and main
+turns it into exit code 1 with one `error:` line.
 """
 
 from __future__ import annotations
@@ -40,19 +42,19 @@ def _cmd_construct(args):
     kind = args.construction
     if kind == "rm":
         if args.design_param is None:
-            raise SystemExit("construct rm: --design-param gives the order r")
+            raise ValueError("construct rm: --design-param gives the order r")
         r = _number(int, args.design_param, "--design-param", "an integer order r for rm")
         spec = freeze_rm(r, args.m)
         if args.k is not None and args.k != spec.dimension:
-            raise SystemExit(f"construct rm: order {r} gives k={spec.dimension}, not {args.k}")
+            raise ValueError(f"construct rm: order {r} gives k={spec.dimension}, not {args.k}")
     elif kind == "bec":
         if args.k is None or args.design_param is None:
-            raise SystemExit("construct bec: needs --k and --design-param (erasure z)")
+            raise ValueError("construct bec: needs --k and --design-param (erasure z)")
         z = _number(float, args.design_param, "--design-param", "a number, the erasure probability z for bec")
         spec = freeze_bec(args.m, args.k, z)
     else:
         if args.k is None or args.channel is None:
-            raise SystemExit("construct mc: needs --k and --channel")
+            raise ValueError("construct mc: needs --k and --channel")
         rate = args.k / float(1 << args.m)
         ch, _ = parse_channel(args.channel, rate=rate)
         spec = freeze_montecarlo(args.m, args.k, ch, trials=args.trials, seed=args.seed)
@@ -67,7 +69,7 @@ def _text_lines(path, malformed):
     with open(path, "r", encoding="latin-1") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.isascii():
-                raise SystemExit(f"{path}:{number}: {malformed}")
+                raise ValueError(f"{path}:{number}: {malformed}")
             if line.strip():
                 yield number, line
 
@@ -78,10 +80,10 @@ def _read_bit_lines(path, width, what):
     for ln, line in _text_lines(path, malformed):
         line = line.strip()
         if len(line) != width or set(line) - {"0", "1"}:
-            raise SystemExit(f"{path}:{ln}: {malformed}")
+            raise ValueError(f"{path}:{ln}: {malformed}")
         words.append(line)
     if not words:
-        raise SystemExit(f"{path}: no {what} lines found")
+        raise ValueError(f"{path}: no {what} lines found")
     return np.frombuffer("".join(words).encode("ascii"), np.uint8).reshape(len(words), width) - ord("0")
 
 
@@ -110,14 +112,14 @@ def _cmd_decode(args):
         try:
             values = [float(tok) for tok in line.split()]
         except ValueError:
-            raise SystemExit(f"{args.infile}:{ln}: LLR values must be numbers") from None
+            raise ValueError(f"{args.infile}:{ln}: LLR values must be numbers") from None
         if not all(math.isfinite(v) for v in values):
-            raise SystemExit(f"{args.infile}:{ln}: LLR values must be finite, not nan or inf")
+            raise ValueError(f"{args.infile}:{ln}: LLR values must be finite, not nan or inf")
         if len(values) != spec.n:
-            raise SystemExit(f"{args.infile}:{ln}: expected {spec.n} LLR values")
+            raise ValueError(f"{args.infile}:{ln}: expected {spec.n} LLR values")
         frames.append(values)
     if not frames:
-        raise SystemExit(f"{args.infile}: no LLR lines found")
+        raise ValueError(f"{args.infile}: no LLR lines found")
     # clamped like SoftVector beliefs, which raw blocks are not
     llr = _clamped(np.array(frames, dtype=np.float64))
     step = block_frames(spec, args.list_size)

@@ -5,16 +5,24 @@ depth-m recursion tree.  Each path names one monomial x1**i1 * ... * xm**im in
 m boolean variables; a code is fixed by the set T of paths that carry free
 coefficients (the information set), stored as an ascending index array.
 Choosing T by degree (popcount) gives the weight-rule codes, by reliability
-the bit-frozen subcodes tuned to a target channel.
+the bit-frozen subcodes tuned to a target channel.  freeze_montecarlo
+estimates that reliability with rmpolar.sc_decoder.genie_error_counts, a
+pass of the decoder core of rmpolar.list_decoder, where the combine kernels
+live.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+
+from .channel import modulate, posteriors, transmit
+from .encoder import encode
+from .sc_decoder import genie_error_counts
 
 __all__ = [
     "Path",
@@ -339,10 +347,6 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
     with the lowest estimated error rate form the information set, ties broken
     toward the smaller path index.  Deterministic for a given (seed, trials).
     """
-    from .channel import modulate, posteriors, transmit
-    from .encoder import encode
-    from .sc_decoder import genie_error_counts
-
     check_m(m)
     n = 1 << m
     if not 0 <= k <= n:
@@ -397,17 +401,18 @@ def _header(path, line):
             break
         fields[key] = value
     else:
+        # ASCII digits only, as on index lines (the line is ASCII, so
+        # str.isdigit means 0-9): int() would also take a sign, '_' or spaces
         try:
-            return int(fields["m"]), int(fields["k"])
-        except (ValueError, KeyError):
+            if fields["m"].isdigit() and fields["k"].isdigit():
+                return int(fields["m"]), int(fields["k"])
+        except (ValueError, KeyError):  # a missing key, or past int()'s digit limit
             pass
     raise ValueError(f"{path}:1: malformed header {line!a}, expected 'm=<m> k=<k>'")
 
 
-# Characters of a frozen-set file parsed at a time by load_frozen_set, and
-# the value of a decimal digit at each place.
+# Characters of a frozen-set file parsed at a time by load_frozen_set.
 _LOAD_CHUNK = 1 << 16
-_PLACE_VALUES = 10 ** np.arange(len(str(1 << MAX_M)), dtype=np.int64)
 
 
 def load_frozen_set(path):
@@ -467,23 +472,10 @@ def _decimal_lines(block, most_digits):
     """The int64 values of a block of newline-terminated lines, skipping
     blank ones, or None unless every other line is 1 to `most_digits`
     decimal digits."""
-    buf = np.frombuffer(block.encode("latin-1"), dtype=np.uint8)
-    digits = buf - np.uint8(ord("0"))  # below '0' wraps past 9
-    newline = buf == ord("\n")
-    if not (newline | (digits < 10)).all():
+    if re.fullmatch(rf"(?:[0-9]{{0,{most_digits}}}\n)*", block) is None:
         return None
-    ends = newline.nonzero()[0]
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    length = ends - starts
-    if length.max() > most_digits:
-        return None
-    # each byte's place in its line, counted from the right: -1 at the newline
-    place = ends.repeat(length + 1) - np.arange(len(buf))
-    place -= 1
-    values = np.add.reduceat(np.where(newline, 0, digits) * _PLACE_VALUES.take(place, mode="clip"), starts)
-    return values if length.all() else values[length > 0]
+    # fromstring reads a block of blank lines alone as [0]
+    return np.empty(0, np.int64) if block.isspace() else np.fromstring(block, dtype=np.int64, sep="\n")
 
 
 def _ascending_below(values, previous, n):

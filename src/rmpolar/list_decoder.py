@@ -1,7 +1,9 @@
 """Successive-cancellation list decoding: the one decoder core.
 
 The core (_decode) serves every decoder of the package: list_decode, and at
-list size 1 the successive-cancellation wrappers of rmpolar.sc_decoder.  It
+list size 1 the successive-cancellation wrappers of rmpolar.sc_decoder.  The
+kernels it calls, combine_v_llr and combine_u_llr, and its work tally
+OpCounter are defined here; rmpolar.sc_decoder re-exports all three.  It
 advances step by step in leaf processing order, and the live hypotheses of
 every frame in a block move together.
 
@@ -101,7 +103,6 @@ import numpy as np
 
 from .channel import SoftVector
 from .encoder import info_bits_of
-from .sc_decoder import OpCounter, combine_u_llr, combine_v_llr
 
 __all__ = [
     "METRIC_TIE_EPS",
@@ -131,6 +132,57 @@ _MAX_FLOAT = float(np.finfo(np.float64).max)
 # The decided symbol of every frozen leaf.  A numpy scalar rather than 1.0,
 # because perfbench's kernel tracer sizes every kernel argument by nbytes.
 _PLUS_ONE = np.float64(1.0)
+
+
+@dataclass
+class OpCounter:
+    """Running totals of decoder work, in per-frame units.
+
+    kernel counts one combine_v_llr or combine_u_llr evaluation per vector
+    element; select counts the extensions weighed per live hypothesis: two
+    at an information leaf, one at a frozen leaf, at every list size.  moved
+    counts the stored decoder entries gathered into a new row order after
+    forks of the list decoder (none at list size 1).
+    """
+
+    kernel: int = 0
+    select: int = 0
+    moved: int = 0
+
+
+def combine_v_llr(l0, l1):
+    """Belief of the i=1 child: 2*atanh(tanh(l0/2) * tanh(l1/2)).
+
+    Evaluated in the exact min-sum-with-correction form, which is stable for
+    any finite inputs and keeps zeros exact:
+    sign(l0*l1) * min(|l0|, |l1|) + log1p(exp(-|l0 + l1|)) - log1p(exp(-|l0 - l1|)).
+    `l0` must broadcast to the shape of `l1`.  Both correction terms are
+    formed in one (..., 2) block, so each of its four steps is one call.  The
+    block is Fortran-ordered, so each term is laid out like the decoder's
+    operands, transposed views of C-ordered levels.  Every step is an
+    elementwise ufunc, so any memory order of the operands (C, Fortran,
+    strided views) gives the same bits.
+    """
+    out = np.abs(l1)
+    np.minimum(np.abs(l0), out, out=out)
+    np.copysign(out, l0 * l1, out=out)
+    corr = np.empty(out.shape + (2,), order="F")
+    plus, minus = corr[..., 0], corr[..., 1]
+    np.add(l0, l1, out=plus)
+    np.subtract(l0, l1, out=minus)
+    np.abs(corr, out=corr)
+    np.negative(corr, out=corr)
+    np.exp(corr, out=corr)
+    np.log1p(corr, out=corr)
+    out += plus
+    out -= minus
+    return out
+
+
+def combine_u_llr(l0, l1, v):
+    """Belief of the i=0 child: l0 + v * l1 for the decided +-1 symbols v
+    of the i=1 child."""
+    return l0 + v * l1
 
 
 def log_expit(x):

@@ -23,8 +23,7 @@ import numpy as np
 from .channel import Channel, modulate, posteriors, transmit
 from .code_model import CodeSpec, check_m
 from .encoder import encode, random_info_bits
-from .list_decoder import check_list_size, list_decode
-from .sc_decoder import OpCounter
+from .list_decoder import OpCounter, check_list_size, list_decode
 
 __all__ = [
     "CSV_HEADER",

@@ -65,7 +65,7 @@ def test_construct_missing_pieces_exit(tmp_path):
         main(["construct", "--m", "3", "--k", "4", "--construction", "mc", "--out", str(out)])
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--m", "3", "--construction", "rm", "--out", str(out)])
-    assert exc.value.code == "construct rm: --design-param gives the order r"
+    assert exc.value.code == "error: construct rm: --design-param gives the order r"
     assert not out.exists()
 
 
@@ -88,7 +88,7 @@ def test_inputs_without_lines_are_refused(tmp_path, command, what, text):
     infile.write_text(text)
     with pytest.raises(SystemExit) as exc:
         main([command, "--frozen-set", str(fs), "--in", str(infile), "--out", str(out)])
-    assert exc.value.code == f"{infile}: no {what} lines found"
+    assert exc.value.code == f"error: {infile}: no {what} lines found"
     assert not out.exists()
 
 
@@ -226,9 +226,9 @@ def test_non_ascii_bytes_are_malformed_lines_that_name_file_and_line(tmp_path, c
     infile.write_bytes(data if fault == "in" else _GOOD_INPUT[command])
     with pytest.raises(SystemExit) as exc:
         main([command, "--frozen-set", str(fs), "--in", str(infile), "--out", str(tmp_path / "o.txt")])
-    # the library's ValueError gains the CLI's error: prefix
-    prefix, target = ("error: ", fs) if fault == "frozen-set" else ("", infile)
-    assert exc.value.code == f"{prefix}{target}:{line}: {message}"
+    # every failure, the library's or the CLI's own, is one error: line
+    target = fs if fault == "frozen-set" else infile
+    assert exc.value.code == f"error: {target}:{line}: {message}"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmpolar import (
     Channel,
@@ -475,6 +477,11 @@ def test_frozen_set_load_rejects_malformed(tmp_path):
         ("m=2 k=2\n0\n\xb2\n", 3),  # str.isdigit takes superscript two for a digit
         ("m=2 k=2\n0\n1\xa0\n", 3),
         ("m=2 k=2\n0\n\xa0\n1\n", 3),  # not a blank line
+        # int() would take each of these header fields
+        ("m=+2 k=0_1\n0\n", 1),  # m=2, k=1
+        ("m=0_2 k=1\n0\n", 1),  # m=2
+        ("m=2 k=1_0\n0\n", 1),  # k=10
+        ("m=-2 k=1\n0\n", 1),  # a header fault, not check_m's
     ]
     for i, (text, line) in enumerate(bad):
         target = tmp_path / f"bad{i}.txt"
@@ -510,6 +517,66 @@ def test_frozen_set_load_parses_blocks_of_lines(tmp_path, monkeypatch):
         bad.write_text("m=9 k=150\n" + "\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"bad\.txt:1: header says k=150 but 200 index lines follow"):
             load_frozen_set(bad)
+
+
+def test_frozen_set_header_takes_leading_zeros_in_any_order(tmp_path):
+    target = tmp_path / "zeros.txt"
+    target.write_text("k=02  m=003\n1\n05\n")
+    assert load_frozen_set(target) == CodeSpec(m=3, info_indices=[1, 5])
+
+
+# Malformed index lines: a sign, '_', a space, a point, a letter, and bytes
+# above 0x7F (a no-break space, e-acute, superscript two).
+_ODD_LINES = ["+1", "-1", "1_0", " 1", "1.0", "x", "\xa0", "1\xa0", "\xe9", "\xb2"]
+
+
+@st.composite
+def _frozen_set_texts(draw):
+    m = draw(st.integers(1, 8))
+    n = 1 << m
+    indices = sorted(draw(st.sets(st.integers(0, n - 1), max_size=40)))
+    # leading zeros a line may take: past the widest index, only the line by
+    # line parse reads it
+    zeros = draw(st.sampled_from([[0], [0, 1], [0, 2, 9]]))
+    lines = ["0" * draw(st.sampled_from(zeros)) + str(i) for i in indices]
+    for _ in range(draw(st.integers(0, 4))):
+        line = draw(
+            st.one_of(
+                st.just(""),  # blank: skipped
+                st.sampled_from(_ODD_LINES),
+                st.integers(0, n - 1).map(str),  # out of order, or a duplicate
+                st.integers(n, 10**25).map(str),  # out of range, past int64 too
+            )
+        )
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    k = len(indices) if draw(st.booleans()) else draw(st.integers(0, n))
+    end = draw(st.sampled_from(["\n", ""]))
+    return f"m={m} k={k}\n" + "\n".join(lines) + end
+
+
+def _load_outcome(path):
+    try:
+        spec = load_frozen_set(path)
+    except ValueError as exc:
+        return str(exc)
+    return spec.m, spec.info_indices.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_frozen_set_texts())
+@example(text="m=2 k=1\n\n1\n")  # one blank line alone in a block
+def test_property_block_parse_and_line_parse_accept_the_same_files(tmp_path_factory, text):
+    # the block parse is only a fast path: with or without it, every file
+    # gives the same values or the same error, wherever the blocks are cut
+    target = tmp_path_factory.mktemp("load") / "code.txt"
+    target.write_bytes(text.encode("latin-1"))
+    with pytest.MonkeyPatch.context() as patch:
+        for chunk in (1, 2, 7, 1 << 16):
+            patch.setattr(code_model, "_LOAD_CHUNK", chunk)
+            fast = _load_outcome(target)
+            with pytest.MonkeyPatch.context() as line_by_line:
+                line_by_line.setattr(code_model, "_decimal_lines", lambda block, most_digits: None)
+                assert fast == _load_outcome(target), (chunk, text)
 
 
 def test_dimension_consistency_against_comb():
