@@ -21,8 +21,8 @@ import numpy as np
 from .channel import _clamped, _number, parse_channel
 from .code_model import check_m, freeze_bec, freeze_montecarlo, freeze_rm, load_frozen_set, save_frozen_set
 from .encoder import encode
-from .list_decoder import check_list_size, list_decode
-from .sim import block_frames, complexity_probe, run_simulation, write_csv
+from .list_decoder import _FROZEN_METRIC_MODES, block_frames, list_decode
+from .sim import complexity_probe, run_simulation, write_csv
 
 
 def _parse_int_list(text, flag):
@@ -106,7 +106,7 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     spec = load_frozen_set(args.frozen_set)
-    check_list_size(spec.m, spec.dimension, args.list_size)
+    step = block_frames(spec, args.list_size)
     frames = []
     for ln, line in _text_lines(args.infile, "LLR values must be numbers"):
         try:
@@ -122,7 +122,6 @@ def _cmd_decode(args):
         raise ValueError(f"{args.infile}: no LLR lines found")
     # clamped like SoftVector beliefs, which raw blocks are not
     llr = _clamped(np.array(frames, dtype=np.float64))
-    step = block_frames(spec, args.list_size)
     with open(args.out, "wb") as fh:
         for first in range(0, len(llr), step):
             # the rank-1 words only, so that the result (at L = 1 with its leaf
@@ -208,7 +207,7 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--list-size", type=int, default=1)
-    p.add_argument("--frozen-metric", choices=("include", "ignore"), default="include")
+    p.add_argument("--frozen-metric", choices=_FROZEN_METRIC_MODES, default="include")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("simulate", help="Monte-Carlo FER/BER sweep")
@@ -221,7 +220,7 @@ def build_parser():
     p.add_argument("--list-size", type=int, default=1)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frozen-metric", choices=("include", "ignore"), default="include")
+    p.add_argument("--frozen-metric", choices=_FROZEN_METRIC_MODES, default="include")
     p.add_argument("--csv", default=None, help="write per-point rows to this CSV file")
     p.set_defaults(func=_cmd_simulate)
 

@@ -334,7 +334,7 @@ def freeze_bec(m, k, z):
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     params = bec_erasure_parameters(m, z)
-    order = np.lexsort((np.arange(n), params))
+    order = np.argsort(params, kind="stable")
     return CodeSpec(m=m, info_indices=order[:k])
 
 
@@ -369,7 +369,7 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
 
     rates_by_leaf = errors / float(trials)
     rates_by_index = rates_by_leaf[::-1]  # leaf step s holds index n-1-s
-    order = np.lexsort((np.arange(n), rates_by_index))
+    order = np.argsort(rates_by_index, kind="stable")
     return CodeSpec(m=m, info_indices=order[:k])
 
 
@@ -439,11 +439,12 @@ def load_frozen_set(path):
         count = 0
         number = 2  # of the block's first line
         previous = -1
+        digits = len(str((1 << m) - 1))  # of n - 1
         for block in _line_blocks(fh):
-            values = _decimal_lines(block, len(str((1 << m) - 1)))
+            values = _decimal_lines(block, digits)
             # fall back to line by line, which names the faulty line
             if values is None or not _ascending_below(values, previous, 1 << m):
-                values = _index_lines(path, number, block, m, previous)
+                values = _index_lines(path, number, block, m, digits, previous)
             if len(values):
                 previous = int(values[-1])
                 info[count : count + len(values)] = values[: max(k - count, 0)]
@@ -483,16 +484,22 @@ def _ascending_below(values, previous, n):
     return not len(values) or bool(values[0] > previous and values[-1] < n and (values[1:] > values[:-1]).all())
 
 
-def _index_lines(path, number, block, m, previous):
+def _index_lines(path, number, block, m, digits, previous):
     """The indices of a block of lines from line `number`, checked line by
-    line: the first faulty line raises ValueError naming it."""
+    line: the first faulty line raises ValueError naming it.  `digits` is
+    the length of n - 1 in decimal."""
     indices = []
     for number, line in enumerate(block.split("\n"), start=number):
         if not line:
             continue
         if not (line.isascii() and line.isdigit()):
             raise ValueError(f"{path}:{number}: index line {line!a} is not a decimal integer")
-        index = int(line)
+        # without its leading zeros; a longer run than n - 1's is out of
+        # range, and is never converted (int() refuses past 4300 digits)
+        line = line.lstrip("0")
+        if len(line) > digits:
+            raise ValueError(f"{path}:{number}: index of {len(line)} digits out of range for m={m}")
+        index = int(line or "0")
         if index >= 1 << m:
             raise ValueError(f"{path}:{number}: index {index} out of range for m={m}")
         if index <= previous:

@@ -119,6 +119,11 @@ METRIC_TIE_EPS = 1e-9
 # about 2 * min(L, 2**N) * n; a larger list is refused before allocating.
 MAX_LIST_ENTRIES = 1 << 27
 
+# Upper bound on frames * min(L, 2**N) * n for one list_decode call of a
+# simulation or CLI decode (block_frames), which keeps the widest float64
+# belief level of a block within 8 MiB.
+DECODE_BLOCK_ENTRIES = 1 << 20
+
 _FROZEN_METRIC_MODES = ("include", "ignore")
 
 # The symbols of bit 0 and bit 1; the leaf belief is multiplied by their
@@ -273,16 +278,14 @@ def extend_leaf(cost, leaf_llrs):
 
 
 def select_top(pool, limit):
-    """Indices of the `limit` cheapest pool entries, by cost ascending.
+    """Indices of the `limit` cheapest entries of a float64 `pool`, by cost
+    ascending; the core passes the live list size of check_list_size.
 
     A 2-d pool is ranked down axis 0, one column per frame, and gives indices
     of shape (kept, frames).  Ties go to the earlier entry, which in an
     :func:`extend_leaf` pool is the earlier parent rank, then bit 0.  A pool
     no larger than `limit` passes through (re-ranked).
     """
-    if limit < 1:
-        raise ValueError(f"list size must be >= 1, got {limit}")
-    pool = np.asarray(pool, dtype=np.float64)
     return pool.argsort(axis=0, kind="stable")[:limit]
 
 
@@ -299,6 +302,21 @@ def check_list_size(m, dimension, list_size):
             f"entries per frame, above MAX_LIST_ENTRIES={MAX_LIST_ENTRIES}"
         )
     return live
+
+
+def block_frames(spec, list_size):
+    """Frames per list_decode call at `list_size`: the most whose widest
+    level, frames * live * n entries for the live list of check_list_size,
+    fits in DECODE_BLOCK_ENTRIES, and at least one.  Raises as
+    check_list_size does."""
+    live = check_list_size(spec.m, spec.dimension, list_size)
+    return max(1, DECODE_BLOCK_ENTRIES // (live * spec.n))
+
+
+def check_frozen_metric(frozen_metric):
+    """Raise ValueError unless `frozen_metric` is one of _FROZEN_METRIC_MODES."""
+    if frozen_metric not in _FROZEN_METRIC_MODES:
+        raise ValueError(f"frozen_metric must be one of {_FROZEN_METRIC_MODES}, got {frozen_metric!r}")
 
 
 def _frozen_leaf_beliefs(lam, depth):
@@ -380,8 +398,7 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     entries equal to decoding that row alone.
     """
     live = check_list_size(spec.m, spec.dimension, list_size)
-    if frozen_metric not in _FROZEN_METRIC_MODES:
-        raise ValueError(f"frozen_metric must be one of {_FROZEN_METRIC_MODES}, got {frozen_metric!r}")
+    check_frozen_metric(frozen_metric)
     llr, single = _check_beliefs(spec, beliefs)
     if not len(llr):
         bits, codewords = (np.zeros((0, live, width), dtype=np.uint8) for width in (spec.dimension, spec.n))

@@ -3,12 +3,14 @@
 Trial t of every channel point draws a fresh generator seeded with
 base_seed + t, so a run is reproducible bit for bit and trials could be
 farmed out independently without changing the aggregate.  The trials of all
-points form one point-major stream, cut into blocks of block_frames(spec, L)
-frames (the last one may be shorter), one list_decode call per block; a block
-may hold frames of several points, each point's beliefs formed by its own
-channel, written in place into the block's one belief array.  Every frame
-decodes as it would alone, and each point sums only its own rows of the
-block's one ListResult, so the block size bounds memory, never the results.
+points form one point-major stream, cut into blocks of
+list_decoder.block_frames(spec, L) frames (the last one may be shorter), one
+list_decode call per block; a block may hold frames of several points, each
+point's beliefs formed by its own channel, written in place into the block's
+one belief array.  Every frame decodes as it would alone, and each point
+counts only its own rows of the block's one ListResult, so the block size
+bounds memory, never the results.  The work counts are one frame's and the
+same for every frame, so a point's averages are those of the last block.
 complexity_probe measures its work counts through the same pipeline.
 """
 
@@ -16,14 +18,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .channel import Channel, modulate, posteriors, transmit
 from .code_model import CodeSpec, check_m
 from .encoder import encode, random_info_bits
-from .list_decoder import OpCounter, check_list_size, list_decode
+from .list_decoder import OpCounter, block_frames, check_frozen_metric, check_list_size, list_decode
 
 __all__ = [
     "CSV_HEADER",
@@ -33,16 +35,6 @@ __all__ = [
     "ComplexityReport",
     "complexity_probe",
 ]
-
-# Upper bound on frames * list size * n for one list_decode call, which
-# keeps its widest float64 belief block within 8 MiB.
-DECODE_BLOCK_ENTRIES = 1 << 20
-
-CSV_HEADER = (
-    "channel,param,trials,frame_errors,bit_errors,fer,ber,fer_ci95,"
-    "avg_kernel_ops,avg_select_ops,seed"
-)
-
 
 @dataclass
 class TrialResult:
@@ -61,15 +53,13 @@ class TrialResult:
     seed: int
 
     def row(self):
-        """The CSV cells: the fields, declared in CSV_HEADER order, as str."""
+        """The CSV cells: the fields in declaration order, which CSV_HEADER
+        names, as str."""
         return [str(value) for value in astuple(self)]
 
 
-def block_frames(spec, list_size):
-    """Frames per list_decode call under DECODE_BLOCK_ENTRIES, at least one."""
-    if list_size < 1:
-        raise ValueError(f"list size must be >= 1, got {list_size}")
-    return max(1, DECODE_BLOCK_ENTRIES // (list_size * spec.n))
+# The CSV columns: TrialResult's field names, in order.
+CSV_HEADER = ",".join(field.name for field in fields(TrialResult))
 
 
 def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric="include"):
@@ -80,10 +70,11 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
     spec : CodeSpec with dimension >= 1.
     channel_points : iterable of (Channel, display_param) pairs, e.g. from
         :func:`rmpolar.channel.parse_channel`.
-    list_size : decoder list size L.
+    list_size : decoder list size L, bounded by check_list_size.
     trials : frames per channel point, >= 1.
     seed : base seed; trial t uses default_rng(seed + t).
-    frozen_metric : forwarded to the list decoder.
+    frozen_metric : 'include' or 'ignore', forwarded to the list decoder.
+    Each argument is checked before the first draw.
 
     Returns
     -------
@@ -96,13 +87,13 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
         raise ValueError(f"trials must be >= 1, got {trials}")
     if spec.dimension < 1:
         raise ValueError("cannot simulate a spec with no information paths")
-    check_list_size(spec.m, spec.dimension, list_size)
+    per_block = block_frames(spec, list_size)
+    check_frozen_metric(frozen_metric)
 
     nbits = spec.dimension
-    per_block = block_frames(spec, list_size)
     # one point-major stream: frame p*trials + t is trial t of point p
     stream = len(points) * trials
-    totals = [[0, 0, 0, 0] for _ in points]  # frame errors, bit errors, kernel ops, select ops
+    totals = [[0, 0] for _ in points]  # frame errors, bit errors
     for first in range(0, stream, per_block):
         last = min(first + per_block, stream)
         rngs = [np.random.default_rng(seed + i % trials) for i in range(first, last)]
@@ -123,18 +114,16 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
         # the rank-1 words only: at L = 1 reading metrics would sum them
         wrong = np.count_nonzero(result.info_bits[:, 0] != sent, axis=1)
         for p, rows in runs:
-            total = totals[p]
-            frames = rows.stop - rows.start  # the work counts are those of one frame
-            total[0] += int(np.count_nonzero(wrong[rows]))
-            total[1] += int(wrong[rows].sum())
-            total[2] += result.kernel_ops * frames
-            total[3] += result.select_ops * frames
+            totals[p][0] += int(np.count_nonzero(wrong[rows]))
+            totals[p][1] += int(wrong[rows].sum())
+        # one frame's work, the same for every frame
+        kernel_ops, select_ops = result.kernel_ops, result.select_ops
         # at L = 1 the result holds the block's leaf beliefs: free them
         # before the next block is decoded
         del result
 
     results = []
-    for (ch, display), (frame_errors, bit_errors, kernel_total, select_total) in zip(points, totals):
+    for (ch, display), (frame_errors, bit_errors) in zip(points, totals):
         results.append(
             TrialResult(
                 channel=ch.kind,
@@ -145,8 +134,8 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
                 fer=frame_errors / trials,
                 ber=bit_errors / (trials * nbits),
                 fer_ci95=_wilson_halfwidth(frame_errors, trials),
-                avg_kernel_ops=kernel_total / trials,
-                avg_select_ops=select_total / trials,
+                avg_kernel_ops=float(kernel_ops),
+                avg_select_ops=float(select_ops),
                 seed=seed,
             )
         )

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmpolar import list_decoder, sim
+from rmpolar import list_decoder
 from rmpolar import (
     CodeSpec,
     SoftVector,
@@ -161,7 +161,7 @@ def test_decode_blocks_match_per_frame_decoding(tmp_path, monkeypatch, list_size
     infile = tmp_path / "llr.txt"
     infile.write_text("".join(" ".join(str(float(v)) for v in row) + "\n" for row in frames))
     if block is not None:
-        monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", block * list_size * spec.n)
+        monkeypatch.setattr(list_decoder, "DECODE_BLOCK_ENTRIES", block * list_size * spec.n)
     out = tmp_path / "decoded.txt"
     assert main(["decode", "--frozen-set", str(fs), "--in", str(infile),
                  "--out", str(out), "--list-size", str(list_size)]) == 0
@@ -229,6 +229,15 @@ def test_non_ascii_bytes_are_malformed_lines_that_name_file_and_line(tmp_path, c
     # every failure, the library's or the CLI's own, is one error: line
     target = fs if fault == "frozen-set" else infile
     assert exc.value.code == f"error: {target}:{line}: {message}"
+
+
+def test_simulate_refuses_an_index_line_past_the_int_digit_limit(tmp_path):
+    # 4301 digits: int() would refuse them with a message naming no file
+    fs = tmp_path / "code.txt"
+    fs.write_text("m=3 k=1\n1" + "0" * 4300 + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--frozen-set", str(fs), "--channel", "bsc:0.1", "--trials", "5"])
+    assert exc.value.code == f"error: {fs}:2: index of 4301 digits out of range for m=3"
 
 
 @pytest.mark.parametrize(

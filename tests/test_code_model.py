@@ -519,6 +519,17 @@ def test_frozen_set_load_parses_blocks_of_lines(tmp_path, monkeypatch):
             load_frozen_set(bad)
 
 
+def test_index_lines_past_the_int_digit_limit(tmp_path):
+    # int() refuses more than 4300 digits; the loader counts them instead,
+    # after the leading zeros, which any index line may carry
+    target = tmp_path / "long.txt"
+    target.write_text("m=3 k=1\n1" + "0" * 4300 + "\n")
+    with pytest.raises(ValueError, match=r"^.*long\.txt:2: index of 4301 digits out of range for m=3$"):
+        load_frozen_set(target)
+    target.write_text("m=3 k=2\n" + "0" * 4301 + "\n" + "0" * 5000 + "7\n")
+    assert load_frozen_set(target) == CodeSpec(m=3, info_indices=[0, 7])
+
+
 def test_frozen_set_header_takes_leading_zeros_in_any_order(tmp_path):
     target = tmp_path / "zeros.txt"
     target.write_text("k=02  m=003\n1\n05\n")

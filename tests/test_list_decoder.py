@@ -98,11 +98,6 @@ def test_select_top_treats_signed_zeros_as_equal():
     assert list(select_top(np.array([-0.0, 0.0]), 1)) == [0]
 
 
-def test_select_top_validates_limit():
-    with pytest.raises(ValueError):
-        select_top(np.array([]), 0)
-
-
 def test_two_dimensional_extend_and_select_match_each_column():
     rng = np.random.default_rng(61)
     live, frames = 3, 4

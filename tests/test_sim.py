@@ -155,8 +155,8 @@ def test_csv_bytes_do_not_depend_on_chunk_size(tmp_path, monkeypatch, list_size,
     written = []
     # blocks of 7 and 45 split points (trials=30), 4096 holds the whole sweep
     for chunk in (1, 7, 45, 4096):
-        monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", chunk * list_size * spec.n)
-        assert sim.block_frames(spec, list_size) == chunk
+        monkeypatch.setattr(list_decoder, "DECODE_BLOCK_ENTRIES", chunk * list_size * spec.n)
+        assert list_decoder.block_frames(spec, list_size) == chunk
         target = tmp_path / f"chunk{chunk}.csv"
         write_csv(run_simulation(spec, points, list_size, trials=30, seed=9, frozen_metric=mode), target)
         written.append(target.read_bytes())
@@ -168,7 +168,7 @@ def test_sweep_decodes_one_stream_of_full_blocks(monkeypatch, trials, chunk):
     # every block but the last is full, even where it holds several points
     spec = freeze_bec(4, 8, 0.5)
     points = [(Channel.bsc(0.1), 0.1), (Channel.awgn(0.9), 1.0), (Channel.bsc(0.1), 0.1)]
-    monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", chunk * 2 * spec.n)
+    monkeypatch.setattr(list_decoder, "DECODE_BLOCK_ENTRIES", chunk * 2 * spec.n)
     sizes = []
     decode = sim.list_decode
 
@@ -189,7 +189,7 @@ def test_each_point_of_a_sweep_is_simulated_as_if_alone(monkeypatch, trials):
     # blocks of 3 frames mix points; a duplicated point repeats its row
     spec = freeze_bec(4, 8, 0.5)
     points = [(Channel.bsc(0.1), 0.1), (Channel.awgn(0.9), 1.0), (Channel.bsc(0.1), 0.1), (Channel.bec(0.4), 0.4)]
-    monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", 3 * 2 * spec.n)
+    monkeypatch.setattr(list_decoder, "DECODE_BLOCK_ENTRIES", 3 * 2 * spec.n)
     sweep = run_simulation(spec, points, list_size=2, trials=trials, seed=6)
     alone = [run_simulation(spec, [point], list_size=2, trials=trials, seed=6)[0] for point in points]
     assert sweep == sorted(alone, key=lambda r: (r.channel, r.param))
@@ -198,11 +198,56 @@ def test_each_point_of_a_sweep_is_simulated_as_if_alone(monkeypatch, trials):
 
 def test_block_frames_bounds_entries():
     spec = freeze_bec(8, 128, 0.5)
-    assert sim.block_frames(spec, 1) * spec.n <= sim.DECODE_BLOCK_ENTRIES
-    assert sim.block_frames(spec, 16) * 16 * spec.n <= sim.DECODE_BLOCK_ENTRIES
-    assert sim.block_frames(spec, sim.DECODE_BLOCK_ENTRIES) == 1
+    block_frames, budget = list_decoder.block_frames, list_decoder.DECODE_BLOCK_ENTRIES
+    assert block_frames(spec, 1) * spec.n <= budget
+    assert block_frames(spec, 16) * 16 * spec.n <= budget
+    # one frame of a list this long exceeds the budget alone
+    assert 8192 * spec.n > budget and block_frames(spec, 8192) == 1
     with pytest.raises(ValueError):
-        sim.block_frames(spec, 0)
+        block_frames(spec, 0)
+    # a list longer than 2**k sizes like 2**k, the most that live
+    small = freeze_bec(6, 4, 0.5)
+    assert block_frames(small, 10**7) == block_frames(small, 16) == budget // (16 * small.n)
+
+
+def test_lists_at_and_past_ml_size_decode_in_the_same_blocks(monkeypatch, tmp_path):
+    # L >= 2**k keeps min(L, 2**k) = 16 hypotheses: the same calls, the same rows
+    spec = freeze_bec(6, 4, 0.5)
+    points = [(Channel.bsc(0.05), 0.05), (Channel.awgn(0.9), 1.0)]
+    decode = sim.list_decode
+    calls, written = [], []
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "list_decode", counted)
+    for list_size in (16, 4096, 10**7):
+        calls.append(0)
+        target = tmp_path / f"L{list_size}.csv"
+        write_csv(run_simulation(spec, points, list_size, trials=2000, seed=11), target)
+        written.append(target.read_bytes())
+    assert calls == [4, 4, 4]
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+def test_bad_frozen_metric_is_refused_before_drawing(monkeypatch):
+    spec = freeze_bec(4, 8, 0.5)
+    draws = []
+    draw = sim.random_info_bits
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "random_info_bits", counted)
+    with pytest.raises(ValueError) as refused:
+        run_simulation(spec, [(Channel.bsc(0.1), 0.1)], 2, trials=5000, seed=0, frozen_metric="bogus")
+    assert draws == []
+    # the message of list_decode's own check
+    with pytest.raises(ValueError) as decoded:
+        list_decoder.list_decode(spec, np.zeros(spec.n), 2, frozen_metric="bogus")
+    assert str(refused.value) == str(decoded.value)
 
 
 def test_csv_rows_round_trip(tmp_path):
@@ -326,7 +371,7 @@ def test_list_size_one_simulation_frees_each_block_before_the_next(monkeypatch):
     # an L=1 result holds its block's (frames, n) leaf beliefs; freed before
     # the next block is decoded, a sweep of three blocks peaks as one does
     spec = freeze_bec(8, 128, 0.5)
-    monkeypatch.setattr(sim, "DECODE_BLOCK_ENTRIES", 64 * spec.n)
+    monkeypatch.setattr(list_decoder, "DECODE_BLOCK_ENTRIES", 64 * spec.n)
     points = [(Channel.bsc(0.05), 0.05)]
 
     def peak(trials):

@@ -21,16 +21,20 @@ def test_paired_timing_of_a_tree_against_itself():
     proc = _run(ROOT, ROOT)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    shapes = ["decode-latency", "sim-list16", "sim-sc"]
-    # each shape, then its row that builds a fresh spec in every timed call
-    assert [line.split()[0] for line in lines[1:]] == [name + tail for name in shapes for tail in ("", ":fresh")]
+    # each shape, then its row that builds a fresh spec in every timed call,
+    # then for a simulation shape its row that runs run_simulation
+    assert [line.split()[0] for line in lines[1:]] == [
+        "decode-latency", "decode-latency:fresh",
+        "sim-list16", "sim-list16:fresh", "sim-list16:simulate",
+        "sim-sc", "sim-sc:fresh", "sim-sc:simulate",
+    ]
     assert all(line.split()[3] == "2" for line in lines[1:])
 
 
-def _tree_with(tmp_path, tail):
-    """A copy of this tree whose list_decoder module ends with `tail`."""
+def _tree_with(tmp_path, tail, module="list_decoder"):
+    """A copy of this tree whose `module` ends with `tail`."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "rmpolar" / "list_decoder.py", "a", encoding="utf-8") as fh:
+    with open(tmp_path / "src" / "rmpolar" / f"{module}.py", "a", encoding="utf-8") as fh:
         fh.write(tail)
     return tmp_path
 
@@ -64,3 +68,21 @@ def test_paired_timing_refuses_cores_that_move_differently(tmp_path):
     proc = _run(ROOT, tree)
     assert proc.returncode != 0
     assert "decode-latency: the two trees count work differently in round 0" in proc.stderr
+
+
+def test_paired_timing_refuses_simulations_that_differ(tmp_path):
+    # a tree whose run_simulation reports one more frame error at each point:
+    # its list_decode results stay the same
+    tree = _tree_with(
+        tmp_path,
+        "\n\n_run_simulation = run_simulation\n\n\n"
+        "def run_simulation(*args, **kwargs):\n"
+        "    results = _run_simulation(*args, **kwargs)\n"
+        "    for result in results:\n"
+        "        result.frame_errors += 1\n"
+        "    return results\n",
+        module="sim",
+    )
+    proc = _run(ROOT, tree)
+    assert proc.returncode != 0
+    assert "sim-list16: the two trees simulate round 0" in proc.stderr

@@ -1,4 +1,4 @@
-"""Paired in-process timing of `list_decode` on two source trees.
+"""Paired in-process timing of `list_decode` and `run_simulation` on two source trees.
 
     python tools/paired_timing.py BASE CHANGE [--rounds N] [--seed S]
 
@@ -20,6 +20,11 @@ Each shape has a second row, `<shape>:fresh`, whose timed call also builds
 a new `CodeSpec` from the shape's indices before decoding, so that it pays
 for the spec's cached masks and step plan.  Every `rmpolar simulate` or
 `decode` call pays that once, for the spec that `load_frozen_set` returns.
+The two simulation shapes have a third row, `<shape>:simulate`, whose timed
+call builds a new `CodeSpec` and runs `run_simulation` on the shape's
+channel tokens, its frames per token as trials, seeded by the round: the
+draws, encoding, channel and decoding of a sweep.  The two trees' lists of
+`TrialResult` tuples must be equal.
 
 The shapes are those of the benchmark's list-decoding workloads:
 decode-latency (RM(3,8), L=4, one awgn:2.0dB frame), sim-list16
@@ -30,6 +35,7 @@ decode-latency (RM(3,8), L=4, one awgn:2.0dB frame), sim-list16
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import shutil
 import sys
@@ -45,6 +51,9 @@ SHAPES = (
     ("sim-list16", ("freeze_bec", (8, 128, 0.5)), 16, ("awgn:1.5dB",), 2),
     ("sim-sc", ("freeze_bec", (10, 512, 0.5)), 1, ("bsc:0.05", "awgn:2.0dB"), 4),
 )
+
+# The shapes of the simulation workloads, which also get a `:simulate` row.
+SIMULATED = ("sim-list16", "sim-sc")
 
 
 def import_tree(tree, name, tmp):
@@ -83,30 +92,44 @@ def core_counts(pkg, spec, block, list_size):
     return counter.kernel, counter.select, counter.moved
 
 
-def time_shape(base, change, shape, rounds, seed, fresh):
-    """Per-round change/base time ratios of one shape; with `fresh`, the timed
-    call also builds the spec."""
+def time_shape(base, change, shape, rounds, seed, row):
+    """Per-round change/base time ratios of one row of a shape: row "" times
+    list_decode, ":fresh" builds the spec too, ":simulate" builds the spec
+    and runs run_simulation."""
     name, (construction, args), list_size, tokens, per_token = shape
     pkgs = (base, change)
     specs = [getattr(pkg, construction)(*args) for pkg in pkgs]
     decoders = [pkg.list_decoder.list_decode for pkg in pkgs]
+    rate = specs[0].dimension / specs[0].n
+    points = [[pkg.parse_channel(token, rate=rate) for token in tokens] for pkg in pkgs]
     ratios = []
     # round 0 warms both sides up and is not counted
     for r in range(rounds + 1):
-        block = draw_block(base, specs[0], tokens, per_token, np.random.default_rng(seed + r))
+        if row != ":simulate":
+            block = draw_block(base, specs[0], tokens, per_token, np.random.default_rng(seed + r))
         times, results = [0.0, 0.0], [None, None]
         for side in ((0, 1) if r % 2 else (1, 0)):
             t0 = time.perf_counter()
             spec = specs[side]
-            if fresh:
+            if row:
                 spec = pkgs[side].CodeSpec(m=spec.m, info_indices=spec.info_indices)
-            results[side] = decoders[side](spec, block, list_size)
+            if row == ":simulate":
+                results[side] = pkgs[side].run_simulation(spec, points[side], list_size, per_token, seed + r)
+            else:
+                results[side] = decoders[side](spec, block, list_size)
             times[side] = time.perf_counter() - t0
-        if result_bytes(results[0]) != result_bytes(results[1]):
-            raise SystemExit(f"{name}: the two trees decode round {r} (seed {seed + r}) differently")
-        counts = [core_counts(pkg, spec, block, list_size) for pkg, spec in zip(pkgs, specs)]
-        if counts[0] != counts[1]:
-            raise SystemExit(f"{name}: the two trees count work differently in round {r} (seed {seed + r}): {counts}")
+        if row == ":simulate":
+            rows = [[dataclasses.astuple(result) for result in results[side]] for side in (0, 1)]
+            if rows[0] != rows[1]:
+                raise SystemExit(f"{name}: the two trees simulate round {r} (seed {seed + r}) differently")
+        else:
+            if result_bytes(results[0]) != result_bytes(results[1]):
+                raise SystemExit(f"{name}: the two trees decode round {r} (seed {seed + r}) differently")
+            counts = [core_counts(pkg, spec, block, list_size) for pkg, spec in zip(pkgs, specs)]
+            if counts[0] != counts[1]:
+                raise SystemExit(
+                    f"{name}: the two trees count work differently in round {r} (seed {seed + r}): {counts}"
+                )
         if r:
             ratios.append(times[1] / times[0])
     return np.array(ratios)
@@ -128,10 +151,10 @@ def main(argv=None):
             change = import_tree(args.change, "rmpolar_change", tmp)
             print(f"{'shape':<22}{'L':>3}{'frames':>8}{'rounds':>8}  change/base median [q1, q3]")
             for shape in SHAPES:
-                for fresh in (False, True):
-                    ratios = time_shape(base, change, shape, args.rounds, args.seed, fresh)
+                for row in ("", ":fresh") + ((":simulate",) if shape[0] in SIMULATED else ()):
+                    ratios = time_shape(base, change, shape, args.rounds, args.seed, row)
                     q1, med, q3 = np.percentile(ratios, (25, 50, 75))
-                    name = shape[0] + (":fresh" if fresh else "")
+                    name = shape[0] + row
                     frames = shape[4] * len(shape[3])
                     print(f"{name:<22}{shape[2]:>3}{frames:>8}{len(ratios):>8}  {med:.3f} [{q1:.3f}, {q3:.3f}]")
         finally:
