@@ -131,12 +131,11 @@ class CodeSpec:
     """A code of length 2**m fixed by its information set.
 
     `info_indices` takes distinct integers in [0, 2**m) in any order and is
-    stored as a read-only ascending int64 array.  Input that already
-    ascends strictly is neither sorted nor searched for duplicates.  Such an
-    int64 array is stored as it is when it is read-only, which marks it as
-    one nobody writes to; any other input is copied, so writing to the
-    caller's array never changes the spec.  Specs with equal (m,
-    info_indices) are equal and hash equal.
+    stored as a read-only ascending int64 array of the spec's own: input is
+    always copied, so writing to the caller's array (or to the array behind
+    a read-only view of it) never changes the spec.  Input that already
+    ascends strictly is neither sorted nor searched for duplicates.  Specs
+    with equal (m, info_indices) are equal and hash equal.
     """
 
     m: int
@@ -149,16 +148,24 @@ class CodeSpec:
             raise ValueError(f"info_indices must be 1-d integers, got {raw.dtype} of shape {raw.shape}")
         if raw.size and (raw.min() < 0 or raw.max() >= self.n):
             raise ValueError(f"info_indices must lie in [0, {self.n}) for m={self.m}")
-        if not np.all(raw[1:] > raw[:-1]):
-            indices = np.sort(raw).astype(np.int64, copy=False)
+        indices = raw.astype(np.int64)
+        if not np.all(indices[1:] > indices[:-1]):
+            indices.sort()
             if np.any(indices[1:] == indices[:-1]):
                 raise ValueError("info_indices contains duplicates")
-        elif raw.dtype != np.int64 or raw.flags.writeable:
-            indices = raw.astype(np.int64)
-        else:
-            indices = raw
         indices.setflags(write=False)
         object.__setattr__(self, "info_indices", indices)
+
+    @classmethod
+    def _adopt(cls, m, indices):
+        """A CodeSpec holding `indices` itself: a strictly ascending int64
+        array in [0, 2**m), for a valid m, that the caller made and hands
+        over.  It is made read-only, but neither checked nor copied."""
+        indices.setflags(write=False)
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "m", m)
+        object.__setattr__(spec, "info_indices", indices)
+        return spec
 
     def __eq__(self, other):
         if not isinstance(other, CodeSpec):
@@ -288,9 +295,7 @@ def freeze_rm(r, m):
     weight = np.zeros(1, dtype=np.uint8)
     for _ in range(m):
         weight = np.concatenate([weight, weight + np.uint8(1)])
-    info = np.flatnonzero(weight <= r)
-    info.setflags(write=False)  # ascending and unshared: CodeSpec keeps it
-    return CodeSpec(m=m, info_indices=info)
+    return CodeSpec._adopt(m, np.flatnonzero(weight <= r))
 
 
 def bec_erasure_parameters(m, z):
@@ -353,6 +358,8 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     full = CodeSpec(m=m, info_indices=np.arange(n))
     rng = np.random.default_rng(seed)
@@ -367,9 +374,8 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
         errors += genie_error_counts(full, llr, words)
         done += b
 
-    rates_by_leaf = errors / float(trials)
-    rates_by_index = rates_by_leaf[::-1]  # leaf step s holds index n-1-s
-    order = np.argsort(rates_by_index, kind="stable")
+    # the counts rank as the rates errors / trials; leaf step s is index n-1-s
+    order = np.argsort(errors[::-1], kind="stable")
     return CodeSpec(m=m, info_indices=order[:k])
 
 
@@ -452,8 +458,7 @@ def load_frozen_set(path):
             number += block.count("\n")
     if count != k:
         raise ValueError(f"{path}:1: header says k={k} but {count} index lines follow")
-    info.setflags(write=False)  # ascending and unshared: CodeSpec keeps it
-    return CodeSpec(m=m, info_indices=info)
+    return CodeSpec._adopt(m, info)
 
 
 def _line_blocks(fh):

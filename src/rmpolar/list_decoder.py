@@ -130,6 +130,8 @@ _FROZEN_METRIC_MODES = ("include", "ignore")
 # negations to cost the two bits (-log_expit(x) is logaddexp(0, -x)).
 _BIT_SIGNS = np.array([1.0, -1.0])
 _NEG_BIT_SIGN_COLUMN = -_BIT_SIGNS[:, None]
+_BIT_SIGNS.setflags(write=False)
+_NEG_BIT_SIGN_COLUMN.setflags(write=False)
 
 # Channel beliefs may be at most this over 2 * n in magnitude (_check_beliefs).
 _MAX_FLOAT = float(np.finfo(np.float64).max)

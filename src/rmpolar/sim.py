@@ -72,7 +72,7 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
         :func:`rmpolar.channel.parse_channel`.
     list_size : decoder list size L, bounded by check_list_size.
     trials : frames per channel point, >= 1.
-    seed : base seed; trial t uses default_rng(seed + t).
+    seed : base seed, >= 0; trial t uses default_rng(seed + t).
     frozen_metric : 'include' or 'ignore', forwarded to the list decoder.
     Each argument is checked before the first draw.
 
@@ -85,6 +85,8 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
         raise ValueError("need at least one channel point")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if spec.dimension < 1:
         raise ValueError("cannot simulate a spec with no information paths")
     per_block = block_frames(spec, list_size)

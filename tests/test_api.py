@@ -1,11 +1,14 @@
 """The public API: rmpolar exports what the CLI, the demos and users call."""
 
+import __future__
 import ast
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 try:
@@ -13,6 +16,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10, where pytest itself needs tomli
     import tomli as tomllib
 
+import numpy as np
 import pytest
 
 import rmpolar
@@ -112,6 +116,31 @@ def test_traced_helpers_stay_module_attributes():
         mod = importlib.import_module(f"rmpolar.{module}")
         for name in names:
             assert callable(getattr(mod, name)), f"rmpolar.{module}.{name}"
+
+
+def _immutable(value):
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, (tuple, frozenset)):
+        return all(_immutable(item) for item in value)
+    return callable(value) or isinstance(
+        value,
+        (int, float, complex, str, bytes, type(None), np.generic, types.ModuleType, type(__future__.annotations)),
+    )
+
+
+def test_module_state_census():
+    # module state is shared by every caller in the process; the one mutable
+    # container kept is encoder's mask cache (ROADMAP, "Dropped on
+    # measurements"), besides each module's __all__
+    found = []
+    for info in [None, *pkgutil.iter_modules(rmpolar.__path__)]:
+        name = "rmpolar" if info is None else f"rmpolar.{info.name}"
+        for key, value in vars(importlib.import_module(name)).items():
+            dunder = key.startswith("__") and key.endswith("__")
+            if not dunder and not _immutable(value):
+                found.append(f"{name}.{key}")
+    assert found == ["rmpolar.encoder._MASKS"]
 
 
 # Runs in a fresh interpreter: prints, after each stage, whether

@@ -57,6 +57,19 @@ def test_construct_mc_smoke(tmp_path):
     assert spec.m == 3 and spec.dimension == 4
 
 
+@pytest.mark.parametrize("command", ["simulate", "construct"])
+def test_negative_seed_is_one_error_line_that_names_it(tmp_path, command):
+    if command == "simulate":
+        argv = ["simulate", "--frozen-set", str(_frozen_set_file(tmp_path, freeze_bec(3, 4, 0.5))),
+                "--channel", "bsc:0.1", "--trials", "5"]
+    else:
+        argv = ["construct", "--m", "3", "--k", "4", "--construction", "mc", "--channel", "bsc:0.1",
+                "--trials", "5", "--out", str(tmp_path / "mc.txt")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == "error: seed must be >= 0, got -1"
+
+
 def test_construct_missing_pieces_exit(tmp_path):
     out = tmp_path / "x.txt"
     with pytest.raises(SystemExit):

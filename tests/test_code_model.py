@@ -419,6 +419,11 @@ def test_freeze_montecarlo_rejects_bad_k_and_trials():
             freeze_montecarlo(3, 4, channel, trials=trials)
 
 
+def test_freeze_montecarlo_names_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        freeze_montecarlo(3, 4, Channel.bsc(0.1), trials=10, seed=-1)
+
+
 def test_frozen_set_load_rejects_an_empty_file(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

@@ -12,12 +12,14 @@ from rmpolar import (
     Channel,
     CodeSpec,
     Path,
+    encode,
     freeze_bec,
     freeze_montecarlo,
     freeze_rm,
     load_frozen_set,
     run_simulation,
     save_frozen_set,
+    sc_decode,
 )
 from rmpolar.cli import main
 from helpers import info_paths
@@ -156,10 +158,49 @@ def test_codespec_indices_are_read_only_and_not_shared():
         source[0] = 0
         assert source.flags.writeable
         assert spec.info_indices.tolist() == [2, 5, 7]
-    # a read-only ascending int64 array is kept as it is
+    # a read-only ascending int64 array is copied too: it may be a view of
+    # an array that its caller can still write
     frozen = np.array([2, 5, 7])
     frozen.setflags(write=False)
-    assert CodeSpec(m=3, info_indices=frozen).info_indices is frozen
+    assert CodeSpec(m=3, info_indices=frozen).info_indices is not frozen
+
+
+def test_a_read_only_view_of_a_writable_array_cannot_change_a_spec():
+    source = np.array([3, 5, 6, 7])
+    view = source.view()
+    view.setflags(write=False)
+    spec = CodeSpec(m=3, info_indices=view)
+    before = hash(spec)
+    bits = np.array([1, 0, 1, 1], dtype=np.uint8)
+
+    def round_trip():
+        llr = 4.0 * (1.0 - 2.0 * encode(spec, bits))
+        return sc_decode(spec, llr).info_bits.tolist()
+
+    assert round_trip() == [1, 0, 1, 1]
+    source[0] = 0
+    assert round_trip() == [1, 0, 1, 1]
+    assert spec.info_indices.tolist() == [3, 5, 6, 7] and hash(spec) == before
+
+
+def test_constructions_hand_their_fresh_indices_over_uncopied(tmp_path, monkeypatch):
+    # freeze_rm and load_frozen_set build an ascending array of their own,
+    # which the spec keeps rather than copies (at m=24 a copy is 78 MB)
+    handed = []
+    adopt = CodeSpec._adopt.__func__
+
+    def spy(cls, m, indices):
+        handed.append(indices)
+        return adopt(cls, m, indices)
+
+    monkeypatch.setattr(CodeSpec, "_adopt", classmethod(spy))
+    path = tmp_path / "rm.txt"
+    save_frozen_set(freeze_rm(2, 5), path)
+    for build in (lambda: freeze_rm(2, 5), lambda: load_frozen_set(path)):
+        spec = build()
+        assert spec.info_indices is handed[-1] and not spec.info_indices.flags.writeable
+        assert spec == CodeSpec(m=5, info_indices=handed[-1].copy())
+    assert len(handed) == 3
 
 
 def test_info_set_builds_paths_in_decreasing_index_order():

@@ -180,36 +180,47 @@ def test_beliefs_length_checked():
         ml_decode(spec, SoftVector.from_llr(np.zeros(4)))
 
 
-def test_codebook_cache_drops_old_entries_past_its_byte_bound(monkeypatch):
-    from collections import OrderedDict
-
+def test_ml_decode_enumerates_once_per_call(monkeypatch):
     from rmpolar import ml_oracle
 
-    specs = [freeze_bec(5, k, 0.5) for k in (4, 5, 6)]
-    monkeypatch.setattr(ml_oracle, "_codebooks", OrderedDict())
-    sizes = [sum(a.nbytes for a in ml_oracle._codebook(spec)) for spec in specs]
-    expected = [ml_decode(spec, np.linspace(-2.0, 3.0, spec.n)) for spec in specs]
+    shapes = []
 
-    # room for the two newest codebooks, not for all three
-    monkeypatch.setattr(ml_oracle, "_codebooks", OrderedDict())
-    monkeypatch.setattr(ml_oracle, "CODEBOOK_CACHE_BYTES", sizes[1] + sizes[2])
-    for spec in specs:
-        ml_oracle._codebook(spec)
-    assert list(ml_oracle._codebooks) == specs[1:]
-    # a hit returns the kept arrays and makes them the newest
-    kept = ml_oracle._codebooks[specs[1]]
-    assert ml_oracle._codebook(specs[1]) is kept
-    ml_oracle._codebook(specs[0])
-    assert list(ml_oracle._codebooks) == [specs[1], specs[0]]
-    # results do not depend on what the cache holds
-    for spec, before in zip(specs, expected):
-        after = ml_decode(spec, np.linspace(-2.0, 3.0, spec.n))
-        np.testing.assert_array_equal(after.codeword, before.codeword)
-        assert after.loglik == before.loglik
+    def counted(spec, words):
+        shapes.append(words.shape)
+        return encode(spec, words)
 
-    # a codebook larger than the whole bound is returned, not kept
-    monkeypatch.setattr(ml_oracle, "_codebooks", OrderedDict())
-    monkeypatch.setattr(ml_oracle, "CODEBOOK_CACHE_BYTES", sizes[2] - 1)
-    words, codewords = ml_oracle._codebook(specs[2])
-    assert words.shape == (1 << 6, 6) and codewords.shape == (1 << 6, 32)
-    assert not ml_oracle._codebooks
+    monkeypatch.setattr(ml_oracle, "encode", counted)
+    spec = freeze_bec(4, 7, 0.5)
+    llr = np.linspace(-2.0, 3.0, spec.n)
+    first = ml_decode(spec, llr)
+    again = ml_decode(spec, llr)
+    assert shapes == [(1 << 7, 7)] * 2
+    np.testing.assert_array_equal(first.codeword, again.codeword)
+    assert first.codeword.base is None and first.info_bits.base is None
+
+
+def test_oracle_refuses_where_the_full_width_list_is_refused(monkeypatch):
+    from rmpolar import list_decoder, ml_oracle
+
+    shapes = []
+
+    def counted(spec, words):
+        shapes.append(words.shape)
+        return encode(spec, words)
+
+    monkeypatch.setattr(ml_oracle, "encode", counted)
+    # the full list of 2**6 words at n = 16 stores about 2**6 * 2 * 16 entries
+    spec = freeze_bec(4, 6, 0.5)
+    llr = np.linspace(-2.0, 3.0, spec.n)
+    monkeypatch.setattr(list_decoder, "MAX_LIST_ENTRIES", 1 << 11)
+    list_decode(spec, llr, 1 << 6)
+    ml_decode(spec, llr)
+    assert shapes == [(1 << 6, 6)]
+    monkeypatch.setattr(list_decoder, "MAX_LIST_ENTRIES", (1 << 11) - 1)
+    with pytest.raises(ValueError, match="MAX_LIST_ENTRIES"):
+        list_decode(spec, llr, 1 << 6)
+    for oracle in (ml_decode, likelihood_table):
+        with pytest.raises(ValueError) as exc:
+            oracle(spec, llr)
+        assert str(exc.value) == "refusing to enumerate 2**6 codewords of length 16 (too many to hold)"
+    assert shapes == [(1 << 6, 6)]

@@ -250,6 +250,20 @@ def test_bad_frozen_metric_is_refused_before_drawing(monkeypatch):
     assert str(refused.value) == str(decoded.value)
 
 
+def test_negative_seed_is_refused_before_drawing(monkeypatch):
+    draws = []
+    draw = sim.random_info_bits
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "random_info_bits", counted)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run_simulation(freeze_bec(4, 8, 0.5), [(Channel.bsc(0.1), 0.1)], 2, trials=5, seed=-1)
+    assert draws == []
+
+
 def test_csv_rows_round_trip(tmp_path):
     spec = freeze_rm(1, 4)
     points = [(Channel.bsc(0.1), 0.1), (Channel.awgn(1.1), 1.5)]
