@@ -266,11 +266,13 @@ class CodeSpec:
 
 @cache
 def _level_ranges(m):
-    """range(start + 1, node + 1) at [start, node], for 0 <= start, node <= m."""
+    """range(start + 1, node + 1) at [start, node], for 0 <= start, node <= m:
+    a read-only array, since every later plan of the same m shares it."""
     ranges = np.empty((m + 1, m + 1), dtype=object)
     for start in range(m + 1):
         for node in range(m + 1):
             ranges[start, node] = range(start + 1, node + 1)
+    ranges.setflags(write=False)
     return ranges
 
 

@@ -44,9 +44,25 @@ hypothesis forks on the two bit values, the cost of each child growing by
 that of its bit.  The pool of extensions is shaped (entries, F), each
 column laid out by parent rank, then bit, so one ascending stable sort of
 the costs down axis 0 keeps the L cheapest of every frame and breaks exact
-ties toward the earlier parent, then bit 0.  Two flat tables, built once
-per call, give the parent row and the symbol of every flat pool entry, so
-the survivors' rows and symbols are two takes.
+ties toward the earlier parent, then bit 0.  Two tables, built once per
+call, give the parent row and the negated symbol of every flat pool entry,
+so the survivors' rows and symbols are two takes.
+
+Same-shape operands.  Every per-leaf numpy call of the L > 1 loop runs on
+operands of one shape, or on an array and a scalar.  With numpy 2.4 an
+in-place add of two (32, 2) blocks costs about 0.4 us, and one that
+broadcasts an (L, 1, F) or (F,) operand 0.9-1.5 us, because it sets up
+numpy's general iterator (timeit, 2-core x86-64 host).  So extend_leaf
+repeats the leaf beliefs twice down axis 0 and multiplies them by a
+(2 L, F) table of -1 (bit 0) and +1 (bit 1) rows, takes logaddexp(0, .)
+in place, and adds the costs repeated twice.  The survivors' flat indices,
+and the parent rows of a frozen re-rank, add an (L, F) table of frame
+numbers sliced to the rows kept.  Negation and multiplication by +-1 are
+exact, so the bytes are those of the broadcast forms, which
+tests/helpers.py keeps as the reference.  The tables (_pool_tables) are
+built once per _decode call, for its list size and frames: built per leaf
+they cost more than they save, and a module-level table sized for the
+largest call would hold its memory for the life of the process.
 
 Lazy forks (Tal and Vardy's lazy copying, in array form).  Survivors
 become the new rows in rank order, but no stored array moves at a fork.
@@ -125,13 +141,6 @@ MAX_LIST_ENTRIES = 1 << 27
 DECODE_BLOCK_ENTRIES = 1 << 20
 
 _FROZEN_METRIC_MODES = ("include", "ignore")
-
-# The symbols of bit 0 and bit 1; the leaf belief is multiplied by their
-# negations to cost the two bits (-log_expit(x) is logaddexp(0, -x)).
-_BIT_SIGNS = np.array([1.0, -1.0])
-_NEG_BIT_SIGN_COLUMN = -_BIT_SIGNS[:, None]
-_BIT_SIGNS.setflags(write=False)
-_NEG_BIT_SIGN_COLUMN.setflags(write=False)
 
 # Channel beliefs may be at most this over 2 * n in magnitude (_check_beliefs).
 _MAX_FLOAT = float(np.finfo(np.float64).max)
@@ -263,20 +272,48 @@ class _SCResult(ListResult):
         return total.reshape(self.info_bits.shape[:-1])
 
 
-def extend_leaf(cost, leaf_llrs):
+def extend_leaf(cost, leaf_llrs, signs):
     """Extend every hypothesis through one information leaf.
 
     `cost` and `leaf_llrs` are (live, frames) float64 arrays in rank order:
     the cost of each hypothesis (its negated log metric, >= 0) and its leaf
-    belief (positive favors bit 0).  Returns the (2 * live, frames) cost
-    pool, each column ordered by parent rank, then bit: entry i extends
-    parent i // 2 with bit i % 2, its cost grown by logaddexp(0, -+b), the
-    negated log posterior of that bit.
+    belief (positive favors bit 0).  `signs` is the (2 * live, frames) sign
+    table of _pool_tables, -1.0 on even rows and +1.0 on odd ones.  Returns
+    the (2 * live, frames) cost pool, each column ordered by parent rank,
+    then bit: entry i extends parent i // 2 with bit i % 2, its cost grown
+    by logaddexp(0, -+b), the negated log posterior of that bit.  Every
+    call runs on operands of one shape (see Same-shape operands).
     """
-    pool = leaf_llrs[:, None] * _NEG_BIT_SIGN_COLUMN
+    pool = leaf_llrs.repeat(2, axis=0)
+    pool *= signs
     np.logaddexp(0.0, pool, out=pool)
-    pool += cost[:, None]
-    return pool.reshape(-1, cost.shape[1])
+    pool += cost.repeat(2, axis=0)
+    return pool
+
+
+def _pool_tables(list_size, frames):
+    """The tables of the L > 1 step loop for up to `list_size` live
+    hypotheses of `frames` frames, built once per _decode call.
+
+    Returns (signs, cols, row_of):
+
+    - signs, (2 * list_size, frames): the negated symbol of each pool row's
+      bit, -1.0 on the rows of bit 0 and +1.0 on those of bit 1; rows
+      :2 * live are extend_leaf's sign table at `live` hypotheses, and the
+      symbol of flat pool entry e is -signs.flat[e];
+    - cols, (list_size, frames): the frame of every column, which turns
+      the ranks of `kept` rows into the flat indices rank * frames + frame
+      of a hypothesis-major block when its rows :kept are added;
+    - row_of: flat pool entry e = i * frames + f extends parent i >> 1,
+      physical row row_of[e] = (i >> 1) * frames + f.
+    """
+    entry = np.arange(2 * list_size * frames)
+    row_of = (entry // frames >> 1) * frames + entry % frames
+    # the leaf belief times the negated symbol costs the bit, since
+    # -log_expit(x) is logaddexp(0, -x)
+    signs = np.where(entry // frames & 1, 1.0, -1.0).reshape(-1, frames)
+    cols = np.tile(np.arange(frames), (list_size, 1))
+    return signs, cols, row_of
 
 
 def select_top(pool, limit):
@@ -461,8 +498,6 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
     # a list's metric; at list_size 1 the leaf beliefs stand in for it
     include = frozen_metric == "include" and list_size > 1
     kernel = select = moved = 0
-    # frame of each column, for flat indices of hypothesis-major rows
-    cols = np.arange(frames)
     bel = [np.ascontiguousarray(llr.T)] + [None] * m
     # the decided symbols, ending as the codewords (see Layout): the step
     # at leaves j .. j + width - 1 spans positions n - j - width .. n - j - 1.
@@ -485,13 +520,11 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
     if list_size > 1:
         # the negated metrics, (live, frames) in rank order
         cost = np.zeros((1, frames))
-        # flat entry e = i * frames + f of an information leaf's pool extends
-        # parent i >> 1, physical row (i >> 1) * frames + f, with bit i & 1
-        entry = np.arange(2 * list_size * frames)
-        row_of = (entry // frames >> 1) * frames + entry % frames
-        sym_of = _BIT_SIGNS.take(entry // frames & 1)
+        signs, cols, row_of = _pool_tables(list_size, frames)
+        # extend_leaf's sign table at the live list size
+        flips = signs[:2]
         # the parent rows of a fork that keeps every row in place, as bytes
-        unmoved = entry[: list_size * frames].tobytes()
+        unmoved = np.arange(list_size * frames).tobytes()
     live = 1
 
     for j, node, start, half, levels, info, width, stop, work in spec.decode_plan:
@@ -539,17 +572,17 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
             else:
                 sym[n - 1 - j] = truth[j]
         elif info:
-            pool = extend_leaf(cost, lam.reshape(live, frames))
+            pool = extend_leaf(cost, lam.reshape(live, frames), flips)
             select += len(pool)
             # the survivors' flat pool entries
             flat = select_top(pool, list_size)
             if frames > 1:
                 flat *= frames
-                flat += cols
+                flat += cols[: len(flat)]
             cost = pool.take(flat)
             flat = flat.ravel()
             rows = row_of.take(flat)
-            syms[n - 1 - j, : flat.size] = sym_of.take(flat)
+            np.negative(signs.take(flat), out=syms[n - 1 - j, : flat.size])
         else:
             select += live * width
             if width == 1:
@@ -579,7 +612,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
                 # fork below skips it
                 if frames > 1:
                     parent *= frames
-                    parent += cols
+                    parent += cols[:live]
                 cost = cost.take(parent)
                 rows = parent.ravel()
             # with 'ignore' the costs, ranked already, do not change
@@ -600,6 +633,7 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
             if survivors != live:
                 live = survivors
                 sym = syms[:, : live * frames]
+                flips = signs[: 2 * live]
 
         # fold the decided symbols back up the completed subtrees: each
         # node's upper half becomes the product of its halves

@@ -337,6 +337,24 @@ def reference_extend_leaf(metrics, leaf_llrs, frozen, frozen_metric="include"):
     return pool
 
 
+def broadcast_extend_leaf(cost, leaf_llrs):
+    """The (2 * live, frames) cost pool of list_decoder.extend_leaf in its
+    broadcast form: each (live, frames) leaf belief times the (2, 1) column
+    of the negated bit symbols, logaddexp(0, .), plus the costs broadcast
+    over the bit axis."""
+    pool = leaf_llrs[:, None] * np.array([[-1.0], [1.0]])
+    np.logaddexp(0.0, pool, out=pool)
+    pool += cost[:, None]
+    return pool.reshape(-1, cost.shape[1])
+
+
+def broadcast_flat_offsets(ranks):
+    """Flat indices rank * frames + frame of a (rows, frames) rank block of a
+    hypothesis-major block, the frame numbers broadcast over the rows."""
+    frames = ranks.shape[1]
+    return ranks * frames + np.arange(frames)
+
+
 def reference_select_top(pool, limit, counter):
     """The `limit` best extensions; ties go to the earlier parent, then bit 0."""
     counter.select += len(pool)

@@ -2,6 +2,7 @@
 
 import __future__
 import ast
+import functools
 import importlib
 import json
 import os
@@ -123,16 +124,27 @@ def _immutable(value):
         return not value.flags.writeable
     if isinstance(value, (tuple, frozenset)):
         return all(_immutable(item) for item in value)
+    # a functools.cache or lru_cache function holds its results for the
+    # life of the process, shared by every later caller
+    if isinstance(value, functools._lru_cache_wrapper):
+        return False
     return callable(value) or isinstance(
         value,
         (int, float, complex, str, bytes, type(None), np.generic, types.ModuleType, type(__future__.annotations)),
     )
 
 
+# The module state kept, besides each module's __all__, and why.
+MODULE_STATE = {
+    "rmpolar.cli._parser": "the argument parser, built once per process and never changed after",
+    "rmpolar.code_model._level_ranges": "one read-only array of range objects per m, read by every decode_plan",
+    "rmpolar.encoder._MASKS": "the butterfly masks; building them per call was 1.7-2.9x slower (ROADMAP)",
+}
+
+
 def test_module_state_census():
-    # module state is shared by every caller in the process; the one mutable
-    # container kept is encoder's mask cache (ROADMAP, "Dropped on
-    # measurements"), besides each module's __all__
+    # module state is shared by every caller in the process, so only the
+    # entries of MODULE_STATE may hold any
     found = []
     for info in [None, *pkgutil.iter_modules(rmpolar.__path__)]:
         name = "rmpolar" if info is None else f"rmpolar.{info.name}"
@@ -140,7 +152,18 @@ def test_module_state_census():
             dunder = key.startswith("__") and key.endswith("__")
             if not dunder and not _immutable(value):
                 found.append(f"{name}.{key}")
-    assert found == ["rmpolar.encoder._MASKS"]
+    assert sorted(found) == sorted(MODULE_STATE)
+
+
+def test_cached_level_ranges_are_read_only():
+    # every later plan of the same m reads the one cached array
+    from rmpolar.code_model import _level_ranges
+
+    ranges = _level_ranges(3)
+    assert not ranges.flags.writeable
+    with pytest.raises(ValueError):
+        ranges[0, 0] = range(0)
+    assert _level_ranges(3) is ranges
 
 
 # Runs in a fresh interpreter: prints, after each stage, whether

@@ -12,16 +12,26 @@ The pin detects change; it decides nothing.  Exhaustive ML, the reference
 decoders and metric replay stay the arbiters, and metric bytes are checked
 against the reference decoder in test_list_decoder.py, not here: numpy's
 SIMD exp and log1p round differently between CPUs, so a digest of float
-bytes would pin the host.  Decisions depend on the host only at near-ties.
+bytes would pin the host.  Decisions depend on the host only at near-ties,
+and those follow numpy's SIMD rounding: so the digest is pinned once per
+SIMD class, numpy's baseline and the dispatch targets it uses, and every
+class this CPU can reach is also checked in a child process that turns the
+others off with numpy's NPY_DISABLE_CPU_FEATURES.
 
     PYTHONPATH=src python tests/test_corpus.py
 
-prints the digest of the tree on the path, to compare two trees.
+prints the digest of the tree on the path and the host's SIMD class, to
+compare two trees or to record a class.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rmpolar import CodeSpec, genie_error_counts, list_decode, sc_decode
 from rmpolar import list_decoder
@@ -34,21 +44,36 @@ MODES = ("include", "ignore")
 MAX_FRAMES = 5
 _SPECIAL = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300])
 
-# the digest, with the numpy version and the SIMD features (baseline, then
-# the dispatch targets found) of the host it was recorded on
-PINNED = "e03aeeaa1b4a110dd3eaa78555196c0661dd6fdc258048399a30632269a3e478"
-PINNED_ON = "numpy 2.4.6, SIMD X86_V2 + X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+# the digest per SIMD class, as simd_features names it, recorded with numpy
+# 2.4.6: AVX-512's exp and log1p round some near-ties the other way, while
+# X86_V3 (AVX2) and the X86_V2 baseline alone agree
+PINNED = {
+    "X86_V2 + X86_V3 X86_V4 AVX512_ICL AVX512_SPR": "e03aeeaa1b4a110dd3eaa78555196c0661dd6fdc258048399a30632269a3e478",
+    "X86_V2 + X86_V3": "c5297fb8d5cb94d1e21fcefd981c4b87a8e81de51085ab63488f6360e765eaff",
+    "X86_V2 + none": "c5297fb8d5cb94d1e21fcefd981c4b87a8e81de51085ab63488f6360e765eaff",
+}
+PINNED_NUMPY = "2.4.6"
+
+
+def _cpu_tables():
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath.__cpu_baseline__, _multiarray_umath.__cpu_dispatch__, _multiarray_umath.__cpu_features__
+
+
+def dispatch_targets():
+    """The dispatch targets numpy uses in this process: those this CPU has,
+    less any NPY_DISABLE_CPU_FEATURES turned off at import."""
+    _, dispatch, features = _cpu_tables()
+    return [target for target in dispatch if features.get(target)]
 
 
 def simd_features():
-    """numpy's SIMD baseline and the dispatch targets this CPU has."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
-
-    found = [feature for feature in __cpu_dispatch__ if __cpu_features__.get(feature)]
-    return f"{' '.join(__cpu_baseline__)} + {' '.join(found)}"
+    """This process's SIMD class: numpy's baseline, then its dispatch targets."""
+    baseline = _cpu_tables()[0]
+    return f"{' '.join(baseline)} + {' '.join(dispatch_targets()) or 'none'}"
 
 
 def _feed(digest, *items):
@@ -96,13 +121,47 @@ def corpus_digest():
     return digest.hexdigest()
 
 
-def test_corpus_digest_is_pinned():
-    digest = corpus_digest()
-    assert digest == PINNED, (
-        f"corpus digest {digest}, pinned {PINNED} on {PINNED_ON}; this host has numpy "
-        f"{np.__version__}, SIMD {simd_features()}.  On the pinned numpy and SIMD features a "
-        "decoder's decisions or counts changed; elsewhere a near-tie may also round the other way."
+def _check(digest, features):
+    """Fail unless `digest` is the one pinned for SIMD class `features`."""
+    if features not in PINNED:
+        pytest.fail(
+            f"no corpus digest is recorded for SIMD class {features!r} (numpy {np.__version__}); "
+            f"recorded with numpy {PINNED_NUMPY}: {PINNED}.  This host's digest is {digest}; record it "
+            "only from a tree whose decisions the oracles have checked."
+        )
+    assert digest == PINNED[features], (
+        f"corpus digest {digest} under SIMD class {features!r}, pinned {PINNED[features]} with numpy "
+        f"{PINNED_NUMPY}; this host has numpy {np.__version__}.  On the pinned numpy a decoder's "
+        "decisions or counts changed; on another numpy a near-tie may also round the other way."
     )
+
+
+def test_corpus_digest_is_pinned():
+    _check(corpus_digest(), simd_features())
+
+
+@pytest.mark.parametrize("features", list(PINNED))
+def test_corpus_digest_under_each_simd_class(features):
+    # the corpus in a child process whose numpy uses exactly the dispatch
+    # targets of `features`, the others turned off in its environment only
+    wanted = [target for target in features.split(" + ")[1].split() if target != "none"]
+    found = dispatch_targets()
+    missing = [target for target in wanted if target not in found]
+    if missing:
+        pytest.skip(f"this CPU cannot reach SIMD class {features!r}: it lacks {missing}")
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(target for target in _cpu_tables()[1] if target not in wanted),
+    }
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # "<digest> numpy <version>, SIMD <class>"
+    head, _, child = proc.stdout.rstrip("\n").partition(", SIMD ")
+    assert child == features
+    digest = head.split()[0]
+    _check(digest, features)
 
 
 if __name__ == "__main__":

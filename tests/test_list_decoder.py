@@ -31,6 +31,8 @@ from rmpolar import (
 )
 from rmpolar.list_decoder import extend_leaf, select_top
 from helpers import (
+    broadcast_extend_leaf,
+    broadcast_flat_offsets,
     decode_steps,
     frame_of,
     full_spec,
@@ -50,8 +52,13 @@ def _received_llr(spec, ch, rng, sent=None):
     return sent, posteriors(ch, y)
 
 
+def _signs(live, frames):
+    """extend_leaf's (2 * live, frames) sign table."""
+    return list_decoder._pool_tables(live, frames)[0]
+
+
 def test_extend_leaf_info_example():
-    pool = extend_leaf(np.array([[0.0]]), np.array([[math.log(9.0)]]))
+    pool = extend_leaf(np.array([[0.0]]), np.array([[math.log(9.0)]]), _signs(1, 1))
     # entry i extends parent i // 2 with bit i % 2; a cost is a negated metric
     assert pool.shape == (2, 1)
     assert pool[0, 0] == pytest.approx(-math.log(0.9), abs=1e-12)
@@ -59,7 +66,7 @@ def test_extend_leaf_info_example():
 
 
 def test_extend_leaf_orders_pool_by_parent():
-    pool = extend_leaf(np.array([[0.1], [0.7]]), np.array([[2.0], [-2.0]]))
+    pool = extend_leaf(np.array([[0.1], [0.7]]), np.array([[2.0], [-2.0]]), _signs(2, 1))
     # (parent, bit) = (0, 0), (0, 1), (1, 0), (1, 1)
     expected = [
         0.1 - log_expit(2.0),
@@ -104,16 +111,52 @@ def test_two_dimensional_extend_and_select_match_each_column():
     # values on a coarse grid, so that pool entries tie within a column
     cost = -rng.integers(-3, 1, size=(live, frames)) / 2.0
     lam = rng.choice([-2.0, 0.0, 2.0], size=(live, frames))
-    pool = extend_leaf(cost, lam)
+    pool = extend_leaf(cost, lam, _signs(live, frames))
     assert pool.shape == (2 * live, frames)
     for f in range(frames):
-        column = extend_leaf(cost[:, f : f + 1], lam[:, f : f + 1])
+        column = extend_leaf(cost[:, f : f + 1], lam[:, f : f + 1], _signs(live, 1))
         np.testing.assert_array_equal(pool[:, f : f + 1], column)
     for limit in (1, 2, 4, 8):
         kept = select_top(pool, limit)
         assert kept.shape == (min(limit, len(pool)), frames)
         for f in range(frames):
             np.testing.assert_array_equal(kept[:, f], select_top(pool[:, f], limit))
+
+
+# beliefs and costs at the edges of the pool's arithmetic: both zeros, the
+# smallest subnormal, tiny, LLR_CLAMP and where exp(-x) underflows
+_POOL_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0])
+
+
+def test_same_shape_pool_and_offsets_match_the_broadcast_forms():
+    # the core's (2 L, F) sign table and (L, F) frame table, sliced to the
+    # live and kept rows, give the bytes of the broadcast forms at every
+    # list size the loop passes through
+    rng = np.random.default_rng(2611)
+    limit = 16
+
+    def draw(shape):
+        # half edge values, half gaussian
+        return np.where(rng.random(shape) < 0.5, rng.choice(_POOL_EDGES, shape), rng.normal(0.0, 10.0, shape))
+
+    for frames in range(1, 6):
+        signs, cols, _ = list_decoder._pool_tables(limit, frames)
+        for live in range(1, limit + 1):
+            cost, lam = np.abs(draw((live, frames))), draw((live, frames))
+            pool = extend_leaf(cost, lam, signs[: 2 * live])
+            assert pool.tobytes() == broadcast_extend_leaf(cost, lam).tobytes(), (live, frames)
+            # the survivors' flat entries, as the core forms them
+            flat = select_top(pool, limit)
+            expected = broadcast_flat_offsets(flat)
+            flat *= frames
+            flat += cols[: len(flat)]
+            assert flat.tobytes() == expected.tobytes()
+            # a frozen re-rank's parent rows
+            parent = cost.argsort(axis=0, kind="stable")
+            expected = broadcast_flat_offsets(parent)
+            parent *= frames
+            parent += cols[:live]
+            assert parent.tobytes() == expected.tobytes()
 
 
 def test_one_selection_per_information_leaf(monkeypatch):
@@ -827,6 +870,6 @@ def test_log_posteriors_match_scipy_bit_for_bit():
     # zero, and 0.0 - cost gives back every metric's bytes
     cost = 0.0 - metrics
     assert (0.0 - (cost + np.logaddexp(0.0, -x))).tobytes() == (metrics + expected).tobytes()
-    pool = extend_leaf(cost[None, :], x[None, :])
+    pool = extend_leaf(cost[None, :], x[None, :], _signs(1, len(x)))
     assert (0.0 - pool).tobytes() == np.stack([metrics + expected, metrics + log_expit(-x)]).tobytes()
     assert np.array_equal(pool, -np.stack([metrics + expected, metrics + log_expit(-x)]))

@@ -29,6 +29,11 @@ def test_paired_timing_of_a_tree_against_itself():
         "sim-sc", "sim-sc:fresh", "sim-sc:simulate",
     ]
     assert all(line.split()[3] == "2" for line in lines[1:])
+    # each row ends with the rounds the change won, here of 2
+    for line in lines[1:]:
+        label, count = line.split()[-2:]
+        won, rounds = count.split("/")
+        assert label == "won" and rounds == "2" and 0 <= int(won) <= 2, line
 
 
 def _tree_with(tmp_path, tail, module="list_decoder"):

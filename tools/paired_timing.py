@@ -14,7 +14,8 @@ calls, each side's decoder core (`list_decoder._decode`) runs once more,
 untimed, on the same block, and the two must count the same work, the
 entries that forks move (`OpCounter.moved`) included.  The script prints
 the median and the quartiles of the change/base time ratio per shape; below 1
-the change is faster.
+the change is faster.  Its last column, `won k/N`, counts the rounds in
+which the change was faster, a tie counting for neither side.
 
 Each shape has a second row, `<shape>:fresh`, whose timed call also builds
 a new `CodeSpec` from the shape's indices before decoding, so that it pays
@@ -149,14 +150,18 @@ def main(argv=None):
         try:
             base = import_tree(args.base, "rmpolar_base", tmp)
             change = import_tree(args.change, "rmpolar_change", tmp)
-            print(f"{'shape':<22}{'L':>3}{'frames':>8}{'rounds':>8}  change/base median [q1, q3]")
+            print(f"{'shape':<22}{'L':>3}{'frames':>8}{'rounds':>8}  change/base median [q1, q3]  won")
             for shape in SHAPES:
                 for row in ("", ":fresh") + ((":simulate",) if shape[0] in SIMULATED else ()):
                     ratios = time_shape(base, change, shape, args.rounds, args.seed, row)
                     q1, med, q3 = np.percentile(ratios, (25, 50, 75))
                     name = shape[0] + row
                     frames = shape[4] * len(shape[3])
-                    print(f"{name:<22}{shape[2]:>3}{frames:>8}{len(ratios):>8}  {med:.3f} [{q1:.3f}, {q3:.3f}]")
+                    won = int(np.count_nonzero(ratios < 1.0))
+                    print(
+                        f"{name:<22}{shape[2]:>3}{frames:>8}{len(ratios):>8}  {med:.3f} [{q1:.3f}, {q3:.3f}]"
+                        f"  won {won}/{len(ratios)}"
+                    )
         finally:
             sys.path.remove(tmp)
 
