@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from array import array
 from functools import cache
 
 import numpy as np
@@ -107,21 +108,22 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     spec = load_frozen_set(args.frozen_set)
     step = block_frames(spec, args.list_size)
-    frames = []
+    # one float64 buffer, 8 bytes a value, that numpy reads without a copy
+    values = array("d")
     for ln, line in _text_lines(args.infile, "LLR values must be numbers"):
         try:
-            values = [float(tok) for tok in line.split()]
+            row = [float(tok) for tok in line.split()]
         except ValueError:
             raise ValueError(f"{args.infile}:{ln}: LLR values must be numbers") from None
-        if not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(v) for v in row):
             raise ValueError(f"{args.infile}:{ln}: LLR values must be finite, not nan or inf")
-        if len(values) != spec.n:
+        if len(row) != spec.n:
             raise ValueError(f"{args.infile}:{ln}: expected {spec.n} LLR values")
-        frames.append(values)
-    if not frames:
+        values.extend(row)
+    if not values:
         raise ValueError(f"{args.infile}: no LLR lines found")
-    # clamped like SoftVector beliefs, which raw blocks are not
-    llr = _clamped(np.array(frames, dtype=np.float64))
+    # clamped in place like SoftVector beliefs, which raw blocks are not
+    llr = _clamped(np.frombuffer(values).reshape(-1, spec.n))
     with open(args.out, "wb") as fh:
         for first in range(0, len(llr), step):
             # the rank-1 words only, so that the result (at L = 1 with its leaf
@@ -130,7 +132,7 @@ def _cmd_decode(args):
                 spec, llr[first : first + step], args.list_size, frozen_metric=args.frozen_metric
             ).info_bits[:, 0]
             fh.write(_bit_lines(words))
-    print(f"decoded {len(frames)} frame(s) -> {args.out}")
+    print(f"decoded {len(llr)} frame(s) -> {args.out}")
     return 0
 
 

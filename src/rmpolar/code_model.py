@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .channel import modulate, posteriors, transmit
 from .encoder import encode
+from .list_decoder import block_frames, step_plan
 from .sc_decoder import genie_error_counts
 
 __all__ = [
@@ -198,82 +199,9 @@ class CodeSpec:
 
     @cached_property
     def decode_plan(self):
-        """The decode steps, compiled for the list decoder's step loop.
-
-        Each information leaf is a step at level m.  A frozen leaf j lies in
-        the aligned block of 2**t leaves from (j >> t) << t, which holds no
-        information leaf exactly when bit t is at or below the highest bit
-        where j differs from the information leaf before it, and from the
-        one after it; the largest such block is one step.  The leaves are
-        offset by n, so that the stand-ins n - 1 (none before) and 2n (none
-        after) allow every t up to m.
-
-        One tuple per step in processing order, (j, node, start, half,
-        levels, info, width, stop, work), all Python ints but `levels` and
-        `info`:
-
-        - j, node: the step's first leaf and node level;
-        - start, half: the level whose beliefs the step refreshes first, from
-          its parent's through combine_u_llr at half width half = j & -j, the
-          lowest set bit of j; the first step (j = 0, half = 0) starts from
-          the channel beliefs at level 0 instead;
-        - levels: range(start + 1, node + 1), the levels then formed by
-          combine_v_llr down to the node;
-        - info: True at an information leaf (a Python bool);
-        - width: 2**(m - node), the leaves of the step;
-        - stop: the level where the fold of the step's symbols ends, node
-          minus the trailing ones of j >> (m - node): the decided symbols
-          are stored there as pending i=1 symbols, or form the codeword at 0;
-        - work: the kernel evaluations of the step per live hypothesis,
-          2 * half - width for the refresh (n - width at j = 0), plus
-          width * (m - node) in a frozen subtree.
-        """
-        m, n = self.m, self.n
-        info = self.info_mask_by_leaf
-        leaf = np.arange(n, 2 * n)
-        before = np.maximum.accumulate(np.where(info, leaf, n - 1))
-        after = np.minimum.accumulate(np.where(info, leaf, 2 * n)[::-1])[::-1]
-        # frexp(x)[1] is the bit length of an integer x; an information leaf
-        # differs from neither, and gets t = -1
-        t = np.minimum(np.frexp(leaf ^ before)[1], np.frexp(leaf ^ after)[1]) - 1
-        level = m - np.maximum(t, 0)
-        first = np.flatnonzero((leaf & ((1 << (m - level)) - 1)) == 0)
-        node = level[first]
-        half = first & -first
-        # half = 2**t is refreshed at level m - t: frexp(2**t) has exponent t + 1
-        start = m + 1 - np.frexp(half)[1]
-        start[0] = 0
-        width = 1 << (m - node)
-        work = 2 * half + width * (m - node - 1)
-        work[0] += n
-        # j + width carries through the trailing ones of j >> (m - node), so
-        # the fold ends where the next step's refresh starts
-        stop = np.append(start[1:], 0)
-        return tuple(
-            zip(
-                first.tolist(),
-                node.tolist(),
-                start.tolist(),
-                half.tolist(),
-                _level_ranges(m)[start, node].tolist(),
-                info[first].tolist(),
-                width.tolist(),
-                stop.tolist(),
-                work.tolist(),
-            )
-        )
-
-
-@cache
-def _level_ranges(m):
-    """range(start + 1, node + 1) at [start, node], for 0 <= start, node <= m:
-    a read-only array, since every later plan of the same m shares it."""
-    ranges = np.empty((m + 1, m + 1), dtype=object)
-    for start in range(m + 1):
-        for node in range(m + 1):
-            ranges[start, node] = range(start + 1, node + 1)
-    ranges.setflags(write=False)
-    return ranges
+        """The list decoder's step plan of this code (list_decoder.step_plan),
+        built once per spec."""
+        return step_plan(self.m, self.info_mask_by_leaf)
 
 
 def freeze_rm(r, m):
@@ -353,6 +281,11 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
     tallies how often the raw decision at each leaf is wrong.  The k paths
     with the lowest estimated error rate form the information set, ties broken
     toward the smaller path index.  Deterministic for a given (seed, trials).
+
+    Each batch of 4096 words is drawn in one call, then sent and decoded in
+    slices of block_frames(full, 1) rows: the slices' channel draws continue
+    one stream and the error counts add up, so the slice size bounds memory
+    but never changes the result.
     """
     check_m(m)
     n = 1 << m
@@ -364,17 +297,16 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
         raise ValueError(f"seed must be >= 0, got {seed}")
 
     full = CodeSpec(m=m, info_indices=np.arange(n))
+    step = block_frames(full, 1)
     rng = np.random.default_rng(seed)
     errors = np.zeros(n, dtype=np.int64)  # by leaf step
-    batch = 4096
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        words = rng.integers(0, 2, size=(b, n), dtype=np.uint8)
-        # the symbols and channel outputs are not kept through the decode
-        llr = posteriors(channel, transmit(channel, modulate(encode(full, words)), rng))
-        errors += genie_error_counts(full, llr, words)
-        done += b
+    for done in range(0, trials, 4096):
+        words = rng.integers(0, 2, size=(min(4096, trials - done), n), dtype=np.uint8)
+        for first in range(0, len(words), step):
+            block = words[first : first + step]
+            # the symbols and channel outputs are not kept through the decode
+            llr = posteriors(channel, transmit(channel, modulate(encode(full, block)), rng))
+            errors += genie_error_counts(full, llr, block)
 
     # the counts rank as the rates errors / trials; leaf step s is index n-1-s
     order = np.argsort(errors[::-1], kind="stable")

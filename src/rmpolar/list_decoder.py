@@ -4,8 +4,9 @@ The core (_decode) serves every decoder of the package: list_decode, and at
 list size 1 the successive-cancellation wrappers of rmpolar.sc_decoder.  The
 kernels it calls, combine_v_llr and combine_u_llr, and its work tally
 OpCounter are defined here; rmpolar.sc_decoder re-exports all three.  It
-advances step by step in leaf processing order, and the live hypotheses of
-every frame in a block move together.
+advances in leaf processing order by the steps that step_plan compiles once
+per spec (CodeSpec.decode_plan), and the live hypotheses of every frame in
+a block move together.
 
 Layout.  Arrays are position-major: bel[lvl] holds the level-lvl beliefs,
 shape (2**(m-lvl), rows), so the two halves lam[:h] and lam[h:] of a node
@@ -23,15 +24,6 @@ their last axis.  A refresh runs each kernel once per level on all rows at
 once, so the work per frame stays L * n * log2(n) kernel evaluations at
 most.  A list's decided information bits are read off its final codewords
 by inverting the encoder.
-
-Steps.  A step is one information leaf, or one maximal aligned block of
-frozen leaves: a whole subtree whose leaves are all frozen.  The loop reads
-them from CodeSpec.decode_plan, built once per spec in one numpy pass: each
-step's refresh start and half width, the levels it forms, its width, the
-level where its fold stops and its kernel work per hypothesis, all as
-Python ints, so that a step spends its Python-level calls on the kernels
-and the selection, not on deriving its shape.  The work counts build up in
-local ints.
 
 At L > 1 the core carries each hypothesis's cost, its negated metric: a
 non-negative penalty (Balatsoukas-Stimming, Bastani Parizi and Burg) that
@@ -69,10 +61,9 @@ become the new rows in rank order, but no stored array moves at a fork.
 One (slots, rows) integer map holds, for each stored array, the physical
 row that each current row reads; a fork composes every map with the survivors'
 parent rows in one take, after resetting to identity the maps of the
-arrays written since the previous fork (a fixed list of per-slot flags and
-the list of slots flagged).  A fork that keeps the live rows in their order,
-told by comparing the parent rows' bytes with those of the identity,
-composes nothing.  An array is gathered through its map only where it is
+arrays written since the previous fork (one set of slots).  A fork that
+keeps the live rows in their order, told by comparing the parent rows'
+bytes with those of the identity, composes nothing.  An array is gathered through its map only where it is
 read: the parent's beliefs at a refresh, and the pending symbols in the
 fold, gathered into their product.  The pending i=1 symbols that a refresh
 reads are current by construction: a step's fold stops at the level where
@@ -113,7 +104,7 @@ ranks the survivors of every frame at once, in arrays, for one ListResult.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -345,9 +336,15 @@ def check_list_size(m, dimension, list_size):
 
 def block_frames(spec, list_size):
     """Frames per list_decode call at `list_size`: the most whose widest
-    level, frames * live * n entries for the live list of check_list_size,
-    fits in DECODE_BLOCK_ENTRIES, and at least one.  Raises as
-    check_list_size does."""
+    belief level, frames * live * n entries for the live list of
+    check_list_size, fits in DECODE_BLOCK_ENTRIES, and at least one.  Raises
+    as check_list_size does.
+
+    The budget bounds that 8 MiB level, not the call: pool tables, leaf
+    temporaries and results scale with frames * live too.  tracemalloc peaks
+    of one block-sized call on freeze_bec(m, k, 0.5): m=1 k=1 L=2 74.0 MiB,
+    m=4 k=8 L=16 31.2 MiB, m=8 k=128 L=1 36.6 MiB and L=16 22.1 MiB, m=10
+    k=512 L=4 21.4 MiB."""
     live = check_list_size(spec.m, spec.dimension, list_size)
     return max(1, DECODE_BLOCK_ENTRIES // (live * spec.n))
 
@@ -477,6 +474,77 @@ def _rank(metrics, bits):
     return order[np.where(rank == 0, pick, rank - (rank <= pick)), cols]
 
 
+def step_plan(m, info_by_leaf):
+    """The steps of _decode for a code of length n = 2**m whose leaf mask,
+    in processing order, is `info_by_leaf` (CodeSpec.info_mask_by_leaf).
+
+    A step is one information leaf, at level m, or one maximal aligned block
+    of frozen leaves: a whole subtree whose leaves are all frozen.  A frozen
+    leaf j lies in the aligned block of 2**t leaves from (j >> t) << t, which
+    holds no information leaf exactly when bit t is at or below the highest
+    bit where j differs from the information leaf before it, and from the one
+    after it; the largest such block is one step.  The leaves are offset by
+    n, so that the stand-ins n - 1 (none before) and 2n (none after) allow
+    every t up to m.  One numpy pass finds each step's first leaf and node
+    level and derives the rest from them.
+
+    Returns one tuple per step in processing order, (j, node, start, half,
+    levels, info, width, stop, work), all Python ints but `levels` and
+    `info`, so that a step spends its Python-level calls on the kernels and
+    the selection, not on deriving its shape:
+
+    - j, node: the step's first leaf and node level;
+    - start, half: the level whose beliefs the step refreshes first, from
+      its parent's through combine_u_llr at half width half = j & -j, the
+      lowest set bit of j; the first step (j = 0, half = 0) starts from the
+      channel beliefs at level 0 instead;
+    - levels: range(start + 1, node + 1), the levels then formed by
+      combine_v_llr down to the node;
+    - info: True at an information leaf (a Python bool);
+    - width: 2**(m - node), the leaves of the step;
+    - stop: the level where the fold of the step's symbols ends, node minus
+      the trailing ones of j >> (m - node): the decided symbols are stored
+      there as pending i=1 symbols, or form the codeword at 0;
+    - work: the kernel evaluations of the step per live hypothesis,
+      2 * half - width for the refresh (n - width at j = 0), plus
+      width * (m - node) in a frozen subtree.
+    """
+    n = 1 << m
+    leaf = np.arange(n, 2 * n)
+    before = np.maximum.accumulate(np.where(info_by_leaf, leaf, n - 1))
+    after = np.minimum.accumulate(np.where(info_by_leaf, leaf, 2 * n)[::-1])[::-1]
+    # frexp(x)[1] is the bit length of an integer x; an information leaf
+    # differs from neither, and gets t = -1
+    t = np.minimum(np.frexp(leaf ^ before)[1], np.frexp(leaf ^ after)[1]) - 1
+    level = m - np.maximum(t, 0)
+    first = np.flatnonzero((leaf & ((1 << (m - level)) - 1)) == 0)
+    node = level[first]
+    half = first & -first
+    # half = 2**t is refreshed at level m - t: frexp(2**t) has exponent t + 1
+    start = m + 1 - np.frexp(half)[1]
+    start[0] = 0
+    width = 1 << (m - node)
+    work = 2 * half + width * (m - node - 1)
+    work[0] += n
+    # j + width carries through the trailing ones of j >> (m - node), so
+    # the fold ends where the next step's refresh starts
+    stop = np.append(start[1:], 0)
+    fields = first, node, start, half, _level_ranges(m)[start, node], info_by_leaf[first], width, stop, work
+    return tuple(zip(*(field.tolist() for field in fields)))
+
+
+@cache
+def _level_ranges(m):
+    """range(start + 1, node + 1) at [start, node], for 0 <= start, node <= m:
+    a read-only array, since every later plan of the same m shares it."""
+    ranges = np.empty((m + 1, m + 1), dtype=object)
+    for start in range(m + 1):
+        for node in range(m + 1):
+            ranges[start, node] = range(start + 1, node + 1)
+    ranges.setflags(write=False)
+    return ranges
+
+
 def _decode(spec, llr, list_size, frozen_metric, truth=None):
     """The decoder core: decode a checked (frames, n) LLR block, list_size <= 2**N.
 
@@ -495,29 +563,29 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
     """
     m, n = spec.m, spec.n
     frames = len(llr)
-    # a list's metric; at list_size 1 the leaf beliefs stand in for it
-    include = frozen_metric == "include" and list_size > 1
+    # successive cancellation: no pool, no fork and no metric, for which the
+    # leaf beliefs stand in
+    sc = list_size == 1
+    include = frozen_metric == "include" and not sc
     kernel = select = moved = 0
     bel = [np.ascontiguousarray(llr.T)] + [None] * m
     # the decided symbols, ending as the codewords (see Layout): the step
     # at leaves j .. j + width - 1 spans positions n - j - width .. n - j - 1.
     # Its pages are touched as the steps write them, not up front
     syms = np.empty((n, list_size * frames))
-    leaf_llr = np.empty((n, frames)) if list_size == 1 else None
+    leaf_llr = np.empty((n, frames)) if sc else None
     # the columns of the current rows; the physical rows that the row maps
     # name are among them, since the list never shrinks
     sym = syms[:, :frames]
     # Row maps of the stored arrays, bel[lvl] in slot lvl and the pending
     # symbols at level lvl in slot m + lvl: physical row maps[s, r] of stored
-    # array s holds current row r.  The slots listed in `written` (fresh[s]
-    # True) were written since the last fork, so their physical rows are the
-    # current rows and their maps are stale.
+    # array s holds current row r.  The slots in `written` were written since
+    # the last fork, so their physical rows are the current rows and their
+    # maps are stale.
     maps = np.zeros((2 * m + 1, frames), dtype=np.intp)
-    fresh = [False] * (2 * m + 1)
-    written = []
+    written = set()
 
-    cost = None
-    if list_size > 1:
+    if not sc:
         # the negated metrics, (live, frames) in rank order
         cost = np.zeros((1, frames))
         signs, cols, row_of = _pool_tables(list_size, frames)
@@ -542,26 +610,22 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
                 u = combine_u_llr(base[:half, None].T, base[half:, None].T, v.reshape(half, live, frames).T)
                 lam = u.T.reshape(half, -1)
             else:
-                if not fresh[start - 1]:
+                if start - 1 not in written:
                     base = base.take(maps[start - 1], axis=1)
                     moved += base.size // frames
                 lam = combine_u_llr(base[:half].T, base[half:].T, v.T).T
             bel[start] = lam
-            if not fresh[start]:
-                fresh[start] = True
-                written.append(start)
+            written.add(start)
         else:
             lam = bel[0]
         for lvl in levels:
             h = 1 << (m - lvl)
             lam = combine_v_llr(lam[:h].T, lam[h:].T).T
             bel[lvl] = lam
-            if not fresh[lvl]:
-                fresh[lvl] = True
-                written.append(lvl)
+            written.add(lvl)
 
         rows = None  # parent row of each survivor, where rows may move
-        if info and list_size == 1:
+        if info and sc:
             # recorded as lam + 0.0, so that a -0.0 belief reads +0.0: its
             # sign bit is the decided bit, the tie going to bit 0
             leaf = leaf_llr[j : j + 1]
@@ -587,14 +651,14 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
             select += live * width
             if width == 1:
                 # one frozen leaf: its belief is the node's
-                if leaf_llr is not None:
+                if sc:
                     leaf_llr[j] = lam[0]
                 if include:
                     cost += np.logaddexp(0.0, -lam).reshape(live, frames)
                     parent = cost.argsort(axis=0, kind="stable")
             else:
                 leaves = _frozen_leaf_beliefs(lam, m - node).reshape(width, live, frames)
-                if leaf_llr is not None:
+                if sc:
                     leaf_llr[j : j + width] = leaves[:, 0]
                 if include:
                     # the cost after each leaf, (c1 + cost) + c2 + ... in
@@ -623,12 +687,11 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
             survivors = len(cost)
             if survivors != live or not unmoved.startswith(rows.tobytes()):
                 # a lazy fork: survivor r reads what its parent row read.  The
-                # fresh maps are identity, and identity composed with the
-                # parent rows is the parent rows themselves
+                # written slots' maps are identity, and identity composed
+                # with the parent rows is the parent rows themselves
                 maps = maps.take(rows, axis=1)
                 for s in written:
                     maps[s] = rows
-                    fresh[s] = False
                 written.clear()
             if survivors != live:
                 live = survivors
@@ -641,15 +704,14 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
         for d in range(node, stop, -1):
             size = 1 << (m - d)
             upper = sym[low + size : low + 2 * size]
-            if fresh[m + d]:
+            if m + d in written:
                 upper *= sym[low : low + size]
             else:
                 moved += size * live
                 np.multiply(upper.take(maps[m + d], axis=1), sym[low : low + size], out=upper)
-        if stop and not fresh[m + stop]:
-            fresh[m + stop] = True
-            written.append(m + stop)
+        if stop:
+            written.add(m + stop)
 
     # not -cost: a metric summed from +0.0 is never -0.0
-    metrics = None if cost is None else 0.0 - cost
+    metrics = None if sc else 0.0 - cost
     return syms, metrics, live, OpCounter(kernel, select, moved), leaf_llr

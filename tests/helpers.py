@@ -15,7 +15,12 @@ from rmpolar import (
     SoftVector,
     combine_u_llr,
     combine_v_llr,
+    encode,
+    genie_error_counts,
+    modulate,
     monomial_codeword,
+    posteriors,
+    transmit,
 )
 
 
@@ -240,6 +245,31 @@ def random_spec(m, k, rng):
     """A uniformly random k-path information set."""
     chosen = rng.choice(1 << m, size=k, replace=False)
     return CodeSpec(m=m, info_indices=chosen)
+
+
+def reference_montecarlo_errors(m, channel, trials, seed):
+    """The Monte-Carlo construction's error counts by leaf step, each
+    4096-word draw batch encoded, sent and genie-decoded in one call, as
+    freeze_montecarlo did before it decoded in blocks."""
+    n = 1 << m
+    full = full_spec(m)
+    rng = np.random.default_rng(seed)
+    errors = np.zeros(n, dtype=np.int64)
+    done = 0
+    while done < trials:
+        b = min(4096, trials - done)
+        words = rng.integers(0, 2, size=(b, n), dtype=np.uint8)
+        llr = posteriors(channel, transmit(channel, modulate(encode(full, words)), rng))
+        errors += genie_error_counts(full, llr, words)
+        done += b
+    return errors
+
+
+def reference_freeze_montecarlo(m, k, channel, trials, seed=0):
+    """freeze_montecarlo's information set, ranked from
+    reference_montecarlo_errors: leaf step s is path index n - 1 - s."""
+    errors = reference_montecarlo_errors(m, channel, trials, seed)
+    return CodeSpec(m=m, info_indices=np.argsort(errors[::-1], kind="stable")[:k])
 
 
 def decode_steps(spec):

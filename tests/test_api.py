@@ -137,7 +137,7 @@ def _immutable(value):
 # The module state kept, besides each module's __all__, and why.
 MODULE_STATE = {
     "rmpolar.cli._parser": "the argument parser, built once per process and never changed after",
-    "rmpolar.code_model._level_ranges": "one read-only array of range objects per m, read by every decode_plan",
+    "rmpolar.list_decoder._level_ranges": "one read-only array of range objects per m, read by every step_plan",
     "rmpolar.encoder._MASKS": "the butterfly masks; building them per call was 1.7-2.9x slower (ROADMAP)",
 }
 
@@ -157,7 +157,7 @@ def test_module_state_census():
 
 def test_cached_level_ranges_are_read_only():
     # every later plan of the same m reads the one cached array
-    from rmpolar.code_model import _level_ranges
+    from rmpolar.list_decoder import _level_ranges
 
     ranges = _level_ranges(3)
     assert not ranges.flags.writeable

@@ -8,6 +8,7 @@ import pytest
 
 from rmpolar import list_decoder
 from rmpolar import (
+    LLR_CLAMP,
     CodeSpec,
     SoftVector,
     encode,
@@ -185,6 +186,26 @@ def test_decode_blocks_match_per_frame_decoding(tmp_path, monkeypatch, list_size
     assert out.read_bytes() == expected.encode("ascii")
     assert expected.startswith("0\n")
     assert list_decode(spec, np.array(frames[0]), list_size).best.info_bits[0] == 1
+
+
+def test_decode_holds_its_values_in_one_buffer(tmp_path):
+    # 1000 frames at m=8, a 2.4 MB file: a Python float list per line peaked
+    # at about 19 MiB, one float64 buffer at about 11 MiB, the decode included
+    spec = freeze_bec(8, 128, 0.5)
+    fs = _frozen_set_file(tmp_path, spec)
+    infile = tmp_path / "llr.txt"
+    llr = np.random.default_rng(3).normal(1.0, 2.0, (1000, spec.n))
+    np.savetxt(infile, llr, fmt="%.6f")
+    out = tmp_path / "decoded.txt"
+    tracemalloc.start()
+    try:
+        assert main(["decode", "--frozen-set", str(fs), "--in", str(infile), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 << 20
+    words = list_decode(spec, np.clip(np.loadtxt(infile), -LLR_CLAMP, LLR_CLAMP), 1).best.info_bits
+    assert out.read_text() == "".join("".join(map(str, word)) + "\n" for word in words.tolist())
 
 
 def test_every_subcommand_refuses_m_beyond_limit(tmp_path):

@@ -23,9 +23,17 @@ from rmpolar import (
     save_frozen_set,
     sc_decode,
 )
-from rmpolar import code_model
+from rmpolar import code_model, list_decoder
 from rmpolar.code_model import MAX_M
-from helpers import decode_steps, full_spec, gf2_rank, info_paths, random_spec
+from helpers import (
+    decode_steps,
+    full_spec,
+    gf2_rank,
+    info_paths,
+    random_spec,
+    reference_freeze_montecarlo,
+    reference_montecarlo_errors,
+)
 
 
 def test_rm_dimension_examples():
@@ -407,6 +415,55 @@ def test_freeze_montecarlo_is_deterministic():
     a = freeze_montecarlo(3, 4, Channel.bsc(0.2), trials=3000, seed=5)
     b = freeze_montecarlo(3, 4, Channel.bsc(0.2), trials=3000, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "m, per_call, channel, trials",
+    [
+        (5, 1, Channel.bsc(0.1), 1),
+        (5, 2, Channel.bec(0.4), 4095),
+        (6, 3, Channel.awgn(0.8), 4097),
+        (5, 3, Channel.bsc(0.1), 9000),
+    ],
+    ids=["bsc-1", "bec-4095", "awgn-4097", "bsc-9000"],
+)
+def test_freeze_montecarlo_does_not_depend_on_the_decode_block(monkeypatch, m, per_call, channel, trials):
+    # slices of 1-3 rows, which divide neither the trials nor the 4096-word
+    # draw batch, give the counts and frozen sets of one genie call per batch
+    n = 1 << m
+    calls = []
+    genie = code_model.genie_error_counts
+
+    def counted(spec, llr, words):
+        errors = genie(spec, llr, words)
+        calls.append((len(llr), errors))
+        return errors
+
+    monkeypatch.setattr(code_model, "genie_error_counts", counted)
+    monkeypatch.setattr(list_decoder, "DECODE_BLOCK_ENTRIES", per_call * n)
+    spec = freeze_montecarlo(m, n // 2, channel, trials, seed=4)
+    rows = [count for count, _ in calls]
+    batches = [min(4096, trials - done) for done in range(0, trials, 4096)]
+    assert rows == [min(per_call, b - first) for b in batches for first in range(0, b, per_call)]
+    counts = sum(errors for _, errors in calls)
+    np.testing.assert_array_equal(counts, reference_montecarlo_errors(m, channel, trials, seed=4))
+    assert spec == reference_freeze_montecarlo(m, n // 2, channel, trials, seed=4)
+    monkeypatch.undo()
+    for k in (1, n // 4, 3 * n // 4):
+        expected = reference_freeze_montecarlo(m, k, channel, trials, seed=4)
+        assert freeze_montecarlo(m, k, channel, trials, seed=4) == expected
+
+
+def test_freeze_montecarlo_memory_is_bounded_by_the_decode_block():
+    # at m=10 each 4096-word batch is decoded in slices of 1024 rows; decoded
+    # in one call, the batch peaked at 186 MiB
+    tracemalloc.start()
+    try:
+        freeze_montecarlo(10, 512, Channel.bsc(0.05), 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 << 20
 
 
 def test_freeze_montecarlo_rejects_bad_k_and_trials():

@@ -75,6 +75,22 @@ def test_paired_timing_refuses_cores_that_move_differently(tmp_path):
     assert "decode-latency: the two trees count work differently in round 0" in proc.stderr
 
 
+def test_paired_timing_refuses_step_plans_that_differ(tmp_path):
+    # a tree whose step plans hold each step's levels as a tuple, not a
+    # range: it decodes and counts the same, so only the plans differ
+    tree = _tree_with(
+        tmp_path,
+        "\n\n_step_plan = step_plan\n\n\n"
+        "def step_plan(m, info_by_leaf):\n"
+        "    return tuple(step[:4] + (tuple(step[4]),) + step[5:] for step in _step_plan(m, info_by_leaf))\n",
+    )
+    proc = _run(ROOT, tree)
+    assert proc.returncode != 0
+    assert "decode-latency:fresh: the two trees compile different step plans in round 0" in proc.stderr
+    # the plain decode-latency row, which reads no plan of a fresh spec, passed
+    assert proc.stdout.splitlines()[1].split()[0] == "decode-latency"
+
+
 def test_paired_timing_refuses_simulations_that_differ(tmp_path):
     # a tree whose run_simulation reports one more frame error at each point:
     # its list_decode results stay the same

@@ -21,6 +21,7 @@ Each shape has a second row, `<shape>:fresh`, whose timed call also builds
 a new `CodeSpec` from the shape's indices before decoding, so that it pays
 for the spec's cached masks and step plan.  Every `rmpolar simulate` or
 `decode` call pays that once, for the spec that `load_frozen_set` returns.
+The two fresh specs' step plans (`CodeSpec.decode_plan`) must be equal.
 The two simulation shapes have a third row, `<shape>:simulate`, whose timed
 call builds a new `CodeSpec` and runs `run_simulation` on the shape's
 channel tokens, its frames per token as trials, seeded by the round: the
@@ -108,12 +109,12 @@ def time_shape(base, change, shape, rounds, seed, row):
     for r in range(rounds + 1):
         if row != ":simulate":
             block = draw_block(base, specs[0], tokens, per_token, np.random.default_rng(seed + r))
-        times, results = [0.0, 0.0], [None, None]
+        times, results, fresh = [0.0, 0.0], [None, None], [None, None]
         for side in ((0, 1) if r % 2 else (1, 0)):
             t0 = time.perf_counter()
             spec = specs[side]
             if row:
-                spec = pkgs[side].CodeSpec(m=spec.m, info_indices=spec.info_indices)
+                spec = fresh[side] = pkgs[side].CodeSpec(m=spec.m, info_indices=spec.info_indices)
             if row == ":simulate":
                 results[side] = pkgs[side].run_simulation(spec, points[side], list_size, per_token, seed + r)
             else:
@@ -131,6 +132,8 @@ def time_shape(base, change, shape, rounds, seed, row):
                 raise SystemExit(
                     f"{name}: the two trees count work differently in round {r} (seed {seed + r}): {counts}"
                 )
+            if row == ":fresh" and fresh[0].decode_plan != fresh[1].decode_plan:
+                raise SystemExit(f"{name}{row}: the two trees compile different step plans in round {r}")
         if r:
             ratios.append(times[1] / times[0])
     return np.array(ratios)
