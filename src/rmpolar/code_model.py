@@ -6,9 +6,8 @@ m boolean variables; a code is fixed by the set T of paths that carry free
 coefficients (the information set), stored as an ascending index array.
 Choosing T by degree (popcount) gives the weight-rule codes, by reliability
 the bit-frozen subcodes tuned to a target channel.  freeze_montecarlo
-estimates that reliability with rmpolar.sc_decoder.genie_error_counts, a
-pass of the decoder core of rmpolar.list_decoder, where the combine kernels
-live.
+estimates that reliability with genie_error_counts, a genie pass of the
+decoder core in rmpolar.list_decoder.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ import numpy as np
 
 from .channel import modulate, posteriors, transmit
 from .encoder import encode
-from .list_decoder import block_frames, step_plan
-from .sc_decoder import genie_error_counts
+from .list_decoder import block_frames, check_integer, genie_error_counts, step_plan
 
 __all__ = [
     "Path",
@@ -291,10 +289,8 @@ def freeze_montecarlo(m, k, channel, trials, seed=0):
     n = 1 << m
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_integer("trials", trials, 1)
+    check_integer("seed", seed, 0)
 
     full = CodeSpec(m=m, info_indices=np.arange(n))
     step = block_frames(full, 1)

@@ -1,12 +1,13 @@
 """Successive-cancellation list decoding: the one decoder core.
 
-The core (_decode) serves every decoder of the package: list_decode, and at
-list size 1 the successive-cancellation wrappers of rmpolar.sc_decoder.  The
-kernels it calls, combine_v_llr and combine_u_llr, and its work tally
-OpCounter are defined here; rmpolar.sc_decoder re-exports all three.  It
-advances in leaf processing order by the steps that step_plan compiles once
-per spec (CodeSpec.decode_plan), and the live hypotheses of every frame in
-a block move together.
+The core (_decode) serves every decoder of the package, each defined here:
+list_decode, and at list size 1 sc_decode and the genie pass
+genie_error_counts.  So are the kernels it calls, combine_v_llr and
+combine_u_llr, and its work tally OpCounter; rmpolar.sc_decoder re-exports
+these five and DecodeResult, the same objects.  The core advances in leaf
+processing order by the steps that step_plan compiles once per spec
+(CodeSpec.decode_plan), and the live hypotheses of every frame in a block
+move together.
 
 Layout.  Arrays are position-major: bel[lvl] holds the level-lvl beliefs,
 shape (2**(m-lvl), rows), so the two halves lam[:h] and lam[h:] of a node
@@ -84,15 +85,19 @@ have left them: one fork.  A lone frozen leaf (width 1) is its node: its
 cost is added in place, and the one-key sort is a stable argsort of the
 costs.
 
-At L = 1 there is no pool, no fork and no metric: an information leaf
-takes the sign of its belief, the tie going to bit 0, and the core records
-every leaf's belief in a position-major (n, frames) buffer, one contiguous
-row per leaf.  The decided bits are read back as the sign bits of the
-information leaves' recorded beliefs (each recorded as belief + 0.0, so a
--0.0 tie reads as bit 0), not by inverting the encoder.  The metric, which
-only ranks a list, is summed from the same beliefs when ListResult.metrics
-is first read, leaf by leaf in order as the pool entries would have grown
-it, so a caller that reads only the decisions never pays for it.
+At L = 1 (successive cancellation) there is no pool, no fork and no
+metric: an information leaf takes the sign of its belief, the tie going to
+bit 0, and each step records its leaves' beliefs, at one site, in a
+position-major (n, frames) buffer, one contiguous row per leaf.  The
+decided bits are read back as the sign bits of the information leaves'
+recorded beliefs (each recorded as belief + 0.0, so a -0.0 tie reads as
+bit 0), not by inverting the encoder; sc_decode reads each posterior as
+1 / (1 + exp(-belief)).  The metric, which only ranks a list, is summed
+from the same beliefs when ListResult.metrics is first read, leaf by leaf
+in order as the pool entries would have grown it, so a caller that reads
+only the decisions never pays for it.  genie_error_counts runs a block of
+trials as the rows of one pass, with the true symbols in place of the
+decisions.
 
 How many hypotheses live after each step depends only on the frozen set
 and L, never on the beliefs, so the frames of a block always have the same
@@ -103,12 +108,13 @@ ranks the survivors of every frame at once, in arrays, for one ListResult.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
-from .channel import SoftVector
+from .channel import SoftVector, _expit
 from .encoder import info_bits_of
 
 __all__ = [
@@ -319,13 +325,23 @@ def select_top(pool, limit):
     return pool.argsort(axis=0, kind="stable")[:limit]
 
 
+def check_integer(name, value, low):
+    """`value` as an int; ValueError naming `name` unless operator.index takes it and it is >= `low`."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return number
+
+
 def check_list_size(m, dimension, list_size):
-    """Raise ValueError unless list_size >= 1 and the stored levels of one
+    """Raise ValueError unless list_size is an integer >= 1 and the stored levels of one
     frame of length 2**m, about 2 * live * 2**m entries, fit in MAX_LIST_ENTRIES;
     return live = min(list_size, 2**dimension), never building 2**dimension."""
-    if list_size < 1:
-        raise ValueError(f"list size must be >= 1, got {list_size}")
-    live = 1 << dimension if int(list_size).bit_length() > dimension else int(list_size)
+    size = check_integer("list size", list_size, 1)
+    live = 1 << dimension if size.bit_length() > dimension else size
     if live << (m + 1) > MAX_LIST_ENTRIES:
         raise ValueError(
             f"list size {list_size} at m={m}, k={dimension} would store about {live << (m + 1)} "
@@ -454,6 +470,73 @@ def list_decode(spec, beliefs, list_size, frozen_metric="include"):
     # every frame's hypotheses in rank order: (frames, live) indices, or (live,)
     rows = (order[:, 0], 0) if single else (order.T, np.arange(len(llr))[:, None])
     return ListResult(bits[rows], codewords[rows], metrics[rows], counter.kernel, counter.select)
+
+
+@dataclass
+class DecodeResult:
+    """Outcome of one successive-cancellation pass.
+
+    info_bits : decided information bits in processing order, shape (N,).
+    codeword  : the re-encoded decision, shape (n,).
+    leaf_posteriors : posterior of bit 0 at each information leaf, shape (N,).
+    op_count  : kernel evaluations spent.
+    """
+
+    info_bits: np.ndarray
+    codeword: np.ndarray
+    leaf_posteriors: np.ndarray
+    op_count: int
+
+
+def sc_decode(spec, beliefs):
+    """Decode one frame of channel beliefs under `spec`.
+
+    Parameters
+    ----------
+    spec : CodeSpec
+    beliefs : SoftVector of length spec.n, or an array of spec.n finite LLRs.
+
+    Returns
+    -------
+    DecodeResult; the codeword field always equals the re-encoding of the
+    decided information bits; leaf_posteriors are computed as SoftVector.q.
+    """
+    code_syms, _, _, counter, leaf_llr = _decode(spec, _one_frame(spec, beliefs), 1, "ignore")
+    lam = leaf_llr[spec.info_mask_by_leaf, 0]
+    return DecodeResult(
+        info_bits=np.signbit(lam).view(np.uint8),
+        codeword=(code_syms[:, 0] < 0.0).view(np.uint8),
+        leaf_posteriors=_expit(lam),
+        op_count=counter.kernel,
+    )
+
+
+def genie_error_counts(spec, llr_matrix, info_bits):
+    """Per-leaf raw-decision error totals over a batch of genie passes.
+
+    llr_matrix is (trials, n), info_bits is (trials, N) 0/1 values, one word
+    per row.  Every decision is corrected to the truth, and the raw decision
+    at each information leaf is recorded before the correction, so each
+    error is a first error at that leaf; frozen leaves are forced and never
+    counted.  Returns an int64 array of length n in processing order.  Used
+    by the Monte-Carlo construction.
+    """
+    llr, _ = _check_beliefs(spec, llr_matrix)
+    words = np.asarray(info_bits, dtype=np.uint8)
+    if words.ndim != 2 or words.shape[1] != spec.dimension:
+        raise ValueError(
+            f"truth needs {spec.dimension} information bits per word, got shape {words.shape}"
+        )
+    if len(words) != len(llr):
+        raise ValueError(f"truth needs one information word per frame: {len(llr)} frames, {len(words)} words")
+    if words.max(initial=0) > 1:
+        raise ValueError("info_bits must be 0/1 valued")
+    # the true +-1 symbol of every leaf, position-major like the leaf beliefs
+    truth = np.ones((spec.n, len(words)), dtype=np.int8)
+    truth[spec.info_mask_by_leaf] = np.where(words.T == 1, -1, 1)
+    leaf_llr = _decode(spec, llr, 1, "ignore", truth=truth)[-1]
+    wrong = (np.signbit(leaf_llr) != (truth < 0)) & spec.info_mask_by_leaf[:, None]
+    return wrong.sum(axis=1, dtype=np.int64)
 
 
 def _rank(metrics, bits):
@@ -649,28 +732,24 @@ def _decode(spec, llr, list_size, frozen_metric, truth=None):
             np.negative(signs.take(flat), out=syms[n - 1 - j, : flat.size])
         else:
             select += live * width
-            if width == 1:
-                # one frozen leaf: its belief is the node's
-                if sc:
-                    leaf_llr[j] = lam[0]
-                if include:
-                    cost += np.logaddexp(0.0, -lam).reshape(live, frames)
-                    parent = cost.argsort(axis=0, kind="stable")
-            else:
-                leaves = _frozen_leaf_beliefs(lam, m - node).reshape(width, live, frames)
-                if sc:
-                    leaf_llr[j : j + width] = leaves[:, 0]
-                if include:
-                    # the cost after each leaf, (c1 + cost) + c2 + ... in
-                    # leaf order for leaf costs c = -log_expit(leaf),
-                    # rounded as one extension per leaf rounds it
-                    run = np.logaddexp(0.0, -leaves)
-                    run[0] += cost
-                    run = np.add.accumulate(run, axis=0)
-                    cost = run[-1]
-                    # one stable sort per leaf, composed: the last leaf's
-                    # cost ranks first, earlier leaves break its ties
-                    parent = np.lexsort(run, axis=0)
+            # the leaf beliefs: a lone frozen leaf's is its node's
+            leaves = (lam if width == 1 else _frozen_leaf_beliefs(lam, m - node)).reshape(width, live, frames)
+            if sc:
+                leaf_llr[j : j + width] = leaves[:, 0]
+            if include and width == 1:
+                cost += np.logaddexp(0.0, -leaves[0])
+                parent = cost.argsort(axis=0, kind="stable")
+            elif include:
+                # the cost after each leaf, (c1 + cost) + c2 + ... in leaf
+                # order for leaf costs c = -log_expit(leaf), rounded as one
+                # extension per leaf rounds it
+                run = np.logaddexp(0.0, -leaves)
+                run[0] += cost
+                run = np.add.accumulate(run, axis=0)
+                cost = run[-1]
+                # one stable sort per leaf, composed: the last leaf's cost
+                # ranks first, earlier leaves break its ties
+                parent = np.lexsort(run, axis=0)
             if include:
                 # re-rank by parent rank: a lone row keeps its place, and the
                 # fork below skips it

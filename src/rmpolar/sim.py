@@ -25,7 +25,7 @@ import numpy as np
 from .channel import Channel, modulate, posteriors, transmit
 from .code_model import CodeSpec, check_m
 from .encoder import encode, random_info_bits
-from .list_decoder import OpCounter, block_frames, check_frozen_metric, check_list_size, list_decode
+from .list_decoder import OpCounter, block_frames, check_frozen_metric, check_integer, check_list_size, list_decode
 
 __all__ = [
     "CSV_HEADER",
@@ -71,8 +71,8 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
     channel_points : iterable of (Channel, display_param) pairs, e.g. from
         :func:`rmpolar.channel.parse_channel`.
     list_size : decoder list size L, bounded by check_list_size.
-    trials : frames per channel point, >= 1.
-    seed : base seed, >= 0; trial t uses default_rng(seed + t).
+    trials : frames per channel point, an integer >= 1.
+    seed : base seed, an integer >= 0; trial t uses default_rng(seed + t).
     frozen_metric : 'include' or 'ignore', forwarded to the list decoder.
     Each argument is checked before the first draw.
 
@@ -83,10 +83,8 @@ def run_simulation(spec, channel_points, list_size, trials, seed, frozen_metric=
     points = list(channel_points)
     if not points:
         raise ValueError("need at least one channel point")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_integer("trials", trials, 1)
+    check_integer("seed", seed, 0)
     if spec.dimension < 1:
         raise ValueError("cannot simulate a spec with no information paths")
     per_block = block_frames(spec, list_size)

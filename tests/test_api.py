@@ -112,6 +112,38 @@ def test_removed_names_are_not_exported(name):
         assert name not in importlib.import_module(f"rmpolar.{module}").__all__
 
 
+def _defined_or_used_names(node):
+    """The identifiers that one AST node defines, binds, imports or reads."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    return set()
+
+
+def test_successive_cancellation_has_one_home_beside_the_decoder_core():
+    # sc_decoder only re-exports list_decoder's objects, so one tracer
+    # wrapper reaches every caller, and only list_decoder knows its core
+    from rmpolar import list_decoder, sc_decoder
+
+    for name in sc_decoder.__all__:
+        assert getattr(sc_decoder, name) is getattr(list_decoder, name, None), name
+    src = Path(rmpolar.__file__).parent
+    tree = ast.parse((src / "sc_decoder.py").read_text())
+    defined = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert not defined
+    naming = sorted(
+        source.name
+        for source in src.glob("*.py")
+        if any("_decode" in _defined_or_used_names(node) for node in ast.walk(ast.parse(source.read_text())))
+    )
+    assert naming == ["list_decoder.py"]
+
+
 def test_traced_helpers_stay_module_attributes():
     for module, names in TRACED_HELPERS.items():
         mod = importlib.import_module(f"rmpolar.{module}")

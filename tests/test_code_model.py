@@ -474,11 +474,15 @@ def test_freeze_montecarlo_rejects_bad_k_and_trials():
     for trials in (0, -5):
         with pytest.raises(ValueError, match=rf"^trials must be >= 1, got {trials}$"):
             freeze_montecarlo(3, 4, channel, trials=trials)
+    with pytest.raises(ValueError, match=r"^trials must be an integer, got 2\.5$"):
+        freeze_montecarlo(3, 4, channel, trials=2.5)
 
 
 def test_freeze_montecarlo_names_a_negative_seed():
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         freeze_montecarlo(3, 4, Channel.bsc(0.1), trials=10, seed=-1)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
+        freeze_montecarlo(3, 4, Channel.bsc(0.1), trials=10, seed=0.5)
 
 
 def test_frozen_set_load_rejects_an_empty_file(tmp_path):

@@ -296,6 +296,21 @@ def test_list_decode_rejects_non_finite_beliefs():
             list_decode(spec, llr, list_size=2)
 
 
+@pytest.mark.parametrize("list_size", [1.9, 2.5, 1.0, np.float64(4.0), "2", None])
+def test_non_integer_list_sizes_are_refused_by_name(list_size):
+    # int() once truncated them, so that 1.9 ran successive cancellation
+    spec = freeze_rm(1, 3)
+    message = f"list size must be an integer, got {list_size!r}"
+    for call in (lambda: list_decode(spec, np.ones(8), list_size), lambda: list_decoder.block_frames(spec, list_size)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    # integers below the bound keep their message; numpy integers are integers
+    with pytest.raises(ValueError, match=r"^list size must be >= 1, got 0$"):
+        list_decode(spec, np.ones(8), 0)
+    assert len(list_decode(spec, np.ones(8), np.int64(2)).candidates) == 2
+
+
 def test_list_memory_bound():
     # about 2 * min(L, 2**N) * n stored entries per frame; the check runs on
     # the sizes alone, never building 2**N, so no failing size is decoded

@@ -443,6 +443,20 @@ def test_genie_rejects_words_of_the_wrong_width():
         assert str(exc.value) == f"truth needs 4 information bits per word, got shape {words.shape}"
 
 
+def test_genie_rejects_words_that_are_not_0_1_as_encode_does():
+    # a 2 was once read as bit 0, counting errors against another word
+    spec = freeze_bec(4, 8, 0.5)
+    words = random_info_bits(spec, np.random.default_rng(5), size=6)
+    llr = np.where(encode(spec, words) == 1, -20.0, 20.0)
+    assert genie_error_counts(spec, llr, words).sum() == 0
+    for bad in (words * 2, words + 1, np.where(words == 1, 255, 0)):
+        with pytest.raises(ValueError) as refused:
+            genie_error_counts(spec, llr, bad)
+        with pytest.raises(ValueError) as encoded:
+            encode(spec, bad)
+        assert str(refused.value) == str(encoded.value) == "info_bits must be 0/1 valued"
+
+
 def test_single_frame_decoders_reject_a_block():
     spec = freeze_bec(3, 4, 0.5)
     block = np.ones((2, 8))

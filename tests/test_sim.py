@@ -264,6 +264,24 @@ def test_negative_seed_is_refused_before_drawing(monkeypatch):
     assert draws == []
 
 
+def test_non_integer_list_sizes_trials_and_seeds_are_refused_by_name():
+    # a list size of 2.5 once ran L=2, and fractional trials and seeds ended
+    # in numpy TypeErrors that named no argument
+    spec, points = freeze_bec(4, 8, 0.5), [(Channel.bsc(0.1), 0.1)]
+    for args, message in (
+        ((2.5, 3, 0), "list size must be an integer, got 2.5"),
+        ((2, 2.5, 0), "trials must be an integer, got 2.5"),
+        ((2, 3, 0.5), "seed must be an integer, got 0.5"),
+        ((2, 3, "0"), "seed must be an integer, got '0'"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            run_simulation(spec, points, *args)
+        assert str(exc.value) == message
+    # complexity_probe once fitted L=1's count under L=1.5
+    with pytest.raises(ValueError, match=r"^list size must be an integer, got 1\.5$"):
+        complexity_probe([4], [1.5])
+
+
 def test_csv_rows_round_trip(tmp_path):
     spec = freeze_rm(1, 4)
     points = [(Channel.bsc(0.1), 0.1), (Channel.awgn(1.1), 1.5)]

@@ -21,12 +21,14 @@ def test_paired_timing_of_a_tree_against_itself():
     proc = _run(ROOT, ROOT)
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
-    # each shape, then its row that builds a fresh spec in every timed call,
-    # then for a simulation shape its row that runs run_simulation
+    # each decoding shape, then its row that builds a fresh spec in every
+    # timed call, then for a simulation shape its row that runs
+    # run_simulation; last the genie pass of the Monte-Carlo construction
     assert [line.split()[0] for line in lines[1:]] == [
         "decode-latency", "decode-latency:fresh",
         "sim-list16", "sim-list16:fresh", "sim-list16:simulate",
         "sim-sc", "sim-sc:fresh", "sim-sc:simulate",
+        "construct-mc:genie",
     ]
     assert all(line.split()[3] == "2" for line in lines[1:])
     # each row ends with the rounds the change won, here of 2
@@ -107,3 +109,20 @@ def test_paired_timing_refuses_simulations_that_differ(tmp_path):
     proc = _run(ROOT, tree)
     assert proc.returncode != 0
     assert "sim-list16: the two trees simulate round 0" in proc.stderr
+
+
+def test_paired_timing_refuses_genie_counts_that_differ(tmp_path):
+    # a tree whose genie pass counts one more error at the first leaf: every
+    # decoding and simulation row stays the same
+    tree = _tree_with(
+        tmp_path,
+        "\n\n_genie_error_counts = genie_error_counts\n\n\n"
+        "def genie_error_counts(*args, **kwargs):\n"
+        "    counts = _genie_error_counts(*args, **kwargs)\n"
+        "    counts[0] += 1\n"
+        "    return counts\n",
+    )
+    proc = _run(ROOT, tree)
+    assert proc.returncode != 0
+    assert "construct-mc:genie: the two trees count errors differently in round 0" in proc.stderr
+    assert proc.stdout.splitlines()[-1].split()[0] == "sim-sc:simulate"
